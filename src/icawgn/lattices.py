@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _sp
 
 from .bounds import delta_star
 from .dispersion import DB_PER_NAT
@@ -293,8 +293,8 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
     if trials < 1 or not (0 <= errors <= trials):
         raise ValueError(f"invalid counts: {errors}/{trials}")
     alpha = 1.0 - confidence
-    lo = 0.0 if errors == 0 else float(_stats.beta.ppf(alpha / 2.0, errors, trials - errors + 1))
-    hi = 1.0 if errors == trials else float(_stats.beta.ppf(1.0 - alpha / 2.0, errors + 1, trials - errors))
+    lo = 0.0 if errors == 0 else float(_sp.betaincinv(errors, trials - errors + 1, alpha / 2.0))
+    hi = 1.0 if errors == trials else float(_sp.betaincinv(errors + 1, trials - errors, 1.0 - alpha / 2.0))
     return lo, hi
 
 

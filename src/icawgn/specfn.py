@@ -3,16 +3,21 @@
 Everything here is scalar, pure and thread-safe.  Probability-like
 quantities are carried in the natural-log domain end to end (see
 :class:`LogProb`); linear values are produced only at API boundaries.
-The incomplete-gamma routines keep full relative accuracy in the log
-domain even where the linear value underflows double precision, which
-happens routinely for the chi-square tails at dimensions in the
-thousands.
+The incomplete-gamma routines take the smaller of the two tails from
+scipy (Cephes, after DiDonato & Morris 1986 and Temme 1979) and the larger
+as its complement.  Where that tail underflows double precision, which
+happens routinely for the chi-square tails at dimensions in the thousands,
+a log-domain series or continued fraction keeps full relative accuracy in
+the log domain.
 """
 
 import math
 from dataclasses import dataclass
 
 from scipy import special as _sp
+# Scalar entry points of the same scipy.special kernels: bit-identical to the
+# ufuncs, without their array-call overhead (0.3 us a call against 1.7 us).
+from scipy.special import cython_special as _cs
 
 __all__ = [
     "LogProb",
@@ -36,6 +41,18 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # converge in O(sqrt(a)) steps in their own regions.
 _MAX_ITER = 100_000
 _EPS = 1e-17
+# Once converged, the continued fraction's correction factor rounds to a
+# neighbour of 1.0 (1/b * b need not be exactly 1), so it stops within 1 ulp.
+_DBL_EPS = 2.0 ** -52
+
+# Smallest tail taken from scipy's linear value; below it the log-domain
+# series or continued fraction carries the tail past double underflow.
+_LINEAR_MIN = 1e-300
+# scipy sums the lower-tail power series for at most 2000 terms.  Above this
+# shape that truncates before convergence for some x < a (relative error 2e-11
+# at a = 5e5, 1e-9 at a = 5e6, both at x = 0.99 a), so there the lower tail is
+# summed here instead.
+_SCIPY_SERIES_MAX_A = 1e5
 
 
 @dataclass(frozen=True)
@@ -125,9 +142,40 @@ def _check_gamma_args(a: float, x: float) -> None:
         raise ValueError(f"argument must be >= 0, got {x}")
 
 
+def _stirlerr(a: float) -> float:
+    # ln Gamma(a+1) - [(a + 1/2) ln a - a + ln(2 pi)/2].  From a = 15 on, the
+    # Stirling series to a^-9 is exact to double precision and avoids the
+    # cancellation of the large terms.
+    if a < 15.0:
+        return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - _LN_SQRT_2PI
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a
+
+
+def _log_prefactor(a: float, x: float) -> float:
+    # ln(x^a e^-x / Gamma(a+1)) = -a phi(x/a) - ln(2 pi a)/2 - stirlerr(a) with
+    # phi(l) = l - 1 - ln l.  The direct form a ln x - x - ln Gamma(a+1)
+    # cancels to an absolute error near a ln x * 1e-16 (3e-9 at a = 5e6).
+    # Near l = 1, phi is summed as t u - 2 (u^3/3 + u^5/5 + ...), where
+    # t = l - 1 and u = t / (2 + t), so that a phi = (x - a) u - 2 a (...).
+    d = x - a
+    if abs(d) > 0.5 * a:
+        a_phi = d - a * (math.log(x) - math.log(a))
+    else:
+        u = d / (a + a + d)
+        u2 = u * u
+        term, total, k = u * u2, 0.0, 3
+        while abs(term) > _EPS * abs(total) * k:
+            total += term / k
+            term *= u2
+            k += 2
+        a_phi = d * u - 2.0 * a * total
+    return -a_phi - _LN_SQRT_2PI - 0.5 * math.log(a) - _stirlerr(a)
+
+
 def _log_lower_series(a: float, x: float) -> float:
     # P(a, x) = x^a e^-x / Gamma(a+1) * sum_{k>=0} x^k / prod_{j<=k}(a+j)
-    # Converges fastest for x < a + 1.
+    # Converges for every x, fastest for x well below a.
     term = 1.0
     total = 1.0
     for k in range(1, _MAX_ITER):
@@ -137,7 +185,7 @@ def _log_lower_series(a: float, x: float) -> float:
             break
     else:
         raise ArithmeticError(f"lower-gamma series failed to converge (a={a}, x={x})")
-    return a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(total)
+    return _log_prefactor(a, x) + math.log(total)
 
 
 def _log_upper_cf(a: float, x: float) -> float:
@@ -160,22 +208,25 @@ def _log_upper_cf(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if abs(delta - 1.0) <= _DBL_EPS:
             break
     else:
         raise ArithmeticError(f"upper-gamma continued fraction failed to converge (a={a}, x={x})")
-    return a * math.log(x) - x - math.lgamma(a) + math.log(h)
+    return _log_prefactor(a, x) + math.log(a) + math.log(h)
 
 
-def _complement(log_p: float) -> LogProb:
-    # log(1 - e^{log_p}) for log_p <= 0, split at ln 2 to keep full relative
-    # accuracy on both ends (standard log1mexp evaluation).
-    if log_p > -math.log(2.0):
-        one_minus = -math.expm1(log_p)
-        if one_minus <= 0.0:
-            return LogProb.zero()
-        return LogProb(min(math.log(one_minus), 0.0))
-    return LogProb(min(math.log1p(-math.exp(log_p)), 0.0))
+def _log_tail(a: float, x: float, upper: bool) -> float:
+    # ln Q(a, x) if upper else ln P(a, x), for x > 0.  The smaller tail is
+    # taken directly and the larger as its complement: for a >= 1/2 the split
+    # at x = a leaves the larger at least 0.31, so log1p loses nothing.
+    lower_smaller = x < a
+    direct = upper != lower_smaller
+    if not (lower_smaller and a > _SCIPY_SERIES_MAX_A):
+        small = _cs.gammainc(a, x) if lower_smaller else _cs.gammaincc(a, x)
+        if small > _LINEAR_MIN:
+            return math.log(small) if direct else math.log1p(-small)
+    log_small = _log_lower_series(a, x) if lower_smaller else _log_upper_cf(a, x)
+    return min(log_small, 0.0) if direct else math.log1p(-math.exp(log_small))
 
 
 def log_reg_gamma_lower(a: float, x: float) -> LogProb:
@@ -183,9 +234,7 @@ def log_reg_gamma_lower(a: float, x: float) -> LogProb:
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb.zero()
-    if x < a + 1.0:
-        return LogProb(min(_log_lower_series(a, x), 0.0))
-    return _complement(_log_upper_cf(a, x))
+    return LogProb(_log_tail(a, x, upper=False))
 
 
 def log_reg_gamma_upper(a: float, x: float) -> LogProb:
@@ -193,23 +242,23 @@ def log_reg_gamma_upper(a: float, x: float) -> LogProb:
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb(0.0)
-    if x < a + 1.0:
-        return _complement(_log_lower_series(a, x))
-    return LogProb(min(_log_upper_cf(a, x), 0.0))
+    return LogProb(_log_tail(a, x, upper=True))
 
 
 def reg_gamma_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) in the linear domain.
-
-    The branch switch between the series and the continued fraction sits at
-    x = a + 1, the standard region of best convergence for each expansion.
-    """
-    return log_reg_gamma_upper(a, x).linear
+    """Regularized upper incomplete gamma Q(a, x) in the linear domain:
+    scipy's ``gammaincc``.  Use :func:`log_reg_gamma_upper` where the value
+    may underflow."""
+    _check_gamma_args(a, x)
+    return _cs.gammaincc(a, x)
 
 
 def reg_gamma_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) in the linear domain."""
-    return log_reg_gamma_lower(a, x).linear
+    """Regularized lower incomplete gamma P(a, x) in the linear domain:
+    scipy's ``gammainc``.  Use :func:`log_reg_gamma_lower` where the value
+    may underflow."""
+    _check_gamma_args(a, x)
+    return _cs.gammainc(a, x)
 
 
 def q_func(x: float) -> float:

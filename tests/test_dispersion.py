@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from icawgn.bounds import ChannelPoint, delta_cr, delta_star, ml_bound, sphere_bound
+from icawgn.bounds import BoundValue, ChannelPoint, delta_cr, delta_star, ml_bound, sphere_bound
 from icawgn.dispersion import (
     DB_PER_NAT,
+    _invert_bound,
     berry_esseen_T,
     gap_db,
     lattice_snr_rho,
@@ -21,7 +22,7 @@ from icawgn.dispersion import (
     vnr_opt_approx,
 )
 from icawgn.asymptotics import terms
-from icawgn.specfn import q_func, reg_gamma_upper
+from icawgn.specfn import LogProb, q_func, reg_gamma_upper
 
 DS = delta_star(1.0)
 
@@ -134,6 +135,36 @@ class TestInversion:
     def test_converse_approx_gap_order(self):
         res = nld_eps_converse(1000, 0.01, 1.0)
         assert abs(1000 * (res.delta - nld_eps_approx(1000, 0.01, 1.0))) <= 10.0
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-6, 1e-12])
+    @pytest.mark.parametrize("invert, bound", [(nld_eps_converse, sphere_bound),
+                                               (nld_eps_achievable, ml_bound)])
+    def test_contract_grid(self, invert, bound, eps):
+        # Every n here inverts, within 15 iterations after bracketing, to a
+        # sign-change bracket at most 1e-10 wide whose best point gives the
+        # bound back at eps to 1e-10.
+        for n in list(range(1, 51)) + [100, 1000, 2000, 10000]:
+            res = invert(n, eps, 1.0)
+            assert res.iterations <= 15, (n, res)
+            assert res.bracket_width <= 1e-10, (n, res)
+            back = bound(ChannelPoint(n, res.delta, 1.0)).value
+            assert abs(back - eps) <= 1e-10, (n, res)
+
+    def test_domain(self):
+        for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                nld_eps_converse(10, bad, 1.0)
+        with pytest.raises(ValueError):
+            nld_eps_achievable(0, 0.01, 1.0)
+        with pytest.raises(ValueError):
+            nld_eps_converse(10, 0.01, 0.0)
+
+    def test_unbracketed_target_raises(self):
+        # A bound that never reaches eps is reported, not iterated on forever.
+        def flat(point):
+            return BoundValue("flat", LogProb(math.log(0.5)), 1.0, False)
+        with pytest.raises(ValueError, match="not bracketed"):
+            _invert_bound(flat, 10, 0.01, 1.0, 1e-10, "flat")
 
     def test_monotone_in_eps(self):
         assert (nld_eps_converse(50, 0.001, 1.0).delta

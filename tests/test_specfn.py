@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from icawgn.specfn import (
+    _LINEAR_MIN,
     LogProb,
     log_add,
     log_gamma,
@@ -21,7 +22,12 @@ from icawgn.specfn import (
     reg_gamma_upper,
 )
 
-mpmath.mp.dps = 50
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # 50 digits for every mpmath oracle here, restored after each test.
+    with mpmath.workdps(50):
+        yield
 
 
 class TestLogProb:
@@ -182,6 +188,49 @@ class TestRegGamma:
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(0),
                                                    mpmath.mpf(x), regularized=True)))
             assert abs(got / ref - 1.0) <= 1e-9, (a, x)
+
+
+class TestLargeShape:
+    @pytest.mark.parametrize("a", [5e3, 5e4, 5e5, 5e6])
+    @pytest.mark.parametrize("ratio", [0.99, 1.0, 1.01])
+    def test_both_tails_vs_mpmath(self, a, ratio):
+        # Full relative accuracy near x = a, where the chi-square tails of
+        # the bounds sit at large n.  mpmath's series for the larger tail
+        # does not converge here, so the oracle sums the smaller one and
+        # takes the larger as its complement.
+        x = a * ratio
+        if x < a:
+            lower = mpmath.gammainc(a, 0, x, regularized=True)
+            upper = 1 - lower
+        else:
+            upper = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            lower = 1 - upper
+        for got, ref in ((log_reg_gamma_upper(a, x), upper), (log_reg_gamma_lower(a, x), lower)):
+            assert abs(math.expm1(got.log_value - float(mpmath.log(ref)))) <= 1e-13, (a, x)
+
+    @pytest.mark.parametrize("a, lower", [(0.5, False), (5.0, False), (500.0, False),
+                                          (5e4, False), (5e6, False),
+                                          (5.0, True), (500.0, True), (5e4, True)])
+    def test_no_jump_at_underflow_switch(self, a, lower):
+        # Where the smaller tail drops below the smallest value taken from
+        # scipy, the log-domain series or continued fraction takes over.
+        # Across that switch the log value stays strictly monotone and on a
+        # quadratic through the grid to 2e-14 relative.
+        if lower:
+            x_switch = float(special.gammaincinv(a, _LINEAR_MIN))
+            fn, tail = log_reg_gamma_lower, special.gammainc
+        else:
+            x_switch = float(special.gammainccinv(a, _LINEAR_MIN))
+            fn, tail = log_reg_gamma_upper, special.gammaincc
+        xs = x_switch * (1.0 + 1e-8 * np.arange(-8, 9))
+        taken = [tail(a, x) > _LINEAR_MIN for x in xs]
+        assert any(taken) and not all(taken)
+        vals = np.array([fn(a, float(x)).log_value for x in xs])
+        steps = np.diff(vals)
+        assert np.all(steps > 0.0) if lower else np.all(steps < 0.0)
+        u = (xs - xs[8]) / (xs[9] - xs[8])   # offsets of the rounded grid points
+        fit = np.polyval(np.polyfit(u, vals, 2), u)
+        assert np.max(np.abs(vals - fit)) <= 2e-14 * abs(vals[8])
 
 
 class TestQFunc:
