@@ -16,6 +16,7 @@ form stays exact.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,15 @@ class ChannelPoint:
     sigma2: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if not (self.sigma2 > 0.0):
-            raise ValueError(f"noise variance must be > 0, got {self.sigma2}")
+        # Plain ints skip the abstract-class isinstance, which costs more than
+        # the rest of this check: inversions build one point per evaluation.
+        n = self.n
+        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+            raise ValueError(f"dimension must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if not (0.0 < self.sigma2 < math.inf):
+            raise ValueError(f"noise variance must be finite and > 0, got {self.sigma2}")
         if not math.isfinite(self.nld):
             raise ValueError(f"NLD must be finite, got {self.nld}")
 

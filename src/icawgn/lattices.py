@@ -6,7 +6,10 @@ rounding for the integer lattice, the even-sum rounding correction for D_n,
 the two-coset D_8 decomposition for E_8, and the two rectangular sublattices
 of the hexagonal lattice.  By the geometric uniformity of lattices every
 Voronoi cell is congruent, so the simulation transmits the zero point only
-and still estimates the average error probability exactly.
+and still estimates the average error probability exactly.  Noise shorter
+than the lattice's packing radius lies strictly inside the zero point's
+Voronoi cell, so the simulation decodes only the rows outside that ball;
+at typical simulation noise levels that is a few percent of them.
 """
 
 import dataclasses
@@ -40,7 +43,7 @@ _SQRT3 = math.sqrt(3.0)
 # result files cannot silently confuse them with supported constructions.
 RESERVED_NAMES = frozenset({"BW16", "Leech24", "S127", "LDLC"})
 
-_CHUNK_SCALARS = 1 << 21  # ~16 MB of noise per chunk
+_CHUNK_SCALARS = 1 << 18  # 2 MB of noise per chunk
 
 
 class UnsupportedLatticeError(ValueError):
@@ -247,7 +250,13 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized error counting (zero point transmitted; ties have probability 0)
+# Vectorized error counting (zero point transmitted; ties have probability 0).
+# Rows inside the packing ball are never errors, so only the rest are decoded.
+
+# Squared packing radius rho^2 of each family at scale 1: a quarter of the
+# minimum squared norm (1 for Z^n and A2, 2 for D4 and E8).
+_PACKING_RADIUS2 = {"zn": 0.25, "a2": 0.25, "d4": 0.5, "e8": 0.5}
+
 
 def _dn_nearest_batch(y: np.ndarray) -> np.ndarray:
     f = np.rint(y)
@@ -263,6 +272,14 @@ def _dn_nearest_batch(y: np.ndarray) -> np.ndarray:
 
 
 def _count_errors(family: str, z: np.ndarray) -> int:
+    # The skip is exact: if |z| < rho, every other lattice point x has
+    # |x| >= 2 rho, so |z - x| >= |x| - |z| >= 2 rho - |z| > |z| and the zero
+    # point is strictly nearest, with no tie to break.
+    outside = np.einsum("ij,ij->i", z, z) >= _PACKING_RADIUS2[family]
+    return _decoded_errors(family, np.compress(outside, z, axis=0))
+
+
+def _decoded_errors(family: str, z: np.ndarray) -> int:
     if family == "zn":
         return int(np.count_nonzero(np.any(np.rint(z) != 0.0, axis=1)))
     if family == "d4":
@@ -298,6 +315,11 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
     return lo, hi
 
 
+def _check_sigma2(sigma2: float) -> None:
+    if not (0.0 < sigma2 < math.inf):
+        raise ValueError(f"noise variance must be finite and > 0, got {sigma2}")
+
+
 def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
                         streams: int = 1) -> SimEstimate:
     """Estimate the lattice error probability over AWGN with variance sigma2.
@@ -311,21 +333,25 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
-    if not (sigma2 > 0.0):
-        raise ValueError(f"noise variance must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     fam = _family(spec)
     sigma = math.sqrt(sigma2)
     children = np.random.SeedSequence(seed).spawn(streams)
     per = trials // streams
     extra = trials % streams
     chunk_rows = max(1, _CHUNK_SCALARS // spec.dim)
+    # One noise buffer for every chunk; filling it in place draws the same
+    # stream as allocating each chunk.
+    buf = np.empty((min(chunk_rows, per + min(extra, 1)), spec.dim))
     errors = 0
     for i, child in enumerate(children):
         todo = per + (1 if i < extra else 0)
         rng = np.random.default_rng(child)
         while todo > 0:
             m = min(chunk_rows, todo)
-            z = rng.standard_normal((m, spec.dim)) * (sigma / spec.scale)
+            z = buf[:m]
+            rng.standard_normal(out=z)
+            z *= sigma / spec.scale
             errors += _count_errors(fam, z)
             todo -= m
     lo, hi = clopper_pearson(errors, trials)
@@ -348,6 +374,7 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if trials_per_probe < 1:
         raise ValueError(f"trials_per_probe must be >= 1, got {trials_per_probe}")
+    _check_sigma2(sigma2)
     probes = 0
 
     def probe(s: float, trials: int) -> SimEstimate:

@@ -234,6 +234,8 @@ def log_reg_gamma_lower(a: float, x: float) -> LogProb:
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb.zero()
+    if x == math.inf:
+        return LogProb(0.0)
     return LogProb(_log_tail(a, x, upper=False))
 
 
@@ -242,6 +244,8 @@ def log_reg_gamma_upper(a: float, x: float) -> LogProb:
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb(0.0)
+    if x == math.inf:
+        return LogProb.zero()
     return LogProb(_log_tail(a, x, upper=True))
 
 
@@ -255,8 +259,11 @@ def reg_gamma_upper(a: float, x: float) -> float:
 
 def reg_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) in the linear domain:
-    scipy's ``gammainc``.  Use :func:`log_reg_gamma_lower` where the value
-    may underflow."""
+    scipy's ``gammainc``, or the exponentiated log-domain tail where scipy's
+    series truncates (a > 1e5, x < a).  Use :func:`log_reg_gamma_lower` where
+    the value may underflow."""
+    if _SCIPY_SERIES_MAX_A < a < math.inf and x < a:
+        return log_reg_gamma_lower(a, x).linear
     _check_gamma_args(a, x)
     return _cs.gammainc(a, x)
 

@@ -33,6 +33,16 @@ class TestChannelPoint:
         with pytest.raises(ValueError):
             ChannelPoint(n=4, nld=math.inf, sigma2=1.0)
 
+    @pytest.mark.parametrize("n,sigma2", [(2.5, 1.0), (4.0, 1.0), (True, 1.0), ("4", 1.0),
+                                          (4, math.inf), (4, math.nan)])
+    def test_rejects_non_integer_n_and_non_finite_sigma2(self, n, sigma2):
+        with pytest.raises(ValueError):
+            ChannelPoint(n=n, nld=0.0, sigma2=sigma2)
+
+    @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_accepts_numpy_integers(self, n):
+        assert ChannelPoint(n=n, nld=0.5, sigma2=1.0).density == pytest.approx(math.exp(2.0))
+
     def test_density(self):
         assert ChannelPoint(n=3, nld=0.5, sigma2=1.0).density == pytest.approx(math.exp(1.5))
 

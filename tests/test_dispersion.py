@@ -159,6 +159,13 @@ class TestInversion:
         with pytest.raises(ValueError):
             nld_eps_converse(10, 0.01, 0.0)
 
+    def test_achievable_at_extreme_eps(self):
+        # At n = 2 and eps = 1e-300 the optimal radius is so large that the
+        # sphere term underflows and the ML bound is gamma V_2 E|Z|^2 =
+        # 2 pi sigma2 e^(2 delta), so delta = ln(eps / (2 pi sigma2)) / 2 = -346.31.
+        res = nld_eps_achievable(2, 1e-300, 1.0)
+        assert res.delta == pytest.approx(0.5 * math.log(1e-300 / (2.0 * math.pi)), abs=1e-9)
+
     def test_unbracketed_target_raises(self):
         # A bound that never reaches eps is reported, not iterated on forever.
         def flat(point):

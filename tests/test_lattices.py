@@ -8,8 +8,11 @@ from icawgn.bounds import ChannelPoint, sphere_bound
 from icawgn.dispersion import (gap_db, nld_eps_achievable, nld_eps_converse,
                                normalized_error_prob)
 from icawgn.lattices import (
+    _PACKING_RADIUS2,
     LatticeSpec,
     UnsupportedLatticeError,
+    _count_errors,
+    _family,
     builtin,
     clopper_pearson,
     decode,
@@ -21,15 +24,19 @@ from icawgn.specfn import q_func, q_func_inv
 SQRT3 = math.sqrt(3.0)
 
 
+def _coeff_box(dim: int, reach: int) -> np.ndarray:
+    """Every integer coefficient vector in [-reach, reach]^dim, one per row."""
+    grids = np.meshgrid(*[np.arange(-reach, reach + 1)] * dim, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def _brute_force_min_dist2(spec: LatticeSpec, y: np.ndarray, reach: int = 3) -> float:
     """Nearest-point distance by exhaustive coefficient enumeration around the
     real-valued solve; `reach` exceeds the lattice covering radius mapped into
     coefficient space for every builtin."""
     ginv = np.linalg.inv(spec.generator)
     c0 = np.rint((y / spec.scale) @ ginv).astype(int)
-    grids = np.meshgrid(*[np.arange(-reach, reach + 1)] * spec.dim, indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
-    pts = (c0 + offsets) @ spec.generator * spec.scale
+    pts = (c0 + _coeff_box(spec.dim, reach)) @ spec.generator * spec.scale
     return float(((pts - y) ** 2).sum(axis=1).min())
 
 
@@ -149,6 +156,50 @@ class TestDecode:
             decode(builtin("Z2"), [0.1, 0.2, 0.3])
 
 
+def _box_vectors(spec: LatticeSpec, reach: int) -> np.ndarray:
+    """Every nonzero lattice vector with coefficients in [-reach, reach]."""
+    coeffs = _coeff_box(spec.dim, reach)
+    return (coeffs[np.any(coeffs != 0, axis=1)] @ spec.generator) * spec.scale
+
+
+class TestErrorCounter:
+    # Noise variances of the benchmark's simulate workload (Z4 borrows Z8's).
+    CASES = [("Z4", 0.024, 1), ("Z8", 0.024, 1), ("A2", 0.03, 2), ("D4", 0.05, 2),
+             ("E8", 0.032, 1)]
+
+    @pytest.mark.parametrize("name,sigma2,reach", CASES)
+    def test_packing_radius_is_quarter_min_norm(self, name, sigma2, reach):
+        spec = builtin(name)
+        min_norm2 = float((_box_vectors(spec, reach) ** 2).sum(axis=1).min())
+        assert _PACKING_RADIUS2[_family(spec)] == pytest.approx(min_norm2 / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name,sigma2,reach", CASES)
+    def test_matches_decode(self, name, sigma2, reach):
+        # The batch counter, which skips rows inside the packing ball, flags
+        # exactly the rows that decode() maps away from zero: on noise, just
+        # inside and outside the ball, and either side of the midpoint of
+        # every minimal vector in the box.
+        spec = builtin(name)
+        rng = np.random.default_rng(41)
+        rho = math.sqrt(_PACKING_RADIUS2[_family(spec)])
+        dirs = rng.standard_normal((200, spec.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        vecs = _box_vectors(spec, reach)
+        norms2 = (vecs ** 2).sum(axis=1)
+        minimal = vecs[norms2 <= norms2.min() + 1e-9]
+        rows = np.concatenate(
+            [rng.standard_normal((2000, spec.dim)) * math.sqrt(sigma2)]
+            + [rho * (1.0 + s) * dirs for s in (-1e-9, 1e-9)]
+            + [0.5 * (1.0 + s) * minimal for s in (-1e-9, 1e-9)])
+        fam = _family(spec)
+        counted = np.array([_count_errors(fam, row[None, :]) for row in rows])
+        decoded = np.array([np.any(decode(spec, row).point != 0.0) for row in rows])
+        assert np.array_equal(counted, decoded), rows[counted != decoded][:5].tolist()
+        assert _count_errors(fam, rows) == np.count_nonzero(decoded)
+        # Every midpoint pushed outward decodes to its minimal vector.
+        assert np.all(decoded[-len(minimal):])
+
+
 class TestClopperPearson:
     def test_zero_errors_closed_form(self):
         lo, hi = clopper_pearson(0, 100)
@@ -236,6 +287,9 @@ class TestSimulate:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_error_prob(builtin("Z1"), 1.0, 0, seed=1)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                simulate_error_prob(builtin("Z1"), bad, 10, seed=1)
         with pytest.raises(UnsupportedLatticeError):
             simulate_error_prob(
                 LatticeSpec(name="weird", dim=1, generator=np.eye(1)), 1.0, 10, seed=1)
@@ -273,3 +327,6 @@ class TestFindScale:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_scale_for_error(builtin("Z1"), 1.5, 1.0, trials_per_probe=10, seed=0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                find_scale_for_error(builtin("Z1"), 0.01, bad, trials_per_probe=10, seed=0)

@@ -19,6 +19,7 @@ from icawgn.specfn import (
     log_vn_asymptotic,
     q_func,
     q_func_inv,
+    reg_gamma_lower,
     reg_gamma_upper,
 )
 
@@ -208,6 +209,18 @@ class TestLargeShape:
         for got, ref in ((log_reg_gamma_upper(a, x), upper), (log_reg_gamma_lower(a, x), lower)):
             assert abs(math.expm1(got.log_value - float(mpmath.log(ref)))) <= 1e-13, (a, x)
 
+    @pytest.mark.parametrize("a", [5e5, 5e6])
+    @pytest.mark.parametrize("ratio", [0.99, 1.0])
+    def test_linear_lower_vs_mpmath(self, a, ratio):
+        # scipy's series truncates here; the linear form must not inherit it.
+        # The oracle sums the smaller tail, as above.
+        x = a * ratio
+        if x < a:
+            ref = float(mpmath.gammainc(a, 0, x, regularized=True))
+        else:
+            ref = float(1 - mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+        assert reg_gamma_lower(a, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("a, lower", [(0.5, False), (5.0, False), (500.0, False),
                                           (5e4, False), (5e6, False),
                                           (5.0, True), (500.0, True), (5e4, True)])
@@ -231,6 +244,14 @@ class TestLargeShape:
         u = (xs - xs[8]) / (xs[9] - xs[8])   # offsets of the rounded grid points
         fit = np.polyval(np.polyfit(u, vals, 2), u)
         assert np.max(np.abs(vals - fit)) <= 2e-14 * abs(vals[8])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 5e4])
+def test_infinite_argument(a):
+    # Q(a, inf) = 0 and P(a, inf) = 1 exactly.
+    assert log_reg_gamma_upper(a, math.inf).is_zero
+    lower = log_reg_gamma_lower(a, math.inf)
+    assert not lower.is_zero and lower.log_value == 0.0
 
 
 class TestQFunc:
