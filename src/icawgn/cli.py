@@ -18,7 +18,6 @@ import math
 import sys
 
 from . import asymptotics, bounds, dispersion, lattices
-from .quadrature import QuadratureError
 
 __all__ = ["main"]
 
@@ -284,7 +283,7 @@ def main(argv=None) -> int:
         tables = args.func(args)
     except _Usage as exc:
         parser.exit(2, f"{parser.prog}: usage error: {exc}\n")
-    except (QuadratureError, ArithmeticError, asymptotics.AsymptoticSingularity) as exc:
+    except (ArithmeticError, asymptotics.AsymptoticSingularity) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -9,15 +9,12 @@ interpolation converges superlinearly, and derivative-free iteration avoids
 underflow-driven derivative noise.
 """
 
-import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import ChannelPoint, delta_star, effective_radius, ml_bound, sphere_bound
+# Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
 from .quadrature import integrate_adaptive
 from .specfn import LogProb, q_func, q_func_inv
 
@@ -44,7 +41,10 @@ _VALUE_TOL = 1e-10
 # Widest bracket searched for the root before giving up, in nats.
 _MAX_BRACKET = 8192.0
 
-_t_lock = threading.Lock()
+# E|(X^2 - 1)/sqrt 2|^3 for standard Gaussian X: splitting at |x| = 1 and
+# integrating by parts gives (48 phi(1) + 32 Q(1) - 8) / 2^(3/2).
+_BERRY_ESSEEN_T = (48.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+                   + 32.0 * q_func(1.0) - 8.0) / 2.0 ** 1.5
 
 
 @dataclass(frozen=True)
@@ -77,29 +77,11 @@ def norm_tail_normal_approx(n: int, r: float, sigma2: float):
     return approx, guarantee
 
 
-@functools.cache
-def _berry_esseen_T_cached() -> float:
-    # E|(X^2 - 1)/sqrt 2|^3 for standard Gaussian X.  The integrand is even
-    # with a kink at |x| = 1, so integrate the two pieces separately; the
-    # tail is negligible beyond x = 45.
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def f(x):
-        x = np.asarray(x)
-        return np.abs((x * x - 1.0) / math.sqrt(2.0)) ** 3 * norm * np.exp(-0.5 * x * x)
-
-    inner, _ = integrate_adaptive(f, 0.0, 1.0, rel_tol=1e-12, abs_tol=1e-9)
-    outer, _ = integrate_adaptive(f, 1.0, 45.0, rel_tol=1e-12, abs_tol=1e-9)
-    return 2.0 * (inner + outer)
-
-
 def berry_esseen_T() -> float:
     """Third absolute moment E|(X^2-1)/sqrt 2|^3 of the standardized squared
-    Gaussian, evaluated once by adaptive quadrature and cached.  Accurate to
-    1e-9 absolute against the exact value (48 phi(1) + 32 Q(1) - 8)/2^(3/2)
-    = 3.0729315338..."""
-    with _t_lock:
-        return _berry_esseen_T_cached()
+    Gaussian, from its closed form (48 phi(1) + 32 Q(1) - 8)/2^(3/2)
+    = 3.0729315338...  Within 1 ulp (4.5e-16) of the exact value."""
+    return _BERRY_ESSEEN_T
 
 
 def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:

@@ -1,8 +1,8 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals.
 
 Interval-bisection refinement with a 7/15-point nested rule.  The
-integrands here are smooth desk-scale oracles (section probabilities,
-equivalence checks, the Berry-Esseen moment), never hot paths.
+integrands here are smooth desk-scale oracles (section probabilities and
+equivalence checks), never hot paths.
 """
 
 import heapq

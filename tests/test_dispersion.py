@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,9 @@ class TestBerryEsseenT:
         closed = (48.0 * phi1 + 32.0 * q_func(1.0) - 8.0) / 2.0 ** 1.5
         assert closed == pytest.approx(3.0729315338, abs=1e-9)
         assert berry_esseen_T() == pytest.approx(closed, abs=1e-9)
+        with mpmath.workdps(30):
+            exact = (48 * mpmath.npdf(1) + 32 * mpmath.ncdf(-1) - 8) / mpmath.mpf(2) ** 1.5
+            assert abs(berry_esseen_T() - exact) <= 4.5e-16
 
     def test_within_type_invariant(self):
         assert 3.0 <= berry_esseen_T() <= 3.2

@@ -254,12 +254,28 @@ def test_infinite_argument(a):
     assert not lower.is_zero and lower.log_value == 0.0
 
 
+@pytest.mark.parametrize("fn", [log_reg_gamma_upper, log_reg_gamma_lower,
+                                reg_gamma_upper, reg_gamma_lower])
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_non_finite_shape_rejected(fn, a):
+    with pytest.raises(ValueError, match="shape"):
+        fn(a, 1.0)
+
+
 class TestQFunc:
     def test_half_at_zero(self):
         assert q_func(0.0) == 0.5
 
     def test_inverse_half(self):
         assert q_func_inv(0.5) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-100, 1e-12, 0.01, 0.5, 0.99,
+                                   1.0 - 1e-6, 1.0 - 1e-12])
+    def test_inverse_against_mpmath_root(self, p):
+        # 50-digit secant root of erfc(t / sqrt 2) / 2 = p for the double p.
+        x = q_func_inv(p)
+        ref = mpmath.findroot(lambda t: mpmath.erfc(t / mpmath.sqrt(2)) / 2 - p, x)
+        assert abs(x - ref) <= 4e-16 * max(1.0, abs(x))
 
     def test_inverse_root_finding_oracle(self):
         ref = optimize.brentq(lambda x: q_func(x) - 0.01, 0.0, 10.0, xtol=1e-13)
@@ -303,5 +319,6 @@ class TestQFunc:
             assert log_q_func(x) == pytest.approx(math.log(q_func(x)), rel=1e-13)
 
     def test_log_q_func_deep_tail(self):
-        ref = float(mpmath.log(mpmath.erfc(40.0 / mpmath.sqrt(2)) / 2))
-        assert log_q_func(40.0) == pytest.approx(ref, rel=1e-13)
+        for x in (40.0, 1e3, 1e5):
+            ref = float(mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2))
+            assert log_q_func(x) == pytest.approx(ref, rel=1e-13)
