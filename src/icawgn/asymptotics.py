@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy import special as _sp
+from scipy.special import cython_special as _cs
 
 from .bounds import ChannelPoint, delta_cr, delta_star, effective_radius
 from .specfn import LogProb, log_add
@@ -136,7 +136,7 @@ def terms(point: ChannelPoint) -> AsymptoticTerms:
 
 def _log_scaled_q(x: float) -> float:
     """ln[e^(x^2/2) Q(x)] = ln(erfcx(x/sqrt 2) / 2), stable for large x."""
-    return math.log(0.5 * float(_sp.erfcx(x / _SQRT2)))
+    return math.log(0.5 * _cs.erfcx(x / _SQRT2))
 
 
 def _common_exponent(point: ChannelPoint, rho: float) -> float:

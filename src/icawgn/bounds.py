@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 
+def _check_sigma2(sigma2: float) -> None:
+    if not (0.0 < sigma2 < math.inf):
+        raise ValueError(f"noise variance must be finite and > 0, got {sigma2}")
+
+
+def _check_nld(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise ValueError(f"NLD must be finite, got {delta}")
+
+
 @dataclass(frozen=True)
 class ChannelPoint:
     """An evaluation point: dimension n, NLD delta (nats/dim), noise variance sigma2."""
@@ -67,10 +77,8 @@ class ChannelPoint:
             raise ValueError(f"dimension must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
-        if not (0.0 < self.sigma2 < math.inf):
-            raise ValueError(f"noise variance must be finite and > 0, got {self.sigma2}")
-        if not math.isfinite(self.nld):
-            raise ValueError(f"NLD must be finite, got {self.nld}")
+        _check_sigma2(self.sigma2)
+        _check_nld(self.nld)
 
     @property
     def density(self) -> float:
@@ -105,15 +113,13 @@ class BoundValue:
 def delta_star(sigma2: float) -> float:
     """Capacity of the setting, (1/2) ln(1/(2 pi e sigma2)): the supremum NLD
     at which the error probability can still vanish with the dimension."""
-    if not (sigma2 > 0.0):
-        raise ValueError(f"noise variance must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     return -0.5 * math.log(2.0 * math.pi * math.e * sigma2)
 
 
 def delta_cr(sigma2: float) -> float:
     """Critical NLD (1/2) ln(1/(4 pi e sigma2)), where the achievability exponent flattens."""
-    if not (sigma2 > 0.0):
-        raise ValueError(f"noise variance must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     return -0.5 * math.log(4.0 * math.pi * math.e * sigma2)
 
 
@@ -161,8 +167,7 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     """
     if not (v > 0.0):
         raise ValueError(f"volume must be > 0, got {v}")
-    if not (sigma2 > 0.0):
-        raise ValueError(f"noise variance must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     r2 = math.exp(2.0 * (math.log(v) - log_vn(n)) / n)
     return reg_gamma_upper(0.5 * n, r2 / (2.0 * sigma2))
 
@@ -276,8 +281,7 @@ def equivalence_sides(n: int, r: float, sigma2: float):
         raise ValueError(f"equivalence check supports n in 2..8, got {n}")
     if not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
-    if not (sigma2 > 0.0):
-        raise ValueError(f"noise variance must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
 
     def outer(ws):
         ws = np.atleast_1d(ws)

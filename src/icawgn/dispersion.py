@@ -13,7 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import ChannelPoint, delta_star, effective_radius, ml_bound, sphere_bound
+from .bounds import (ChannelPoint, _check_nld, delta_star, effective_radius, ml_bound,
+                     sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
 from .quadrature import integrate_adaptive
 from .specfn import LogProb, q_func, q_func_inv
@@ -195,6 +196,7 @@ def nld_eps_achievable(n: int, eps: float, sigma2: float,
 
 def vnr_from_nld(delta: float, sigma2: float) -> float:
     """Volume-to-noise ratio mu = e^(2(delta* - delta))."""
+    _check_nld(delta)
     return math.exp(2.0 * (delta_star(sigma2) - delta))
 
 
@@ -208,6 +210,7 @@ def vnr_opt_approx(n: int, eps: float) -> float:
 
 def gap_db(delta: float, sigma2: float) -> float:
     """Gap to capacity in decibels: 10 log10 e^(2(delta*-delta))."""
+    _check_nld(delta)
     return DB_PER_NAT * (delta_star(sigma2) - delta)
 
 

@@ -8,8 +8,12 @@ of the hexagonal lattice.  By the geometric uniformity of lattices every
 Voronoi cell is congruent, so the simulation transmits the zero point only
 and still estimates the average error probability exactly.  Noise shorter
 than the lattice's packing radius lies strictly inside the zero point's
-Voronoi cell, so the simulation decodes only the rows outside that ball;
-at typical simulation noise levels that is a few percent of them.
+Voronoi cell, so the simulation draws each noise row's squared norm first
+(a scaled chi-square) and draws a direction, and decodes, only for the rows
+outside that ball; at typical simulation noise levels that is a few percent
+of them.  Norms and directions come from two generators per substream, so
+seeded counts repeat exactly for any chunk size, but differ from those of
+releases that drew every noise coordinate directly.
 """
 
 import dataclasses
@@ -21,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .bounds import delta_star
+from .bounds import _check_sigma2, delta_star
 from .dispersion import DB_PER_NAT
 
 __all__ = [
@@ -272,9 +276,8 @@ def _dn_nearest_batch(y: np.ndarray) -> np.ndarray:
 
 
 def _count_errors(family: str, z: np.ndarray) -> int:
-    # The skip is exact: if |z| < rho, every other lattice point x has
-    # |x| >= 2 rho, so |z - x| >= |x| - |z| >= 2 rho - |z| > |z| and the zero
-    # point is strictly nearest, with no tie to break.
+    """Decoding errors among any noise rows: rows inside the packing ball
+    are never errors (see ``_outside_noise``), the rest are decoded."""
     outside = np.einsum("ij,ij->i", z, z) >= _PACKING_RADIUS2[family]
     return _decoded_errors(family, np.compress(outside, z, axis=0))
 
@@ -315,9 +318,33 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
     return lo, hi
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not (0.0 < sigma2 < math.inf):
-        raise ValueError(f"noise variance must be finite and > 0, got {sigma2}")
+def _outside_noise(seq: np.random.SeedSequence, trials: int, dim: int, s: float,
+                   rho2: float):
+    """Yield, chunk by chunk, the rows of ``trials`` N(0, s^2 I_dim) draws
+    with squared norm >= rho2.
+
+    Squared norms 2 s^2 G, G ~ Gamma(dim/2), come from the first of two
+    generators spawned from ``seq``; only the rows outside get dim normals
+    from the second, scaled onto their radius.  A Gaussian vector's norm and
+    direction are independent, so these are distributed as the outside rows
+    of a plain draw, and neither stream depends on the chunk size.
+
+    With rho2 the squared packing radius, skipping the rows inside is exact:
+    if |z| < rho, every other lattice point x has |x| >= 2 rho, so
+    |z - x| >= |x| - |z| >= 2 rho - |z| > |z| and the zero point is strictly
+    nearest, with no tie to break.
+    """
+    radii, dirs = (np.random.default_rng(c) for c in seq.spawn(2))
+    chunk_rows = max(1, _CHUNK_SCALARS // dim)
+    while trials > 0:
+        m = min(chunk_rows, trials)
+        r2 = radii.standard_gamma(dim / 2.0, size=m)
+        r2 *= 2.0 * s * s
+        r2 = np.compress(r2 >= rho2, r2)
+        z = dirs.standard_normal((r2.size, dim))
+        z *= np.sqrt(r2 / np.einsum("ij,ij->i", z, z))[:, None]
+        yield z
+        trials -= m
 
 
 def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
@@ -327,7 +354,10 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
     Draws Z ~ N(0, sigma2 I) and counts decodes away from the transmitted
     zero point.  Work splits across ``streams`` independent substreams
     spawned deterministically from ``seed``; identical (seed, streams)
-    reproduce the error count exactly regardless of chunking.
+    reproduce the error count exactly regardless of chunking.  Each
+    substream draws the noise norms first, and directions from a second
+    generator only outside the packing ball (``_outside_noise``), so seeded
+    counts differ from releases that drew every coordinate directly.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -335,25 +365,16 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
         raise ValueError(f"streams must be >= 1, got {streams}")
     _check_sigma2(sigma2)
     fam = _family(spec)
-    sigma = math.sqrt(sigma2)
+    s = math.sqrt(sigma2) / spec.scale
+    rho2 = _PACKING_RADIUS2[fam]
     children = np.random.SeedSequence(seed).spawn(streams)
     per = trials // streams
     extra = trials % streams
-    chunk_rows = max(1, _CHUNK_SCALARS // spec.dim)
-    # One noise buffer for every chunk; filling it in place draws the same
-    # stream as allocating each chunk.
-    buf = np.empty((min(chunk_rows, per + min(extra, 1)), spec.dim))
     errors = 0
     for i, child in enumerate(children):
         todo = per + (1 if i < extra else 0)
-        rng = np.random.default_rng(child)
-        while todo > 0:
-            m = min(chunk_rows, todo)
-            z = buf[:m]
-            rng.standard_normal(out=z)
-            z *= sigma / spec.scale
-            errors += _count_errors(fam, z)
-            todo -= m
+        for z in _outside_noise(child, todo, spec.dim, s, rho2):
+            errors += _decoded_errors(fam, z)
     lo, hi = clopper_pearson(errors, trials)
     return SimEstimate(trials=trials, errors=errors, p_hat=errors / trials,
                        ci_low=lo, ci_high=hi, seed=seed, streams=streams)

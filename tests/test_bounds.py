@@ -13,6 +13,7 @@ from icawgn.bounds import (
     d_section_prob,
     effective_radius,
     equivalence_check,
+    equivalence_sides,
     ml_bound,
     poltyrev_ml_bound,
     poltyrev_radius,
@@ -69,6 +70,16 @@ class TestCapacities:
         for fn in (delta_star, delta_cr):
             with pytest.raises(ValueError):
                 fn(-1.0)
+
+    @pytest.mark.parametrize("fn", [
+        delta_star, delta_cr,
+        pytest.param(lambda s2: sphere_bound_by_volume(4, 1.0, s2), id="sphere_bound_by_volume"),
+        pytest.param(lambda s2: equivalence_sides(3, 1.0, s2), id="equivalence_sides")])
+    @pytest.mark.parametrize("sigma2", [0.0, math.inf, math.nan])
+    def test_rejects_non_finite_or_zero_noise(self, fn, sigma2):
+        # delta_star(inf) returned -inf and delta_star(nan) returned nan.
+        with pytest.raises(ValueError, match="noise variance"):
+            fn(sigma2)
 
 
 class TestEffectiveRadius:

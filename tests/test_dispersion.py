@@ -102,6 +102,11 @@ class TestNldEpsApprox:
         with pytest.raises(ValueError):
             nld_eps_approx(100, 1.0, 1.0)
 
+    def test_rejects_infinite_noise(self):
+        # Returned -inf: delta* of an infinite noise variance.
+        with pytest.raises(ValueError, match="noise variance"):
+            nld_eps_approx(10, 0.01, math.inf)
+
 
 class TestInversion:
     def test_n1_closed_form_anchor(self):
@@ -210,6 +215,13 @@ class TestVnrAndGaps:
         assert round(gap_db(-1.5, 1.0), 3) == 0.704
         assert round(gap_db(-2.0, 1.0), 2) == 5.05
         assert round(gap_db(delta_cr(1.0), 1.0), 2) == 3.01
+
+    @pytest.mark.parametrize("fn", [vnr_from_nld, gap_db])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_nld(self, fn, delta):
+        # vnr_from_nld(nan, 1) returned nan and gap_db(inf, 1) returned -inf.
+        with pytest.raises(ValueError, match="NLD must be finite"):
+            fn(delta, 1.0)
 
     def test_gap_db_affine_slope(self):
         d1, d2 = -1.3, -2.2

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from icawgn.bounds import ChannelPoint, sphere_bound
 from icawgn.dispersion import (gap_db, nld_eps_achievable, nld_eps_converse,
                                normalized_error_prob)
+from icawgn import lattices
 from icawgn.lattices import (
     _PACKING_RADIUS2,
     LatticeSpec,
     UnsupportedLatticeError,
     _count_errors,
     _family,
+    _outside_noise,
     builtin,
     clopper_pearson,
     decode,
@@ -222,10 +225,12 @@ class TestClopperPearson:
 
 class TestSimulate:
     def test_z1_closed_form_anchor(self):
-        # sigma so that 2 Q(0.5/sigma) = 0.01
+        # sigma so that 2 Q(0.5/sigma) = 0.01.  A 1 - 1e-6 interval, so that
+        # the check does not hinge on a 1-in-20 draw of the seeded stream.
         sigma = 0.5 / q_func_inv(0.005)
-        est = simulate_error_prob(builtin("Z1"), sigma * sigma, 200000, seed=1, streams=4)
-        assert est.ci_low <= 0.01 <= est.ci_high
+        est = simulate_error_prob(builtin("Z1"), sigma * sigma, 2 * 10 ** 6, seed=1, streams=4)
+        lo, hi = clopper_pearson(est.errors, est.trials, confidence=1.0 - 1e-6)
+        assert lo <= 0.01 <= hi
 
     def test_determinism(self):
         spec = builtin("D4")
@@ -274,8 +279,58 @@ class TestSimulate:
         sigma = 0.31
         p1 = 2.0 * q_func(0.5 / sigma)
         truth = normalized_error_prob(p1, 6)
-        est = simulate_error_prob(builtin("Z6"), sigma * sigma, 300000, seed=8, streams=3)
-        assert est.ci_low <= truth <= est.ci_high
+        est = simulate_error_prob(builtin("Z6"), sigma * sigma, 2 * 10 ** 6, seed=8, streams=3)
+        lo, hi = clopper_pearson(est.errors, est.trials, confidence=1.0 - 1e-6)
+        assert lo <= truth <= hi
+
+    @pytest.mark.parametrize("streams", [1, 3])
+    @pytest.mark.parametrize("name,sigma2", [
+        ("Z1", 0.0377), ("A2", 0.03), ("E8", 0.032), ("Z6", 0.0961)])
+    def test_counts_do_not_depend_on_chunking(self, monkeypatch, name, sigma2, streams):
+        # 64 scalars per chunk splits each substream into hundreds of chunks,
+        # most of them ragged against the stream boundaries.
+        spec = builtin(name)
+        whole = simulate_error_prob(spec, sigma2, 20001, seed=12, streams=streams)
+        monkeypatch.setattr(lattices, "_CHUNK_SCALARS", 64)
+        chunked = simulate_error_prob(spec, sigma2, 20001, seed=12, streams=streams)
+        assert whole.errors > 0
+        assert chunked == whole
+
+    @pytest.mark.parametrize("name,sigma2", [("A2", 0.03), ("D4", 0.05), ("E8", 0.032)])
+    def test_agrees_with_plain_gaussian_reference(self, name, sigma2):
+        # The radius-first draw against the textbook one: every row drawn as
+        # N(0, sigma2 I) and counted.  The two estimates are independent, so
+        # their difference lies within 5 of its standard errors.
+        spec = builtin(name)
+        trials = 10 ** 6
+        rng = np.random.default_rng(2024)
+        ref = sum(_count_errors(_family(spec),
+                                rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2))
+                  for _ in range(4))
+        est = simulate_error_prob(spec, sigma2, trials, seed=2025)
+        p = (ref + est.errors) / (2 * trials)
+        assert abs(est.errors - ref) / trials <= 5.0 * math.sqrt(2.0 * p * (1.0 - p) / trials)
+
+    @pytest.mark.parametrize("name,sigma2", [
+        ("Z1", 0.0377), ("A2", 0.03), ("D4", 0.05), ("E8", 0.032)])
+    def test_outside_rows_follow_truncated_chi2(self, name, sigma2):
+        # ||z||^2 / sigma2 ~ chi^2_n, so the rows outside the ball number
+        # Binomial(N, q0) with q0 = Q(n/2, rho^2 / 2 sigma2), and their
+        # squared norms follow chi^2_n truncated to [rho^2, inf).
+        spec = builtin(name)
+        n, rho2, trials = spec.dim, _PACKING_RADIUS2[_family(spec)], 10 ** 6
+        norms2 = np.concatenate([
+            np.einsum("ij,ij->i", z, z)
+            for z in _outside_noise(np.random.SeedSequence(3), trials, n,
+                                    math.sqrt(sigma2), rho2)])
+        q0 = special.gammaincc(n / 2.0, rho2 / (2.0 * sigma2))
+        assert abs(norms2.size - trials * q0) <= 5.0 * math.sqrt(trials * q0 * (1.0 - q0))
+        assert norms2.min() >= rho2 * (1.0 - 1e-15)
+
+        def truncated_cdf(r2):
+            return 1.0 - special.gammaincc(n / 2.0, r2 / (2.0 * sigma2)) / q0
+
+        assert stats.kstest(norms2, truncated_cdf).pvalue > 1e-6
 
     def test_record_schema(self):
         spec = builtin("Z1")
