@@ -15,6 +15,7 @@ from .specfn import (
     reg_gamma_lower,
     log_reg_gamma_lower,
     log_reg_gamma_upper,
+    log_reg_gamma_tail,
     q_func,
     q_func_inv,
 )
@@ -31,6 +32,9 @@ from .bounds import (
     typicality_bound,
     poltyrev_ml_bound,
     poltyrev_radius,
+    CURVE_KINDS,
+    BoundCurve,
+    bound_curves,
     d_section_prob,
     equivalence_check,
 )

@@ -13,11 +13,21 @@ integral is evaluated analytically through the lower incomplete gamma
 (substitution t = r^2/sigma^2), not by quadrature: at n in the thousands
 the integrand r^(2n-1) overflows any direct evaluation while the gamma
 form stays exact.
+
+Two paths evaluate the bounds at their default radii.  The scalar one
+(:func:`sphere_bound`, :func:`ml_bound`, ...) takes one
+:class:`ChannelPoint` and returns a :class:`BoundValue`; inversions and the
+asymptotic comparisons use it.  The array one, :func:`bound_curves`, takes
+a vector of dimensions at one (delta, sigma2) and returns a
+:class:`BoundCurve` per kind; it agrees with the scalar path to 1e-12
+relative in the log (bit for bit at almost every n) and is more than ten
+times faster per evaluation.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +36,7 @@ from .specfn import (
     LogProb,
     log_add,
     log_reg_gamma_lower,
+    log_reg_gamma_tail,
     log_reg_gamma_upper,
     log_vn,
     reg_gamma_lower,
@@ -45,6 +56,9 @@ __all__ = [
     "typicality_bound",
     "poltyrev_ml_bound",
     "poltyrev_radius",
+    "CURVE_KINDS",
+    "BoundCurve",
+    "bound_curves",
     "d_section_prob",
     "equivalence_sides",
     "equivalence_check",
@@ -229,6 +243,92 @@ def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
     inner = ml_bound(point, r=r)
     return BoundValue(kind="poltyrev_r", log_value=inner.log_value,
                       radius_used=r, clamped=inner.clamped)
+
+
+CURVE_KINDS = ("sphere", "ml", "typicality", "poltyrev")
+
+
+class BoundCurve(NamedTuple):
+    """One bound over a vector of dimensions: the array form of :class:`BoundValue`."""
+
+    log_value: np.ndarray   # unclamped ln of the bound; -inf marks an exact zero
+    clamped: np.ndarray     # log_value > 0: the bound exceeds 1 and is vacuous
+
+    @property
+    def value(self) -> np.ndarray:
+        """Linear values clamped into [0, 1]."""
+        return np.minimum(np.exp(self.log_value), 1.0)
+
+
+def _check_dims(n) -> np.ndarray:
+    n = np.asarray(n)
+    if n.ndim != 1 or n.dtype.kind not in "iu":
+        raise ValueError(f"dimensions must be a 1-d integer array, got {n!r}")
+    if n.size and n.min() < 1:
+        raise ValueError(f"dimension must be >= 1, got {n.min()}")
+    return n.astype(float)
+
+
+def _math_map(fn, v: np.ndarray) -> np.ndarray:
+    # A math function elementwise (0.10-0.15 us an element), so that ln Gamma,
+    # r_eff and n ln r round exactly as in the scalar bounds.  Above capacity
+    # the bounds' logs move by up to n/2 times the relative change in x, and
+    # scipy's gammaln with numpy's exp moved them up to 2.6e-12 relative.
+    return np.fromiter(map(fn, v.tolist()), float, v.size)
+
+
+def _ml_log(n, ml_terms, x, log_norm_tail):
+    # ln of the ML bound at radius r, x = r^2/(2 sigma2): _ml_first_term plus
+    # the chi-square tail, summed in the log domain.
+    return np.logaddexp(ml_terms + log_reg_gamma_tail(n, x, upper=False), log_norm_tail)
+
+
+@np.errstate(over="ignore")
+def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCurve]:
+    """The bounds named in ``kinds`` (from :data:`CURVE_KINDS`) at every
+    dimension of the 1-d integer array ``n``, at one (nld, sigma2).
+
+    The array path of :func:`sphere_bound`, :func:`ml_bound`,
+    :func:`typicality_bound` and :func:`poltyrev_ml_bound` at their default
+    radii: the same formulas, with the incomplete gammas from
+    :func:`~icawgn.specfn.log_reg_gamma_tail`.  Log values agree with the
+    scalar functions to 1e-12 relative (bit for bit at almost every n), and
+    inputs the scalar functions reject raise the same exception types.
+    """
+    _check_sigma2(sigma2)
+    _check_nld(nld)
+    unknown = [k for k in kinds if k not in CURVE_KINDS]
+    if unknown:
+        raise ValueError(f"unknown bound kind {unknown[0]!r}")
+    n = _check_dims(n)
+    a = 0.5 * n
+    log_vn = 0.5 * n * math.log(math.pi) - _math_map(math.lgamma, a + 1.0)
+    logs = {}
+    if "ml" in kinds or "poltyrev" in kinds:
+        ml_terms = (n * nld + log_vn + 0.5 * n * math.log(sigma2) + 0.5 * n * math.log(2.0)
+                    + _math_map(math.lgamma, n) - _math_map(math.lgamma, a))
+    if "sphere" in kinds or "ml" in kinds:
+        r = _math_map(math.exp, -nld - log_vn / n)   # effective_radius
+        x = r * r / (2.0 * sigma2)
+        logs["sphere"] = log_reg_gamma_tail(a, x, upper=True)
+        if "ml" in kinds:
+            logs["ml"] = _ml_log(n, ml_terms, x, logs["sphere"])
+    if "typicality" in kinds:
+        radicand = 1.0 + 2.0 * (delta_star(sigma2) - nld)
+        if radicand <= 0.0:
+            raise ValueError(
+                f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
+        r = np.sqrt(sigma2 * n * radicand)
+        logs["typicality"] = np.logaddexp(
+            n * nld + log_vn + n * _math_map(math.log, r),
+            log_reg_gamma_tail(a, r * r / (2.0 * sigma2), upper=True))
+    if "poltyrev" in kinds:
+        r = np.sqrt(n) * math.sqrt(sigma2) * math.exp(delta_star(sigma2) - nld)
+        if not r.min(initial=math.inf) > 0.0:
+            raise ValueError(f"radius must be > 0, got {r.min()}")
+        x = r * r / (2.0 * sigma2)
+        logs["poltyrev"] = _ml_log(n, ml_terms, x, log_reg_gamma_tail(a, x, upper=True))
+    return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
 
 
 def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:

@@ -1,22 +1,55 @@
 """The traced benchmark wraps package functions by (module, name); a refactor
-that moves or drops one of those names breaks every traced run."""
+that moves or drops one of those names breaks every traced run, and so does
+an array reaching one of the tracer's scalar classifiers."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
+from icawgn import cli
+
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _load_seams():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SEAMS
+    return module
 
 
-@pytest.mark.parametrize("module_name, attr", [seam[:2] for seam in _load_seams()])
+@pytest.mark.parametrize("module_name, attr", [seam[:2] for seam in _load_tracing().SEAMS])
 def test_seam_resolves_to_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def _run(main, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "1:50", "--nld", "-1.5"],
+    ["asym", "--n", "1:50:7", "--nld", "-1.5"],
+    ["invert", "--n", "2:6", "--eps", "0.01"],
+    ["equiv", "--n", "3", "--r", "1"],
+    ["simulate", "--lattice", "E8", "--trials", "1000", "--sigma2", "0.032", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_traced_call_prints_the_untraced_output(argv):
+    # A classifier handed an array raises ("truth value ... is ambiguous"),
+    # which the CLI turns into a non-zero exit.
+    plain = _run(cli.main, argv)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        traced = _run(tracer.wrap(cli.main, "cli", "main"), argv)
+    assert plain[0] == 0
+    assert traced == plain

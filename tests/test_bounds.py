@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icawgn.bounds import (
+    CURVE_KINDS,
     ChannelPoint,
+    bound_curves,
     delta_cr,
     delta_ex,
     delta_star,
@@ -305,3 +307,63 @@ class TestCrossBoundInvariants:
             vals = [fn(ChannelPoint(16, float(d), 1.0)).log_raw
                     for d in np.linspace(-2.5, -1.0, 25)]
             assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:])), fn.__name__
+
+
+_SCALAR_BOUNDS = {"sphere": sphere_bound, "ml": ml_bound, "typicality": typicality_bound,
+                  "poltyrev": poltyrev_ml_bound}
+
+
+class TestBoundCurves:
+    """The array path against the scalar bounds it stands in for."""
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.25])
+    @pytest.mark.parametrize("nld", [-2.0, -1.5, 0.3])
+    def test_matches_scalar_bounds(self, nld, sigma2):
+        ns = list(range(1, 10001)) + [200_000, 1_000_000]
+        kinds = [k for k in CURVE_KINDS
+                 if k != "typicality" or 1.0 + 2.0 * (delta_star(sigma2) - nld) > 0.0]
+        curves = bound_curves(ns, nld, sigma2, kinds)
+        assert list(curves) == kinds
+        for kind in kinds:
+            scalar = [_SCALAR_BOUNDS[kind](ChannelPoint(n, nld, sigma2)) for n in ns]
+            ref = np.array([bv.log_raw for bv in scalar])
+            got = curves[kind].log_value
+            with np.errstate(invalid="ignore"):   # -inf - -inf
+                close = np.abs(got - ref) <= 1e-12 * np.abs(ref)
+            assert np.all(close | (got == ref)), kind
+            assert np.array_equal(curves[kind].clamped, [bv.clamped for bv in scalar]), kind
+            assert np.allclose(curves[kind].value, [bv.value for bv in scalar], rtol=1e-12, atol=0.0)
+
+    def test_exact_zeros_and_ones(self):
+        # Far below the packing density the noise escapes every ball; far
+        # above it r_eff underflows to 0 and the tails are exact.
+        low = bound_curves([4], -705.0, 1.0, ["sphere"])["sphere"]
+        assert low.log_value[0] == -math.inf and low.value[0] == 0.0
+        high = bound_curves([4], 800.0, 1.0, ["sphere", "ml"])
+        assert all(c.log_value[0] == 0.0 and c.value[0] == 1.0 for c in high.values())
+
+    @pytest.mark.parametrize("nld, kind, exc", [
+        (0.3, "typicality", ValueError),    # 1 + 2(delta* - delta) <= 0
+        (800.0, "poltyrev", ValueError),    # the radius underflows to 0
+        (-800.0, "sphere", OverflowError),  # r_eff overflows
+        (-800.0, "ml", OverflowError),
+        (-800.0, "poltyrev", OverflowError),
+    ])
+    def test_rejects_what_the_scalar_bound_rejects(self, nld, kind, exc):
+        with pytest.raises(exc):
+            _SCALAR_BOUNDS[kind](ChannelPoint(4, nld, 1.0))
+        with pytest.raises(exc):
+            bound_curves([4], nld, 1.0, [kind])
+
+    @pytest.mark.parametrize("n, nld, sigma2, kinds", [
+        ([0, 1], -1.5, 1.0, CURVE_KINDS),
+        ([1.0, 2.0], -1.5, 1.0, CURVE_KINDS),
+        ([[1, 2]], -1.5, 1.0, CURVE_KINDS),
+        ([1], math.nan, 1.0, CURVE_KINDS),
+        ([1], -1.5, 0.0, CURVE_KINDS),
+        ([1], -1.5, math.inf, CURVE_KINDS),
+        ([1], -1.5, 1.0, ["sphere", "exact"]),
+    ])
+    def test_rejects_bad_inputs(self, n, nld, sigma2, kinds):
+        with pytest.raises(ValueError):
+            bound_curves(n, nld, sigma2, kinds)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from icawgn.cli import _parse_n_range, main
@@ -72,12 +73,72 @@ class TestBoundsCommand:
         assert out1 == out2
 
     def test_full_precision_roundtrip(self, capsys):
+        # The printed field reads back as the very float the CLI computed,
+        # which comes from the array path.
         _, out, _ = run_cli(capsys, "bounds", "--n", "16", "--nld", "-1.5",
                             "--which", "sphere")
         _, rows = parse_csv(out)
-        from icawgn.bounds import ChannelPoint, sphere_bound
-        exact = sphere_bound(ChannelPoint(16, -1.5, 1.0)).value
+        from icawgn.bounds import bound_curves
+        exact = bound_curves([16], -1.5, 1.0, ["sphere"])["sphere"].value[0]
         assert float(rows[0]["sphere"]) == exact
+
+
+class TestBoundsEdgeContract:
+    """Exit status and stderr of `bounds` at the edges of its domain."""
+
+    def test_radius_overflow_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "-800")
+        assert code == 1 and out == ""
+        assert err.startswith("error: numerical:")
+
+    def test_radius_underflow_gives_exact_values(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "800",
+                                 "--which", "sphere,ml")
+        assert code == 0 and err == ""
+        assert out == "n,sphere,sphere_log,ml,ml_log\n4,1.0,0.0,1.0,0.0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4", "--nld", "800", "--which", "poltyrev"],   # radius underflows to 0
+        ["--n", "4", "--nld", "0.3"],                           # typicality radicand <= 0
+        ["--n", "1:400:50", "--nld", "0.3"],
+        ["--n", "0", "--nld", "-1.5"],
+        ["--n", "4", "--nld", "nan"],
+        ["--n", "4", "--nld", "-1.5", "--sigma2", "0"],
+        ["--n", "4", "--nld", "-1.5", "--which", "sphere,exact"],
+    ])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", *argv])
+        assert exc.value.code == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_no_clamp_warnings_at_default_radii(self, capsys):
+        # Above capacity the bounds approach 1 but stay below it.
+        code, out, err = run_cli(capsys, "bounds", "--n", "1:400:50", "--nld", "0.3",
+                                 "--which", "sphere,ml,poltyrev")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 8 and all(float(r["ml_log"]) <= 0.0 for r in rows)
+
+    def test_clamp_warnings_row_by_row(self, monkeypatch, capsys):
+        from icawgn import bounds as bounds_mod
+
+        def vacuous(n, nld, sigma2, kinds):
+            logs = {"ml": np.array([0.5, -1.0, 0.25]), "sphere": np.array([-1.0, -2.0, 0.125])}
+            return {k: bounds_mod.BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
+
+        monkeypatch.setattr(bounds_mod, "bound_curves", vacuous)
+        code, out, err = run_cli(capsys, "bounds", "--n", "1:3", "--nld", "-1.5",
+                                 "--which", "ml,sphere")
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: ml bound exceeds 1 at n=1 (clamped, vacuous)",
+            "warning: ml bound exceeds 1 at n=3 (clamped, vacuous)",
+            "warning: sphere bound exceeds 1 at n=3 (clamped, vacuous)",
+        ]
+        _, rows = parse_csv(out)
+        assert [r["ml"] for r in rows] == ["1.0", "0.36787944117144233", "1.0"]
+        assert rows[0]["ml_log"] == "0.5"
 
 
 class TestAsymCommand:

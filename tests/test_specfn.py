@@ -13,6 +13,7 @@ from icawgn.specfn import (
     log_add,
     log_gamma,
     log_reg_gamma_lower,
+    log_reg_gamma_tail,
     log_reg_gamma_upper,
     log_q_func,
     log_vn,
@@ -110,6 +111,42 @@ class TestLogVn:
             log_vn(0)
 
 
+# Points of the deep-tail accuracy tests, shared with the array kernel's.
+_DEEP_UPPER = [(1500.0, 4500.0), (2500.0, 7000.0), (500.0, 3000.0), (0.5, 800.0)]
+_DEEP_LOWER = [(1000.0, 100.0), (5000.0, 3000.0), (50.0, 1.0)]
+_LARGE_SHAPES = [5e3, 5e4, 5e5, 5e6]
+_LARGE_RATIOS = [0.99, 1.0, 1.01]
+# (a, lower) of the underflow-switch tests.
+_SWITCH_CASES = [(0.5, False), (5.0, False), (500.0, False), (5e4, False), (5e6, False),
+                 (5.0, True), (500.0, True), (5e4, True)]
+
+
+def _switch_grid(a, lower):
+    # 17 arguments around the point where the smaller tail crosses _LINEAR_MIN.
+    inverse = special.gammaincinv if lower else special.gammainccinv
+    return float(inverse(a, _LINEAR_MIN)) * (1.0 + 1e-8 * np.arange(-8, 9))
+
+
+def _check_no_jump(xs, vals, lower):
+    # Strictly monotone, and on a quadratic through the grid to 2e-14 relative.
+    steps = np.diff(vals)
+    assert np.all(steps > 0.0) if lower else np.all(steps < 0.0)
+    u = (xs - xs[8]) / (xs[9] - xs[8])   # offsets of the rounded grid points
+    fit = np.polyval(np.polyfit(u, vals, 2), u)
+    assert np.max(np.abs(vals - fit)) <= 2e-14 * abs(vals[8])
+
+
+def _mp_log_tail(a, x, upper):
+    # mpmath sums the smaller tail (its series for the larger one does not
+    # converge at large a) and takes the larger as the complement.
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    if x < a:
+        small = mpmath.gammainc(a, 0, x, regularized=True)
+        return float(mpmath.log1p(-small) if upper else mpmath.log(small))
+    small = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+    return float(mpmath.log(small) if upper else mpmath.log1p(-small))
+
+
 class TestRegGamma:
     def test_full_mass_at_zero(self):
         assert reg_gamma_upper(0.7, 0.0) == 1.0
@@ -176,15 +213,14 @@ class TestRegGamma:
 
     def test_log_accuracy_deep_underflow(self):
         # log-domain relative error <= 1e-9 where the linear value underflows.
-        cases = [(1500.0, 4500.0), (2500.0, 7000.0), (500.0, 3000.0), (0.5, 800.0)]
-        for a, x in cases:
+        for a, x in _DEEP_UPPER:
             got = log_reg_gamma_upper(a, x).log_value
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x),
                                                    mpmath.inf, regularized=True)))
             assert abs(got / ref - 1.0) <= 1e-9, (a, x)
 
     def test_log_lower_accuracy(self):
-        for a, x in [(1000.0, 100.0), (5000.0, 3000.0), (50.0, 1.0)]:
+        for a, x in _DEEP_LOWER:
             got = log_reg_gamma_lower(a, x).log_value
             ref = float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(0),
                                                    mpmath.mpf(x), regularized=True)))
@@ -192,8 +228,8 @@ class TestRegGamma:
 
 
 class TestLargeShape:
-    @pytest.mark.parametrize("a", [5e3, 5e4, 5e5, 5e6])
-    @pytest.mark.parametrize("ratio", [0.99, 1.0, 1.01])
+    @pytest.mark.parametrize("a", _LARGE_SHAPES)
+    @pytest.mark.parametrize("ratio", _LARGE_RATIOS)
     def test_both_tails_vs_mpmath(self, a, ratio):
         # Full relative accuracy near x = a, where the chi-square tails of
         # the bounds sit at large n.  mpmath's series for the larger tail
@@ -221,29 +257,66 @@ class TestLargeShape:
             ref = float(1 - mpmath.gammainc(a, x, mpmath.inf, regularized=True))
         assert reg_gamma_lower(a, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("a, lower", [(0.5, False), (5.0, False), (500.0, False),
-                                          (5e4, False), (5e6, False),
-                                          (5.0, True), (500.0, True), (5e4, True)])
+    @pytest.mark.parametrize("a, lower", _SWITCH_CASES)
     def test_no_jump_at_underflow_switch(self, a, lower):
         # Where the smaller tail drops below the smallest value taken from
         # scipy, the log-domain series or continued fraction takes over.
         # Across that switch the log value stays strictly monotone and on a
         # quadratic through the grid to 2e-14 relative.
-        if lower:
-            x_switch = float(special.gammaincinv(a, _LINEAR_MIN))
-            fn, tail = log_reg_gamma_lower, special.gammainc
-        else:
-            x_switch = float(special.gammainccinv(a, _LINEAR_MIN))
-            fn, tail = log_reg_gamma_upper, special.gammaincc
-        xs = x_switch * (1.0 + 1e-8 * np.arange(-8, 9))
+        xs = _switch_grid(a, lower)
+        fn, tail = (log_reg_gamma_lower, special.gammainc) if lower else \
+            (log_reg_gamma_upper, special.gammaincc)
         taken = [tail(a, x) > _LINEAR_MIN for x in xs]
         assert any(taken) and not all(taken)
-        vals = np.array([fn(a, float(x)).log_value for x in xs])
-        steps = np.diff(vals)
-        assert np.all(steps > 0.0) if lower else np.all(steps < 0.0)
-        u = (xs - xs[8]) / (xs[9] - xs[8])   # offsets of the rounded grid points
-        fit = np.polyval(np.polyfit(u, vals, 2), u)
-        assert np.max(np.abs(vals - fit)) <= 2e-14 * abs(vals[8])
+        _check_no_jump(xs, np.array([fn(a, float(x)).log_value for x in xs]), lower)
+
+
+class TestArrayKernel:
+    """log_reg_gamma_tail on the points of the scalar accuracy tests, each
+    set in one vector call."""
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_deep_tails_and_end_points_vs_mpmath(self, upper):
+        pts = _DEEP_UPPER if upper else _DEEP_LOWER
+        a = np.array([p[0] for p in pts] + [3.0, 3.0, 5e4])
+        x = np.array([p[1] for p in pts] + [0.0, math.inf, 0.0])
+        got = log_reg_gamma_tail(a, x, upper=upper)
+        ref = np.array([_mp_log_tail(ai, xi, upper) for ai, xi in pts])
+        assert np.all(np.abs(got[:len(pts)] - ref) <= 1e-13 * np.abs(ref))
+        zero, one = -math.inf, 0.0
+        assert list(got[len(pts):]) == ([one, zero, one] if upper else [zero, one, zero])
+
+    def test_large_shapes_both_tails_vs_mpmath(self):
+        a = np.repeat(_LARGE_SHAPES, len(_LARGE_RATIOS))
+        x = a * np.tile(_LARGE_RATIOS, len(_LARGE_SHAPES))
+        for upper in (True, False):
+            got = log_reg_gamma_tail(a, x, upper=upper)
+            ref = np.array([_mp_log_tail(ai, xi, upper) for ai, xi in zip(a, x)])
+            assert np.all(np.abs(np.expm1(got - ref)) <= 1e-13), upper
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_no_jump_at_underflow_switch(self, lower):
+        shapes = [a for a, low in _SWITCH_CASES if low == lower]
+        xs = np.array([_switch_grid(a, lower) for a in shapes])
+        vals = log_reg_gamma_tail(np.array(shapes)[:, None], xs, upper=not lower)
+        assert vals.shape == xs.shape
+        for row_x, row_vals in zip(xs, vals):
+            _check_no_jump(row_x, row_vals, lower)
+
+    def test_matches_scalar_kernels(self):
+        rng = np.random.default_rng(5)
+        a = np.exp(rng.uniform(math.log(0.5), math.log(5e6), 400))
+        x = a * np.exp(rng.uniform(-3.0, 2.0, 400))
+        for upper, fn in ((True, log_reg_gamma_upper), (False, log_reg_gamma_lower)):
+            ref = np.array([fn(float(ai), float(xi)).log_value for ai, xi in zip(a, x)])
+            got = log_reg_gamma_tail(a, x, upper=upper)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), upper
+
+    @pytest.mark.parametrize("a, x", [(math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0),
+                                      (1.0, -0.5), (1.0, math.nan)])
+    def test_domain_errors(self, a, x):
+        with pytest.raises(ValueError):
+            log_reg_gamma_tail(np.array([1.0, a]), np.array([1.0, x]), upper=True)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 5e4])
