@@ -9,15 +9,16 @@ boundaries.  The incomplete-gamma routines take the smaller of the two
 tails from scipy (Cephes, after DiDonato & Morris 1986 and Temme 1979) and
 the larger as its complement.  Where that tail underflows double precision,
 which happens routinely for the chi-square tails at dimensions in the
-thousands, a log-domain series or continued fraction keeps full relative
-accuracy in the log domain.
+thousands, the lower tail is the log of Kummer's function (scipy's
+``hyp1f1``) and the upper a log-domain continued fraction, both with full
+relative accuracy in the log domain.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, hyp1f1
 
 # Scalar entry points of the same scipy.special kernels: bit-identical to the
 # ufuncs, without their array-call overhead (0.3 us a call against 1.7 us).
@@ -42,22 +43,25 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Iteration budget for the series / continued-fraction evaluations.  Both
-# converge in O(sqrt(a)) steps in their own regions.
+# Iteration budget for the upper-tail continued fraction, which converges in
+# O(sqrt(a)) steps for x > a.
 _MAX_ITER = 100_000
 _EPS = 1e-17
 # Once converged, the continued fraction's correction factor rounds to a
 # neighbour of 1.0 (1/b * b need not be exactly 1), so it stops within 1 ulp.
 _DBL_EPS = 2.0 ** -52
 
-# Smallest tail taken from scipy's linear value; below it the log-domain
-# series or continued fraction carries the tail past double underflow.
+# Smallest tail taken from scipy's linear value; below it Kummer's function
+# or the continued fraction carries the tail past double underflow.
 _LINEAR_MIN = 1e-300
 # scipy sums the lower-tail power series for at most 2000 terms.  Above this
 # shape that truncates before convergence for some x < a (relative error 2e-11
-# at a = 5e5, 1e-9 at a = 5e6, both at x = 0.99 a), so there the lower tail is
-# summed here instead.
+# at a = 5e5, 1e-9 at a = 5e6, both at x = 0.99 a).  Within 4.5 sqrt(a) of a
+# scipy takes Temme's uniform expansion instead, which stays exact, and every
+# P > _LARGE_A_LOWER_MIN lies there (x > a - 2.33 sqrt(a)).  So above this
+# shape the lower tail is taken from scipy only above that larger floor.
 _SCIPY_SERIES_MAX_A = 1e5
+_LARGE_A_LOWER_MIN = 1e-2
 
 
 @dataclass(frozen=True)
@@ -178,21 +182,6 @@ def _log_prefactor(a: float, x: float) -> float:
     return -a_phi - _LN_SQRT_2PI - 0.5 * math.log(a) - _stirlerr(a)
 
 
-def _log_lower_series(a: float, x: float) -> float:
-    # P(a, x) = x^a e^-x / Gamma(a+1) * sum_{k>=0} x^k / prod_{j<=k}(a+j)
-    # Converges for every x, fastest for x well below a.
-    term = 1.0
-    total = 1.0
-    for k in range(1, _MAX_ITER):
-        term *= x / (a + k)
-        total += term
-        if term < total * _EPS:
-            break
-    else:
-        raise ArithmeticError(f"lower-gamma series failed to converge (a={a}, x={x})")
-    return _log_prefactor(a, x) + math.log(total)
-
-
 def _log_upper_cf(a: float, x: float) -> float:
     # Q(a, x) = x^a e^-x / Gamma(a) * CF, with the Lentz-evaluated continued
     # fraction CF = 1/(x+1-a - 1*(1-a)/(x+3-a - ...)).  Converges for x > a + 1.
@@ -224,13 +213,17 @@ def _log_tail(a: float, x: float, upper: bool) -> float:
     # ln Q(a, x) if upper else ln P(a, x), for x > 0.  The smaller tail is
     # taken directly and the larger as its complement: for a >= 1/2 the split
     # at x = a leaves the larger at least 0.31, so log1p loses nothing.
+    # Below the floor, P = x^a e^-x / Gamma(a+1) * M(1, a+1, x) (Kummer's M);
+    # the scalar hyp1f1 has no signature for an int x.
     lower_smaller = x < a
     direct = upper != lower_smaller
-    if not (lower_smaller and a > _SCIPY_SERIES_MAX_A):
-        small = _cs.gammainc(a, x) if lower_smaller else _cs.gammaincc(a, x)
-        if small > _LINEAR_MIN:
-            return math.log(small) if direct else math.log1p(-small)
-    log_small = _log_lower_series(a, x) if lower_smaller else _log_upper_cf(a, x)
+    small = _cs.gammainc(a, x) if lower_smaller else _cs.gammaincc(a, x)
+    if small > (_LARGE_A_LOWER_MIN if lower_smaller and a > _SCIPY_SERIES_MAX_A else _LINEAR_MIN):
+        return math.log(small) if direct else math.log1p(-small)
+    if lower_smaller:
+        log_small = _log_prefactor(a, x) + math.log(_cs.hyp1f1(1.0, a + 1.0, float(x)))
+    else:
+        log_small = _log_upper_cf(a, x)
     return min(log_small, 0.0) if direct else math.log1p(-math.exp(log_small))
 
 
@@ -288,24 +281,9 @@ def _log_prefactor_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return -a_phi - _LN_SQRT_2PI - 0.5 * np.log(a) - _stirlerr_array(a)
 
 
-def _log_lower_series_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _log_lower_series over 1-d arrays: the same recurrence, bit for bit, on
-    # the elements that have not converged yet.
-    total_of = np.empty_like(x)
-    live = np.arange(x.size)
-    la, lx = a, x
-    term, total = np.ones_like(x), np.ones_like(x)
-    for k in range(1, _MAX_ITER):
-        term *= lx / (la + k)
-        total += term
-        done = term < total * _EPS
-        if done.any():
-            total_of[live[done]] = total[done]
-            keep = ~done
-            live, la, lx, term, total = live[keep], la[keep], lx[keep], term[keep], total[keep]
-            if not live.size:
-                return _log_prefactor_array(a, x) + np.log(total_of)
-    raise ArithmeticError(f"lower-gamma series failed to converge (a={la[0]}, x={lx[0]})")
+def _log_lower_kummer_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # ln P = ln(x^a e^-x / Gamma(a+1)) + ln M(1, a+1, x), as in _log_tail.
+    return _log_prefactor_array(a, x) + np.log(hyp1f1(1.0, a + 1.0, x))
 
 
 def _log_upper_cf_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -345,10 +323,11 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
 
     The array form of :func:`log_reg_gamma_upper` and
     :func:`log_reg_gamma_lower`, by the same method: scipy's ``gammainc`` or
-    ``gammaincc`` ufunc for the smaller tail where it exceeds 1e-300, and
-    below that numpy versions of the same log-domain series and continued
-    fraction, iterated until their slowest element converges.  Within 1e-13
-    relative of mpmath up to a = 5e6.
+    ``gammaincc`` ufunc for the smaller tail where it exceeds 1e-300 (for the
+    lower tail at a > 1e5, 1e-2), and below that the log of the ``hyp1f1``
+    ufunc for the lower tail and a numpy version of the same continued
+    fraction for the upper, iterated until its slowest element converges.
+    Within 1e-13 relative of mpmath up to a = 5e6.
     """
     a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     bad = ~((0.0 < a) & (a < math.inf))
@@ -366,19 +345,16 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     # The smaller tail directly and the larger as its complement, as in _log_tail.
     lower_smaller = x < a
     direct = lower_smaller != upper
-    small = np.zeros_like(x)
-    by_scipy = ~(lower_smaller & (a > _SCIPY_SERIES_MAX_A))
-    m = by_scipy & lower_smaller
-    small[m] = gammainc(a[m], x[m])
-    m = by_scipy & ~lower_smaller
-    small[m] = gammaincc(a[m], x[m])
-    linear = small > _LINEAR_MIN
+    small = np.empty_like(x)
+    small[lower_smaller] = gammainc(a[lower_smaller], x[lower_smaller])
+    small[~lower_smaller] = gammaincc(a[~lower_smaller], x[~lower_smaller])
+    linear = small > np.where(lower_smaller & (a > _SCIPY_SERIES_MAX_A), _LARGE_A_LOWER_MIN, _LINEAR_MIN)
     res = np.empty_like(x)
     m = linear & direct
     res[m] = np.log(small[m])
     m = linear & ~direct
     res[m] = np.log1p(-small[m])
-    for m, log_small_of in ((~linear & lower_smaller, _log_lower_series_array),
+    for m, log_small_of in ((~linear & lower_smaller, _log_lower_kummer_array),
                             (~linear & ~lower_smaller, _log_upper_cf_array)):
         if m.any():
             log_small = log_small_of(a[m], x[m])

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 from icawgn.specfn import (
+    _LARGE_A_LOWER_MIN,
     _LINEAR_MIN,
+    _SCIPY_SERIES_MAX_A,
     LogProb,
     log_add,
     log_gamma,
@@ -116,15 +118,21 @@ _DEEP_UPPER = [(1500.0, 4500.0), (2500.0, 7000.0), (500.0, 3000.0), (0.5, 800.0)
 _DEEP_LOWER = [(1000.0, 100.0), (5000.0, 3000.0), (50.0, 1.0)]
 _LARGE_SHAPES = [5e3, 5e4, 5e5, 5e6]
 _LARGE_RATIOS = [0.99, 1.0, 1.01]
-# (a, lower) of the underflow-switch tests.
+# (a, lower) of the switch tests: where the smaller tail leaves scipy's linear
+# value, below 1e-300 or, for the lower tail at a > 1e5, below 1e-2.
 _SWITCH_CASES = [(0.5, False), (5.0, False), (500.0, False), (5e4, False), (5e6, False),
-                 (5.0, True), (500.0, True), (5e4, True)]
+                 (5.0, True), (500.0, True), (5e4, True), (2e5, True), (5e6, True)]
+
+
+def _linear_floor(a, lower):
+    # Smallest smaller tail that the kernels take from scipy's linear value.
+    return _LARGE_A_LOWER_MIN if lower and a > _SCIPY_SERIES_MAX_A else _LINEAR_MIN
 
 
 def _switch_grid(a, lower):
-    # 17 arguments around the point where the smaller tail crosses _LINEAR_MIN.
+    # 17 arguments around the point where the smaller tail crosses its floor.
     inverse = special.gammaincinv if lower else special.gammainccinv
-    return float(inverse(a, _LINEAR_MIN)) * (1.0 + 1e-8 * np.arange(-8, 9))
+    return float(inverse(a, _linear_floor(a, lower))) * (1.0 + 1e-8 * np.arange(-8, 9))
 
 
 def _check_no_jump(xs, vals, lower):
@@ -134,6 +142,26 @@ def _check_no_jump(xs, vals, lower):
     u = (xs - xs[8]) / (xs[9] - xs[8])   # offsets of the rounded grid points
     fit = np.polyval(np.polyfit(u, vals, 2), u)
     assert np.max(np.abs(vals - fit)) <= 2e-14 * abs(vals[8])
+
+
+# Lower tail near the median at large shapes: x = a + z sqrt(a).
+_MEDIAN_SHAPES = [2e5, 1e6, 4e6, 5e6]
+_MEDIAN_Z = [-8.0, -3.0, -2.33, -1.0, -0.01, -1e-5]
+
+
+def _median_grid():
+    a = np.repeat(_MEDIAN_SHAPES, len(_MEDIAN_Z))
+    return a, a + np.tile(_MEDIAN_Z, len(_MEDIAN_SHAPES)) * np.sqrt(a)
+
+
+def _mp_log_lower_kummer(a, x):
+    # ln P = ln M(1, a+1, x) + a ln x - x - ln Gamma(a+1) at 60 digits.
+    # mpmath's gammainc series does not converge here, and its hyp1f1 needs
+    # more terms than its default budget.
+    with mpmath.workdps(60):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        log_m = mpmath.log(mpmath.hyp1f1(1, a + 1, x, maxterms=10 ** 7))
+        return float(log_m + a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
 
 
 def _mp_log_tail(a, x, upper):
@@ -219,6 +247,13 @@ class TestRegGamma:
                                                    mpmath.inf, regularized=True)))
             assert abs(got / ref - 1.0) <= 1e-9, (a, x)
 
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_integer_arguments(self, upper):
+        # Deep in the smaller tail, where the kernels leave scipy's linear value.
+        fn = log_reg_gamma_upper if upper else log_reg_gamma_lower
+        a, x = (500, 3000) if upper else (1000, 100)
+        assert fn(a, x).log_value == fn(float(a), float(x)).log_value
+
     def test_log_lower_accuracy(self):
         for a, x in _DEEP_LOWER:
             got = log_reg_gamma_lower(a, x).log_value
@@ -257,16 +292,23 @@ class TestLargeShape:
             ref = float(1 - mpmath.gammainc(a, x, mpmath.inf, regularized=True))
         assert reg_gamma_lower(a, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
+    def test_lower_near_median_vs_mpmath(self):
+        # Full relative accuracy of P from 8 to 1e-5 standard deviations
+        # below the median, on both sides of the switch to Kummer's function.
+        for a, x in zip(*_median_grid()):
+            got = log_reg_gamma_lower(float(a), float(x)).log_value
+            assert abs(math.expm1(got - _mp_log_lower_kummer(a, x))) <= 1e-13, (a, x)
+
     @pytest.mark.parametrize("a, lower", _SWITCH_CASES)
     def test_no_jump_at_underflow_switch(self, a, lower):
         # Where the smaller tail drops below the smallest value taken from
-        # scipy, the log-domain series or continued fraction takes over.
+        # scipy, Kummer's function or the continued fraction takes over.
         # Across that switch the log value stays strictly monotone and on a
         # quadratic through the grid to 2e-14 relative.
         xs = _switch_grid(a, lower)
         fn, tail = (log_reg_gamma_lower, special.gammainc) if lower else \
             (log_reg_gamma_upper, special.gammaincc)
-        taken = [tail(a, x) > _LINEAR_MIN for x in xs]
+        taken = [tail(a, x) > _linear_floor(a, lower) for x in xs]
         assert any(taken) and not all(taken)
         _check_no_jump(xs, np.array([fn(a, float(x)).log_value for x in xs]), lower)
 
@@ -293,6 +335,12 @@ class TestArrayKernel:
             got = log_reg_gamma_tail(a, x, upper=upper)
             ref = np.array([_mp_log_tail(ai, xi, upper) for ai, xi in zip(a, x)])
             assert np.all(np.abs(np.expm1(got - ref)) <= 1e-13), upper
+
+    def test_lower_near_median_vs_mpmath(self):
+        a, x = _median_grid()
+        got = log_reg_gamma_tail(a, x, upper=False)
+        ref = np.array([_mp_log_lower_kummer(ai, xi) for ai, xi in zip(a, x)])
+        assert np.all(np.abs(np.expm1(got - ref)) <= 1e-13)
 
     @pytest.mark.parametrize("lower", [False, True])
     def test_no_jump_at_underflow_switch(self, lower):
