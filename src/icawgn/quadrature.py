@@ -6,6 +6,7 @@ equivalence checks), never hot paths.
 """
 
 import heapq
+import math
 
 import numpy as np
 
@@ -65,6 +66,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-9,
     heap = [(-err, a, b, val, err)]
     total = val
     total_err = err
+    resum_below = 1e-3 * err
     while len(heap) < max_intervals:
         if total_err <= abs_tol or total_err <= rel_tol * abs(total):
             return total, total_err
@@ -81,6 +83,11 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-9,
         total_err += (e1 + e2) - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
+        if total_err < resum_below:
+            # The running sum carries the rounding error of its largest past
+            # value; once it has shrunk 1000-fold, re-add the live estimates.
+            total_err = math.fsum(item[4] for item in heap)
+            resum_below = 1e-3 * total_err
     if total_err <= abs_tol or total_err <= rel_tol * abs(total):
         return total, total_err
     raise QuadratureError(

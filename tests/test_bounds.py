@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from icawgn.bounds import (
     CURVE_KINDS,
@@ -76,7 +77,8 @@ class TestCapacities:
     @pytest.mark.parametrize("fn", [
         delta_star, delta_cr,
         pytest.param(lambda s2: sphere_bound_by_volume(4, 1.0, s2), id="sphere_bound_by_volume"),
-        pytest.param(lambda s2: equivalence_sides(3, 1.0, s2), id="equivalence_sides")])
+        pytest.param(lambda s2: equivalence_sides(3, 1.0, s2), id="equivalence_sides"),
+        pytest.param(lambda s2: d_section_prob(3, 1.0, 0.5, s2), id="d_section_prob")])
     @pytest.mark.parametrize("sigma2", [0.0, math.inf, math.nan])
     def test_rejects_non_finite_or_zero_noise(self, fn, sigma2):
         # delta_star(inf) returned -inf and delta_star(nan) returned nan.
@@ -250,6 +252,13 @@ class TestDSectionProb:
         got = d_section_prob(3, 2.0, 0.0, 1.0)
         assert got == pytest.approx(0.5 * reg_gamma_lower(1.5, 2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("r", [0.01, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("s2", [0.5, 1.0])
+    def test_half_ball_every_dimension(self, n, r, s2):
+        ref = 0.5 * special.gammainc(0.5 * n, r * r / (2.0 * s2))
+        assert d_section_prob(n, r, 0.0, s2) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(7)
         z = rng.standard_normal((10 ** 6, 3))
@@ -265,11 +274,51 @@ class TestDSectionProb:
         with pytest.raises(ValueError):
             d_section_prob(3, 2.0, -0.1, 1.0)
 
+    @pytest.mark.parametrize("fn", [
+        pytest.param(lambda r, s2: d_section_prob(3, r, 0.0, s2), id="d_section_prob"),
+        pytest.param(lambda r, s2: equivalence_sides(3, r, s2), id="equivalence_sides")])
+    @pytest.mark.parametrize("r, s2", [(1000.0, 1.0), (1e6, 1.0), (71.0, 0.5)])
+    def test_rejects_radius_past_hundred_sigma(self, fn, r, s2):
+        # At r/sigma = 1000 the section integrals miss the Gaussian peak.
+        with pytest.raises(ValueError, match="r/sigma"):
+            fn(r, s2)
+
+    @pytest.mark.parametrize("fn", [
+        pytest.param(lambda r: d_section_prob(3, r, 0.0, 1.0), id="d_section_prob"),
+        pytest.param(lambda r: equivalence_sides(3, r, 1.0), id="equivalence_sides")])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_non_finite_or_non_positive_radius(self, fn, r):
+        with pytest.raises(ValueError, match="radius"):
+            fn(r)
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("n,r,s2", [(2, 1.0, 1.0), (3, 0.8, 0.5), (4, 2.0, 1.0)])
     def test_identity_holds(self, n, r, s2):
         assert equivalence_check(n, r, s2) <= 1e-6
+
+    @staticmethod
+    def _closed_form(n, r, s2):
+        # int_0^r f_R(t) t^n dt = (2 s2)^(n/2) Gamma(n) / Gamma(n/2) P(n, r^2 / 2 s2)
+        log_scale = 0.5 * n * math.log(2.0 * s2) + math.lgamma(n) - math.lgamma(0.5 * n)
+        return math.exp(log_scale) * special.gammainc(n, r * r / (2.0 * s2))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("r", [0.01, 0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("s2", [0.5, 1.0])
+    def test_both_sides_match_closed_form(self, n, r, s2):
+        ref = self._closed_form(n, r, s2)
+        lhs, rhs = equivalence_sides(n, r, s2)
+        assert lhs == pytest.approx(ref, rel=1e-8, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("snr", [10.0, 30.0, 100.0])
+    def test_both_sides_match_closed_form_at_large_radius(self, n, snr):
+        ref = self._closed_form(n, snr, 1.0)
+        lhs, rhs = equivalence_sides(n, snr, 1.0)
+        assert lhs == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-6, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -254,6 +254,13 @@ class TestEquivCommand:
             main(["equiv", "--n", "9", "--r", "1.0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("r", ["1000", "1e6"])
+    def test_radius_past_hundred_sigma_is_usage_error(self, r, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "--n", "3", "--r", r])
+        assert exc.value.code == 2
+        assert "r/sigma" in capsys.readouterr().err
+
 
 class TestOutputPlumbing:
     def test_json_lines(self, capsys):
