@@ -46,6 +46,7 @@ from .asymptotics import (
     exponent_r,
     exponent_t,
     terms,
+    asym_curves,
     sphere_sandwich,
     sphere_asymptotic,
     ml_sandwich,

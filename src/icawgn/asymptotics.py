@@ -10,6 +10,11 @@ typicality forms are off by 12.4%, 10.4% and 6.2% at n = 1000, and about
 eight times less per decade of n beyond.  Everything is exact arithmetic
 on logs; no quadrature.
 
+:func:`asym_curves` evaluates the sandwiches and the asymptotic forms over
+a vector of dimensions at one (delta, sigma2), with NaN where a form is
+undefined; the scalar functions take one :class:`ChannelPoint` through
+the same code and raise a typed error there instead.
+
 The achievability exponent below the critical NLD is a straight line of
 slope -1.  Its additive constant is (1/2) ln(e/4): that value is forced
 by continuity with the curved branch at the critical NLD and by the
@@ -21,9 +26,19 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.special import cython_special as _cs
+import numpy as np
+from scipy.special import erfcx
 
-from .bounds import ChannelPoint, delta_cr, delta_star, effective_radius
+from .bounds import (
+    ChannelPoint,
+    _check_dims,
+    _check_nld,
+    _check_sigma2,
+    _log_vn_curve,
+    _math_map,
+    delta_cr,
+    delta_star,
+)
 from .specfn import LogProb, log_add
 
 __all__ = [
@@ -35,6 +50,7 @@ __all__ = [
     "exponent_r",
     "exponent_t",
     "terms",
+    "asym_curves",
     "sphere_sandwich",
     "sphere_asymptotic",
     "ml_sandwich",
@@ -126,70 +142,79 @@ def terms(point: ChannelPoint) -> AsymptoticTerms:
     n = point.n
     if n <= 2:
         raise ValueError(f"asymptotic terms require n > 2, got {n}")
-    r = effective_radius(point)
-    rho = r * r / (n * point.sigma2)
-    upsilon = n * (rho - 1.0 + 2.0 / n) / math.sqrt(2.0 * (n - 2.0))
-    psi = math.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * math.sqrt(rho))
-    mu = math.exp(2.0 * (delta_star(point.sigma2) - point.nld))
-    return AsymptoticTerms(rho_star=rho, upsilon=upsilon, psi=psi, mu=mu)
+    rho, upsilon, psi, mu = _terms(np.array([float(n)]), point.nld, point.sigma2)
+    return AsymptoticTerms(rho_star=float(rho[0]), upsilon=float(upsilon[0]),
+                           psi=float(psi[0]), mu=mu)
 
 
-def _log_scaled_q(x: float) -> float:
+@np.errstate(all="ignore")
+def _terms(n: np.ndarray, nld: float, sigma2: float):
+    # rho*, Upsilon and Psi over a float array of n (meaningful where n > 2),
+    # and the scalar mu.  r_eff is rounded exactly as effective_radius rounds
+    # it: the sandwiches' logs move by n/2 times any relative change in rho*.
+    r = _math_map(math.exp, -nld - _log_vn_curve(n) / n)
+    rho = r * r / (n * sigma2)
+    upsilon = n * (rho - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
+    psi = np.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * np.sqrt(rho))
+    mu = math.exp(2.0 * (delta_star(sigma2) - nld))
+    return rho, upsilon, psi, mu
+
+
+def _log_scaled_q(x):
     """ln[e^(x^2/2) Q(x)] = ln(erfcx(x/sqrt 2) / 2), stable for large x."""
-    return math.log(0.5 * _cs.erfcx(x / _SQRT2))
+    return np.log(0.5 * erfcx(x / _SQRT2))
 
 
-def _common_exponent(point: ChannelPoint, rho: float) -> float:
+def _log_tail_q(n, upsilon):
+    # The Q-function lower form of the chi-square tail integral, less the
+    # common exponent.
+    return 0.5 * np.log(n * n * math.pi / (n - 2.0)) + _log_scaled_q(upsilon)
+
+
+def _common_exponent(n, nld: float, sigma2: float, rho):
     # ln of e^{n(delta*-delta)} e^{n/2} e^{-n rho*/2}
-    n = point.n
-    return n * (delta_star(point.sigma2) - point.nld) + 0.5 * n - 0.5 * n * rho
+    return n * (delta_star(sigma2) - nld) + 0.5 * n - 0.5 * n * rho
 
 
-def sphere_sandwich(point: ChannelPoint) -> SandwichBounds:
-    """Closed forms enclosing the sphere bound (requires n > 2, delta < delta*)."""
-    if point.nld >= delta_star(point.sigma2):
-        raise ValueError("sphere sandwich requires delta < delta*")
-    t = terms(point)
-    n, rho, ups = point.n, t.rho_star, t.upsilon
-    common = _common_exponent(point, rho)
-    upper = common - math.log(rho - 1.0 + 2.0 / n)
-    lower_analytic = upper - math.log1p(ups ** -2)
-    lower_q = common + 0.5 * math.log(n * n * math.pi / (n - 2.0)) + _log_scaled_q(ups)
-    return SandwichBounds(lower_q=LogProb(lower_q),
-                          lower_analytic=LogProb(lower_analytic),
-                          upper=LogProb(upper))
+def _require_below_capacity(nld: float, sigma2: float, what: str) -> None:
+    if nld >= delta_star(sigma2):
+        raise ValueError(f"{what} requires delta < delta*")
 
 
-def ml_sandwich(point: ChannelPoint) -> SandwichBounds:
-    """Closed forms enclosing the ML bound.
+def _in_ml_window(n, rho):
+    return (1.0 - 2.0 / n < rho) & (rho < 2.0 - 2.0 / n)
 
-    Valid for NLD strictly below capacity on the window
-    1 - 2/n < rho* < 2 - 2/n (asymptotically, NLD strictly between critical
-    and capacity); outside it the caller must branch to the below-critical
-    asymptotics instead.
-    """
-    if point.nld >= delta_star(point.sigma2):
-        raise ValueError("ML sandwich requires delta < delta*")
-    t = terms(point)
-    n, rho, ups, psi = point.n, t.rho_star, t.upsilon, t.psi
-    if not (1.0 - 2.0 / n < rho < 2.0 - 2.0 / n):
-        raise ValueError(
-            f"ML sandwich window violated: rho* = {rho:.6g} outside "
-            f"({1 - 2 / n:.6g}, {2 - 2 / n:.6g}) at n = {n}")
-    common = _common_exponent(point, rho)
-    upper = common - math.log(2.0 - rho - 2.0 / n) - math.log(rho - 1.0 + 2.0 / n)
-    la = common + math.log(
+
+# The five closed forms over a float array of n at one (nld, sigma2).  A
+# condition on (nld, sigma2) alone raises the scalar form's error; the
+# sandwiches' limits in n (n > 2, the ML window) give NaN elements.
+
+def _sphere_sandwich(n, nld, sigma2):
+    _require_below_capacity(nld, sigma2, "sphere sandwich")
+    rho, upsilon, _, _ = _terms(n, nld, sigma2)
+    common = _common_exponent(n, nld, sigma2, rho)
+    upper = common - np.log(rho - 1.0 + 2.0 / n)
+    lower = upper - np.log1p(upsilon ** -2)
+    lower_q = common + _log_tail_q(n, upsilon)
+    return [np.where(n > 2, v, math.nan) for v in (lower_q, lower, upper)]
+
+
+def _ml_sandwich(n, nld, sigma2):
+    _require_below_capacity(nld, sigma2, "ML sandwich")
+    rho, upsilon, psi, _ = _terms(n, nld, sigma2)
+    common = _common_exponent(n, nld, sigma2, rho)
+    upper = common - np.log(2.0 - rho - 2.0 / n) - np.log(rho - 1.0 + 2.0 / n)
+    lower = common + np.log(
         1.0 / ((2.0 - rho + 2.0 / n) * (1.0 + psi ** -2))
-        + 1.0 / ((rho - 1.0 + 2.0 / n) * (1.0 + ups ** -2)))
-    lq_head = 0.5 * math.log(n * math.pi / (2.0 * rho)) + _log_scaled_q(psi)
-    lq_tail = 0.5 * math.log(n * n * math.pi / (n - 2.0)) + _log_scaled_q(ups)
-    lq = common + log_add(LogProb(lq_head), LogProb(lq_tail)).log_value
-    return SandwichBounds(lower_q=LogProb(lq), lower_analytic=LogProb(la),
-                          upper=LogProb(upper))
+        + 1.0 / ((rho - 1.0 + 2.0 / n) * (1.0 + upsilon ** -2)))
+    head = 0.5 * np.log(n * math.pi / (2.0 * rho)) + _log_scaled_q(psi)
+    lower_q = common + np.logaddexp(head, _log_tail_q(n, upsilon))
+    inside = (n > 2) & _in_ml_window(n, rho)
+    return [np.where(inside, v, math.nan) for v in (lower_q, lower, upper)]
 
 
-def _mu_checked(point: ChannelPoint) -> float:
-    d = delta_star(point.sigma2) - point.nld
+def _mu_checked(nld: float, sigma2: float) -> float:
+    d = delta_star(sigma2) - nld
     if d <= 0.0:
         raise ValueError("asymptotic form requires delta < delta*")
     mu = math.exp(2.0 * d)
@@ -199,22 +224,136 @@ def _mu_checked(point: ChannelPoint) -> float:
     return mu
 
 
+def _sphere_asymptotic(n, nld, sigma2):
+    mu = _mu_checked(nld, sigma2)
+    return (-n * exponent_sp(nld, sigma2)
+            - 0.5 * mu * np.log(n * math.pi) - math.log(mu - 1.0))
+
+
+def _ml_branch(nld: float, sigma2: float) -> str:
+    dcr = delta_cr(sigma2)
+    if abs(nld - dcr) <= CRITICAL_NLD_TOL:
+        return "critical"
+    return "above" if nld > dcr else "below"
+
+
+def _ml_asymptotic(n, nld, sigma2):
+    er = exponent_r(nld, sigma2)
+    branch = _ml_branch(nld, sigma2)
+    if branch == "critical":
+        return -n * er + np.log((np.sqrt(math.pi / (2.0 * n))
+                                 + (np.log(n * math.pi) + 2.0) / n) / (2.0 * math.pi))
+    if branch == "above":
+        mu = _mu_checked(nld, sigma2)
+        if 2.0 - mu < 1e-15:
+            raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
+        return (-n * er - 0.5 * mu * np.log(n * math.pi)
+                - math.log(2.0 - mu) - math.log(mu - 1.0))
+    return -n * er - 0.5 * np.log(2.0 * math.pi * n)
+
+
+def _typicality_asymptotic(n, nld, sigma2):
+    d = delta_star(sigma2) - nld
+    if d <= 0.0:
+        raise ValueError("asymptotic form requires delta < delta*")
+    if 2.0 * d < 1e-15:
+        raise AsymptoticSingularity("typicality prefactor singular as delta -> delta*")
+    return (-n * exponent_t(nld, sigma2) - 0.5 * np.log(n * math.pi)
+            + math.log1p(2.0 * d) - math.log(2.0 * d))
+
+
+# Keys of asym_curves, by the form that computes them.
+_FORMS = (
+    (("sphere_lower_q", "sphere_lower", "sphere_upper"), _sphere_sandwich),
+    (("sphere_asym",), _sphere_asymptotic),
+    (("ml_lower_q", "ml_lower", "ml_upper"), _ml_sandwich),
+    (("ml_asym",), _ml_asymptotic),
+    (("typicality_asym",), _typicality_asymptotic),
+)
+
+
+@np.errstate(all="ignore")
+def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
+    """The sandwiches and asymptotic forms at every dimension of the 1-d
+    integer array ``n``, at one (nld, sigma2): the array path of
+    :func:`sphere_sandwich`, :func:`ml_sandwich`, :func:`sphere_asymptotic`,
+    :func:`ml_asymptotic` and :func:`typicality_asymptotic`, which evaluate
+    through it.
+
+    Returns the natural logs under the keys ``sphere_lower_q``,
+    ``sphere_lower``, ``sphere_upper``, ``sphere_asym``, ``ml_lower_q``,
+    ``ml_lower``, ``ml_upper``, ``ml_asym`` and ``typicality_asym`` (the
+    sandwiches' ``lower`` is their elementary ``lower_analytic``).  An
+    element is NaN exactly where the scalar function raises ``ValueError``
+    or :class:`AsymptoticSingularity`: n <= 2 and delta >= delta* for the
+    sandwiches, outside the window for the ML sandwich, and at the mu -> 1
+    and mu -> 2 singularities.  Inputs :func:`~icawgn.bounds.bound_curves`
+    rejects raise the same errors here, and an NLD so far below capacity
+    that e^(2(delta*-delta)) overflows raises ``OverflowError`` as the
+    scalar forms do.
+    """
+    _check_sigma2(sigma2)
+    _check_nld(nld)
+    n = _check_dims(n)
+    curves = {}
+    for names, form in _FORMS:
+        try:
+            values = np.atleast_2d(form(n, nld, sigma2))
+        except ValueError:
+            values = np.full((len(names), n.size), math.nan)
+        curves.update(zip(names, np.where(np.isfinite(values), values, math.nan)))
+    return curves
+
+
+@np.errstate(all="ignore")
+def _at(form, point: ChannelPoint) -> list[LogProb]:
+    # One form at one point; a non-finite value is a ValueError, from LogProb.
+    values = np.atleast_2d(form(np.array([float(point.n)]), point.nld, point.sigma2))
+    return [LogProb(float(v[0])) for v in values]
+
+
+def sphere_sandwich(point: ChannelPoint) -> SandwichBounds:
+    """Closed forms enclosing the sphere bound (requires n > 2, delta < delta*):
+
+        upper          e^C / (rho* - 1 + 2/n)
+        lower_analytic upper / (1 + Upsilon^-2)
+        lower_q        e^C sqrt(n^2 pi / (n - 2)) e^(Upsilon^2/2) Q(Upsilon)
+
+    with C = n(delta* - delta) + n/2 - n rho*/2 and rho*, Upsilon from
+    :func:`terms`.  Evaluated by :func:`asym_curves`.
+    """
+    _require_below_capacity(point.nld, point.sigma2, "sphere sandwich")
+    terms(point)   # rejects n <= 2
+    return SandwichBounds(*_at(_sphere_sandwich, point))
+
+
+def ml_sandwich(point: ChannelPoint) -> SandwichBounds:
+    """Closed forms enclosing the ML bound, evaluated by :func:`asym_curves`.
+
+    Valid for NLD strictly below capacity on the window
+    1 - 2/n < rho* < 2 - 2/n (asymptotically, NLD strictly between critical
+    and capacity); outside it the caller must branch to the below-critical
+    asymptotics instead.  Each member adds a head term in Psi to the
+    sphere sandwich's tail term in Upsilon.
+    """
+    _require_below_capacity(point.nld, point.sigma2, "ML sandwich")
+    n, rho = point.n, terms(point).rho_star
+    if not _in_ml_window(n, rho):
+        raise ValueError(
+            f"ML sandwich window violated: rho* = {rho:.6g} outside "
+            f"({1 - 2 / n:.6g}, {2 - 2 / n:.6g}) at n = {n}")
+    return SandwichBounds(*_at(_ml_sandwich, point))
+
+
 def sphere_asymptotic(point: ChannelPoint) -> LogProb:
     """Precise asymptotic form of the sphere bound:
-    e^(-n E_sp) (n pi)^(-mu/2) / (mu - 1)."""
-    mu = _mu_checked(point)
-    n = point.n
-    lg = (-n * exponent_sp(point.nld, point.sigma2)
-          - 0.5 * mu * math.log(n * math.pi) - math.log(mu - 1.0))
-    return LogProb(lg)
+    e^(-n E_sp) (n pi)^(-mu/2) / (mu - 1).  Evaluated by :func:`asym_curves`."""
+    return _at(_sphere_asymptotic, point)[0]
 
 
 def ml_asymptotic_branch(point: ChannelPoint) -> str:
     """Which asymptotic regime the point falls in: 'above', 'below' or 'critical'."""
-    dcr = delta_cr(point.sigma2)
-    if abs(point.nld - dcr) <= CRITICAL_NLD_TOL:
-        return "critical"
-    return "above" if point.nld > dcr else "below"
+    return _ml_branch(point.nld, point.sigma2)
 
 
 def ml_asymptotic(point: ChannelPoint) -> LogProb:
@@ -223,35 +362,17 @@ def ml_asymptotic(point: ChannelPoint) -> LogProb:
         above critical:  e^(-n E_r) (n pi)^(-mu/2) / ((2 - mu)(mu - 1))
         below critical:  e^(-n E_r) / sqrt(2 pi n)
         at critical:     e^(-n E_r) (1/(2 pi)) [sqrt(pi/(2n)) + ln(n pi e^2)/n]
+
+    Evaluated by :func:`asym_curves`.
     """
-    n = point.n
-    er = exponent_r(point.nld, point.sigma2)
-    branch = ml_asymptotic_branch(point)
-    if branch == "critical":
-        sub = math.log((math.sqrt(math.pi / (2.0 * n))
-                        + (math.log(n * math.pi) + 2.0) / n) / (2.0 * math.pi))
-        return LogProb(-n * er + sub)
-    if branch == "above":
-        mu = _mu_checked(point)
-        if 2.0 - mu < 1e-15:
-            raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
-        return LogProb(-n * er - 0.5 * mu * math.log(n * math.pi)
-                       - math.log(2.0 - mu) - math.log(mu - 1.0))
-    return LogProb(-n * er - 0.5 * math.log(2.0 * math.pi * n))
+    return _at(_ml_asymptotic, point)[0]
 
 
 def typicality_asymptotic(point: ChannelPoint) -> LogProb:
     """Precise asymptotic form of the typicality bound:
-    e^(-n E_t) / sqrt(n pi) * (1 + 2 D) / (2 D), D = delta* - delta."""
-    d = delta_star(point.sigma2) - point.nld
-    if d <= 0.0:
-        raise ValueError("asymptotic form requires delta < delta*")
-    if 2.0 * d < 1e-15:
-        raise AsymptoticSingularity("typicality prefactor singular as delta -> delta*")
-    n = point.n
-    lg = (-n * exponent_t(point.nld, point.sigma2) - 0.5 * math.log(n * math.pi)
-          + math.log1p(2.0 * d) - math.log(2.0 * d))
-    return LogProb(lg)
+    e^(-n E_t) / sqrt(n pi) * (1 + 2 D) / (2 D), D = delta* - delta.
+    Evaluated by :func:`asym_curves`."""
+    return _at(_typicality_asymptotic, point)[0]
 
 
 def poltyrev_r_asymptotic(point: ChannelPoint) -> LogProb:
@@ -259,24 +380,24 @@ def poltyrev_r_asymptotic(point: ChannelPoint) -> LogProb:
     sqrt(n) sigma e^(delta*-delta):
 
         above critical:  e^(-n E_r) [1/(n pi (2-mu)) + 1/(sqrt(n pi)(mu-1))]
-        below critical:  e^(-n E_r) / sqrt(2 pi n)
+        below critical:  e^(-n E_r) / sqrt(2 pi n), the ML form itself
         at critical:     e^(-n E_r) (1/sqrt(pi n)) (1 + 1/sqrt 8)
     """
+    branch = ml_asymptotic_branch(point)
+    if branch == "below":
+        return ml_asymptotic(point)
     n = point.n
     er = exponent_r(point.nld, point.sigma2)
-    branch = ml_asymptotic_branch(point)
     if branch == "critical":
         return LogProb(-n * er - 0.5 * math.log(math.pi * n)
                        + math.log1p(1.0 / math.sqrt(8.0)))
-    if branch == "above":
-        mu = _mu_checked(point)
-        if 2.0 - mu < 1e-15:
-            raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
-        lnpi = math.log(n * math.pi)
-        first = -lnpi - math.log(2.0 - mu)
-        second = -0.5 * lnpi - math.log(mu - 1.0)
-        return LogProb(-n * er + log_add(LogProb(first), LogProb(second)).log_value)
-    return LogProb(-n * er - 0.5 * math.log(2.0 * math.pi * n))
+    mu = _mu_checked(point.nld, point.sigma2)
+    if 2.0 - mu < 1e-15:
+        raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
+    lnpi = math.log(n * math.pi)
+    first = -lnpi - math.log(2.0 - mu)
+    second = -0.5 * lnpi - math.log(mu - 1.0)
+    return LogProb(-n * er + log_add(LogProb(first), LogProb(second)).log_value)
 
 
 def ub_lb_ratio_limit(delta: float, sigma2: float) -> float:
@@ -308,7 +429,7 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     ups = n * (x - 1.0 + 2.0 / n) / math.sqrt(2.0 * (n - 2.0))
     base = math.log(2.0) + 0.5 * n * math.log(x) - 0.5 * n * x
     upper = base - math.log(n * (x - 1.0 + 2.0 / n))
-    lower_q = base + 0.5 * math.log(math.pi / (n - 2.0)) + _log_scaled_q(ups)
+    lower_q = base + 0.5 * math.log(math.pi / (n - 2.0)) + float(_log_scaled_q(ups))
     lower_analytic = upper - math.log1p(ups ** -2)
     loose_factor = 1.0 - 1.0 / (ups * ups)
     lower_loose = LogProb.zero() if loose_factor <= 0.0 else LogProb(upper + math.log(loose_factor))
@@ -336,7 +457,7 @@ def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
     # 1 - e^{-n(1 - 1/n - x/2)} is in (0, 1) throughout the window.
     trunc = math.log1p(-math.exp(-(n - 1.0 - 0.5 * n * x)))
     upper = base + math.log(2.0) - math.log(n * (2.0 - x - 2.0 / n)) + trunc
-    lower_q = base + 0.5 * math.log(2.0 * math.pi / (n * x)) + _log_scaled_q(psi)
+    lower_q = base + 0.5 * math.log(2.0 * math.pi / (n * x)) + float(_log_scaled_q(psi))
     lower_analytic = (base + math.log(2.0) - math.log(n * (2.0 - x + 2.0 / n))
                       - math.log1p(psi ** -2))
     return HeadIntegralBounds(lower_q=LogProb(lower_q),

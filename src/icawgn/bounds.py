@@ -26,6 +26,7 @@ times faster per evaluation.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +62,7 @@ __all__ = [
     "bound_curves",
     "d_section_prob",
     "equivalence_sides",
+    "equivalence_discrepancy",
     "equivalence_check",
 ]
 
@@ -277,6 +279,11 @@ def _math_map(fn, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, v.tolist()), float, v.size)
 
 
+def _log_vn_curve(n: np.ndarray) -> np.ndarray:
+    # specfn.log_vn over a float array of n.
+    return 0.5 * n * math.log(math.pi) - _math_map(math.lgamma, 0.5 * n + 1.0)
+
+
 def _ml_log(n, ml_terms, x, log_norm_tail):
     # ln of the ML bound at radius r, x = r^2/(2 sigma2): _ml_first_term plus
     # the chi-square tail, summed in the log domain.
@@ -302,7 +309,7 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
         raise ValueError(f"unknown bound kind {unknown[0]!r}")
     n = _check_dims(n)
     a = 0.5 * n
-    log_vn = 0.5 * n * math.log(math.pi) - _math_map(math.lgamma, a + 1.0)
+    log_vn = _log_vn_curve(n)
     logs = {}
     if "ml" in kinds or "poltyrev" in kinds:
         ml_terms = (n * nld + log_vn + 0.5 * n * math.log(sigma2) + 0.5 * n * math.log(2.0)
@@ -401,6 +408,8 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     probability goes like (2r - w)^((n+1)/2), and 2r - w = 4r sin^2(phi/2)
     makes that analytic too.  Nested integration on the left limits this to
     small n (2..8); r/sigma is limited to 100 as in :func:`d_section_prob`.
+    A radius so small that the right side, of order r^(2n), is not a normal
+    double is rejected too: the identity cannot be checked there.
     """
     if not (2 <= n <= 8):
         raise ValueError(f"equivalence check supports n in 2..8, got {n}")
@@ -415,17 +424,24 @@ def equivalence_sides(n: int, r: float, sigma2: float):
             out[i] = n * w ** (n - 1) * d_section_prob(n, r, w, sigma2) * 2.0 * r * math.sin(phi)
         return out
 
-    lhs, _ = integrate_adaptive(outer, 0.0, 0.5 * math.pi, rel_tol=1e-9, abs_tol=1e-15)
-
     def rhs_f(ts):
         ts = np.maximum(np.atleast_1d(ts), 1e-300)
         return np.exp(_log_chi_pdf_times_rn(n, ts, sigma2))
 
     rhs, _ = integrate_adaptive(rhs_f, 0.0, r, rel_tol=1e-12, abs_tol=1e-300)
+    if not rhs >= sys.float_info.min:
+        raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
+                         f"identity, of order r^(2n), underflows a double")
+    lhs, _ = integrate_adaptive(outer, 0.0, 0.5 * math.pi, rel_tol=1e-9, abs_tol=1e-15)
     return lhs, rhs
 
 
-def equivalence_check(n: int, r: float, sigma2: float) -> float:
-    """Relative discrepancy |lhs - rhs| / rhs of the section-integral identity."""
-    lhs, rhs = equivalence_sides(n, r, sigma2)
+def equivalence_discrepancy(lhs: float, rhs: float) -> float:
+    """Relative discrepancy |lhs - rhs| / rhs of the two sides that
+    :func:`equivalence_sides` returns (its right side is a normal double)."""
     return abs(lhs - rhs) / rhs
+
+
+def equivalence_check(n: int, r: float, sigma2: float) -> float:
+    """Relative discrepancy of the section-integral identity at (n, r, sigma2)."""
+    return equivalence_discrepancy(*equivalence_sides(n, r, sigma2))

@@ -6,6 +6,7 @@ from scipy import integrate, special
 
 from icawgn.asymptotics import (
     AsymptoticSingularity,
+    asym_curves,
     exponent_r,
     exponent_sp,
     exponent_t,
@@ -24,6 +25,7 @@ from icawgn.asymptotics import (
 )
 from icawgn.bounds import (
     ChannelPoint,
+    bound_curves,
     delta_cr,
     delta_star,
     ml_bound,
@@ -296,6 +298,109 @@ class TestSandwichAsymptoticConsistency:
         r5, r6 = ratios(10 ** 5), ratios(10 ** 6)
         assert all(abs(r - 1.0) <= 5e-3 for r in r5), r5
         assert all(abs(b - 1.0) < abs(a - 1.0) for a, b in zip(r5, r6))
+
+
+class TestAsymCurves:
+    @staticmethod
+    def _scalar_cells(n, delta, s2):
+        # The kernel's keys from the scalar functions; None where they raise.
+        p = ChannelPoint(n, delta, s2)
+        cells = {}
+        for kind, fn in (("sphere", sphere_sandwich), ("ml", ml_sandwich)):
+            try:
+                sw = fn(p)
+                values = (sw.lower_q, sw.lower_analytic, sw.upper)
+            except ValueError:   # AsymptoticSingularity included
+                values = (None, None, None)
+            for key, v in zip(("lower_q", "lower", "upper"), values):
+                cells[f"{kind}_{key}"] = v
+        for kind, fn in (("sphere", sphere_asymptotic), ("ml", ml_asymptotic),
+                         ("typicality", typicality_asymptotic)):
+            try:
+                cells[f"{kind}_asym"] = fn(p)
+            except ValueError:
+                cells[f"{kind}_asym"] = None
+        return {k: None if v is None else v.log_value for k, v in cells.items()}
+
+    @pytest.mark.parametrize("s2", [1.0, 0.25])
+    def test_nan_exactly_where_scalar_raises(self, s2):
+        # At -353, r_eff^2 overflows from n ~ 1000 on, and -n E_sp at n = 1e5.
+        ds, dcr = delta_star(s2), delta_cr(s2)
+        deltas = [-353.0, -3.5, -2.0, dcr - 1e-6, dcr, dcr + 5e-10, dcr + 1e-6, -1.5,
+                  ds - 1e-16, ds, ds + 0.1]
+        ns = [1, 2, 3, 4, 10, 1000, 10 ** 5]
+        seen = {"nan": 0, "finite": 0}
+        for delta in deltas:
+            curves = asym_curves(ns, delta, s2)
+            for i, n in enumerate(ns):
+                scalar = self._scalar_cells(n, delta, s2)
+                assert scalar.keys() == curves.keys()
+                for key, ref in scalar.items():
+                    got = curves[key][i]
+                    where = (key, n, delta)
+                    if ref is None:
+                        assert math.isnan(got), where
+                        seen["nan"] += 1
+                    else:
+                        assert abs(got - ref) <= 1e-13 * abs(ref), where
+                        seen["finite"] += 1
+        assert min(seen.values()) > 100, seen
+
+    @staticmethod
+    def _exact_logs(n, delta, s2):
+        # ln of the sphere and ML bounds at r_eff from scipy alone; NaN where
+        # an incomplete gamma is below 1e-300 and loses its relative accuracy.
+        a = 0.5 * n
+        log_vn = a * math.log(math.pi) - special.gammaln(a + 1.0)
+        x = np.exp(2.0 * (-delta - log_vn / n)) / (2.0 * s2)
+        q, p = special.gammaincc(a, x), special.gammainc(n, x)
+        ml_scale = (n * delta + log_vn + a * math.log(s2) + a * math.log(2.0)
+                    + special.gammaln(n) - special.gammaln(a))
+        with np.errstate(divide="ignore"):
+            sphere = np.log(q)
+            ml = np.logaddexp(ml_scale + np.log(p), sphere)
+        sphere[q < 1e-300] = math.nan
+        ml[(q < 1e-300) | (p < 1e-300)] = math.nan
+        return sphere, ml
+
+    @pytest.mark.parametrize("s2", [1.0, 0.25])
+    def test_sandwich_containment(self, s2):
+        # lower_q, lower <= exact <= upper wherever the kernel and the scipy
+        # oracle are finite, with a slack of 4 ulp of the log: deeper in the
+        # tail than this oracle reaches, at n >= 1e4, the sphere lower forms
+        # tie the exact value to 1-2 ulp of logs in the hundreds of thousands.
+        ns = np.unique(np.geomspace(3, 1e5, 80).astype(int))
+        checked = 0
+        for delta in np.linspace(-3.5, -1.42, 27):
+            curves = asym_curves(ns, float(delta), s2)
+            exact = dict(zip(("sphere", "ml"), self._exact_logs(ns.astype(float), delta, s2)))
+            for kind, ex in exact.items():
+                for key in ("lower_q", "lower"):
+                    lo = curves[f"{kind}_{key}"]
+                    ok = np.isnan(lo) | np.isnan(ex) | (lo <= ex + 4 * np.spacing(np.abs(ex)))
+                    assert ok.all(), (kind, key, delta, ns[~ok])
+                up = curves[f"{kind}_upper"]
+                ok = np.isnan(up) | np.isnan(ex) | (ex <= up + 4 * np.spacing(np.abs(ex)))
+                assert ok.all(), (kind, "upper", delta, ns[~ok])
+                checked += np.count_nonzero(~np.isnan(up) & ~np.isnan(ex))
+        assert checked > 400
+
+    @pytest.mark.parametrize("args", [([0, 3], -1.5, 1.0), ([3.0], -1.5, 1.0),
+                                      ([3], math.nan, 1.0), ([3], -1.5, 0.0),
+                                      ([3], -1.5, math.inf)])
+    def test_rejections_match_bound_curves(self, args):
+        with pytest.raises(ValueError) as ref:
+            bound_curves(*args)
+        with pytest.raises(ValueError) as got:
+            asym_curves(*args)
+        assert str(got.value) == str(ref.value)
+
+    def test_overflow_far_below_capacity_is_raised(self):
+        # e^(2(delta*-delta)) overflows: the scalar forms raise OverflowError too.
+        with pytest.raises(OverflowError):
+            sphere_asymptotic(ChannelPoint(5, -400.0, 1.0))
+        with pytest.raises(OverflowError):
+            asym_curves([5], -400.0, 1.0)
 
 
 class TestUbLbRatio:

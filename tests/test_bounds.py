@@ -320,6 +320,13 @@ class TestEquivalence:
         assert lhs == pytest.approx(ref, rel=1e-6, abs=0.0)
         assert rhs == pytest.approx(ref, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("r", [1e-30, 1e-200])
+    def test_rejects_radius_whose_right_side_underflows(self, r):
+        # The right side is of order r^(2n): 1e-480 at n = 8, r = 1e-30.
+        for fn in (equivalence_sides, equivalence_check):
+            with pytest.raises(ValueError, match="underflows"):
+                fn(8, r, 1.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             equivalence_check(9, 1.0, 1.0)

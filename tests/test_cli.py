@@ -166,6 +166,14 @@ class TestAsymCommand:
         r1000 = float(rows[-1]["sphere_ratio"])
         assert abs(r1000 - 1.0) < abs(r100 - 1.0)
 
+    @pytest.mark.parametrize("nld", ["delta_star", "delta_cr"])
+    def test_capacity_and_critical_exit_cleanly(self, nld, capsys):
+        from icawgn import bounds
+        code, out, err = run_cli(capsys, "asym", "--n", "1:6",
+                                 "--nld", repr(getattr(bounds, nld)(1.0)))
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 6
+
     def test_small_n_emits_nan_sandwich(self, capsys):
         code, out, _ = run_cli(capsys, "asym", "--n", "2", "--nld", "-1.5")
         _, rows = parse_csv(out)
@@ -260,6 +268,13 @@ class TestEquivCommand:
             main(["equiv", "--n", "3", "--r", r])
         assert exc.value.code == 2
         assert "r/sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["1e-30", "1e-200"])
+    def test_radius_whose_right_side_underflows_is_usage_error(self, r, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "--n", "8", "--r", r])
+        assert exc.value.code == 2
+        assert "underflows" in capsys.readouterr().err
 
 
 class TestOutputPlumbing:
