@@ -77,6 +77,15 @@ def _check_nld(delta: float) -> None:
         raise ValueError(f"NLD must be finite, got {delta}")
 
 
+# The largest dimension: the array paths hold n in numpy's int64.
+_MAX_DIM = 2**63 - 1
+
+
+def _check_dim_limit(n: int) -> None:
+    if n > _MAX_DIM:
+        raise ValueError(f"dimension must be <= 2^63 - 1 = {_MAX_DIM}, got {n}")
+
+
 @dataclass(frozen=True)
 class ChannelPoint:
     """An evaluation point: dimension n, NLD delta (nats/dim), noise variance sigma2."""
@@ -93,6 +102,7 @@ class ChannelPoint:
             raise ValueError(f"dimension must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
+        _check_dim_limit(n)
         _check_sigma2(self.sigma2)
         _check_nld(self.nld)
 
@@ -264,6 +274,11 @@ class BoundCurve(NamedTuple):
 
 def _check_dims(n) -> np.ndarray:
     n = np.asarray(n)
+    # Integers past int64 arrive as uint64 or as Python ints in an object array.
+    if n.ndim == 1 and n.dtype.kind in "uO":
+        for v in n.tolist():
+            if isinstance(v, numbers.Integral):
+                _check_dim_limit(v)
     if n.ndim != 1 or n.dtype.kind not in "iu":
         raise ValueError(f"dimensions must be a 1-d integer array, got {n!r}")
     if n.size and n.min() < 1:

@@ -8,7 +8,9 @@ Subcommands:
     equiv     section-integral equivalence residuals at small n
 
 Output is CSV (one header line, full-precision, LF line endings) or JSON
-lines behind --format json.  Exit status: 0 success, 2 usage error,
+lines behind --format json.  Each subcommand returns one column table, a
+dict from column name to column in output order, and CSV is written
+straight from its columns.  Exit status: 0 success, 2 usage error,
 1 numerical failure (one machine-parsable line on stderr).
 """
 
@@ -54,31 +56,29 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(a, b + 1, inc))
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -> None:
-    lines = []
+def _emit(table: dict[str, list], fmt: str, out_path: str | None) -> None:
     if fmt == "csv":
         # str of a Python float is its shortest round-trip repr.
-        lines.append(",".join(columns))
-        lines += [",".join(map(str, map(row.__getitem__, columns))) for row in rows]
+        rows = zip(*(map(str, col) for col in table.values()))
+        lines = [",".join(table), *map(",".join, rows)]
     else:
-        for row in rows:
-            lines.append(json.dumps({c: row[c] for c in columns}))
+        lines = [json.dumps(dict(zip(table, row))) for row in zip(*table.values())]
     text = "\n".join(lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror}") from None
 
 
-def _cmd_bounds(args) -> tuple[list[dict], list[str]]:
+def _cmd_bounds(args) -> dict[str, list]:
     which = args.which.split(",") if args.which else list(bounds.CURVE_KINDS)
     for w in which:
         if w not in bounds.CURVE_KINDS:
             raise ValueError(f"unknown bound kind {w!r} (choose from {', '.join(bounds.CURVE_KINDS)})")
-    columns = ["n"]
-    for w in which:
-        columns += [w, f"{w}_log"]
     ns = _parse_n_range(args.n)
     curves = bounds.bound_curves(ns, args.nld, args.sigma2, which)
     clamped = np.column_stack([curves[w].clamped for w in which])
@@ -90,11 +90,10 @@ def _cmd_bounds(args) -> tuple[list[dict], list[str]]:
     for w in which:
         cells[w] = curves[w].value.tolist()
         cells[f"{w}_log"] = curves[w].log_value.tolist()
-    rows = [dict(zip(columns, row)) for row in zip(*(cells[c] for c in columns))]
-    return rows, columns
+    return cells
 
 
-def _cmd_asym(args) -> tuple[list[dict], list[str]]:
+def _cmd_asym(args) -> dict[str, list]:
     columns = ["n",
                "sphere_log", "sphere_lower_q_log", "sphere_lower_log",
                "sphere_upper_log", "sphere_asym_log", "sphere_ratio",
@@ -121,14 +120,10 @@ def _cmd_asym(args) -> tuple[list[dict], list[str]]:
     for k in exact:
         cells[f"{k}_ratio"] = [math.exp(e - a) for e, a in
                                zip(cells[f"{k}_log"], cells[f"{k}_asym_log"])]
-    rows = [dict(zip(columns, row)) for row in zip(*(cells[c] for c in columns))]
-    return rows, columns
+    return {c: cells[c] for c in columns}
 
 
-def _cmd_invert(args) -> tuple[list[dict], list[str]]:
-    columns = ["n", "delta_converse", "delta_achievable", "delta_approx",
-               "delta_star", "delta_cr",
-               "gap_db_converse", "gap_db_achievable", "gap_db_approx"]
+def _cmd_invert(args) -> dict[str, list]:
     ds = bounds.delta_star(args.sigma2)
     dcr = bounds.delta_cr(args.sigma2)
     rows = []
@@ -136,17 +131,15 @@ def _cmd_invert(args) -> tuple[list[dict], list[str]]:
         conv = dispersion.nld_eps_converse(n, args.eps, args.sigma2).delta
         ach = dispersion.nld_eps_achievable(n, args.eps, args.sigma2).delta
         approx = dispersion.nld_eps_approx(n, args.eps, args.sigma2)
-        rows.append({
-            "n": n, "delta_converse": conv, "delta_achievable": ach,
-            "delta_approx": approx, "delta_star": ds, "delta_cr": dcr,
-            "gap_db_converse": dispersion.gap_db(conv, args.sigma2),
-            "gap_db_achievable": dispersion.gap_db(ach, args.sigma2),
-            "gap_db_approx": dispersion.gap_db(approx, args.sigma2),
-        })
-    return rows, columns
+        rows.append((n, conv, ach, approx, ds, dcr,
+                     *(dispersion.gap_db(d, args.sigma2) for d in (conv, ach, approx))))
+    columns = ["n", "delta_converse", "delta_achievable", "delta_approx",
+               "delta_star", "delta_cr",
+               "gap_db_converse", "gap_db_achievable", "gap_db_approx"]
+    return dict(zip(columns, map(list, zip(*rows))))
 
 
-def _cmd_simulate(args) -> tuple[list[dict], list[str]]:
+def _cmd_simulate(args) -> dict[str, list]:
     spec = lattices.builtin(args.lattice)
     if args.target_eps is not None:
         if not (0.0 < args.target_eps < 1.0):
@@ -155,40 +148,32 @@ def _cmd_simulate(args) -> tuple[list[dict], list[str]]:
                                             trials_per_probe=args.trials,
                                             seed=args.seed, streams=args.streams)
         est = res.estimate
-        columns = ["lattice", "n", "scale", "delta", "gap_db", "eps_target",
-                   "trials", "errors", "p_hat", "ci_low", "ci_high",
-                   "seed", "streams", "probes"]
-        rows = [{
+        record = {
             "lattice": spec.name, "n": spec.dim, "scale": res.scale,
             "delta": res.delta, "gap_db": res.gap_db,
             "eps_target": args.target_eps, "trials": est.trials,
             "errors": est.errors, "p_hat": est.p_hat,
             "ci_low": est.ci_low, "ci_high": est.ci_high,
             "seed": args.seed, "streams": args.streams, "probes": res.probes,
-        }]
-        return rows, columns
-    est = lattices.simulate_error_prob(spec, args.sigma2, args.trials,
-                                       seed=args.seed, streams=args.streams)
-    record = est.to_record(spec, args.sigma2)
-    columns = ["lattice", "n", "delta", "sigma2", "trials", "errors",
-               "p_hat", "ci_low", "ci_high", "seed", "streams"]
-    return [record], columns
+        }
+    else:
+        est = lattices.simulate_error_prob(spec, args.sigma2, args.trials,
+                                           seed=args.seed, streams=args.streams)
+        record = est.to_record(spec, args.sigma2)
+    return {k: [v] for k, v in record.items()}
 
 
-def _cmd_equiv(args) -> tuple[list[dict], list[str]]:
+def _cmd_equiv(args) -> dict[str, list]:
     n = int(args.n)
     if not (2 <= n <= 8):
         raise ValueError(f"equiv supports n in 2..8, got {n}")
     radii = [float(tok) for tok in args.r.split(",")]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    columns = ["n", "r", "lhs", "rhs", "rel_discrepancy"]
-    rows = []
-    for r in radii:
-        lhs, rhs = bounds.equivalence_sides(n, r, args.sigma2)
-        rows.append({"n": n, "r": r, "lhs": lhs, "rhs": rhs,
-                     "rel_discrepancy": bounds.equivalence_discrepancy(lhs, rhs)})
-    return rows, columns
+    sides = [bounds.equivalence_sides(n, r, args.sigma2) for r in radii]
+    lhs, rhs = map(list, zip(*sides))
+    return {"n": [n] * len(radii), "r": radii, "lhs": lhs, "rhs": rhs,
+            "rel_discrepancy": list(map(bounds.equivalence_discrepancy, lhs, rhs))}
 
 
 # Built once per process: building takes about 1 ms, a parse 0.04 ms.
@@ -249,13 +234,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, columns = args.func(args)
+        _emit(args.func(args), args.format, args.out)
     except (ArithmeticError, asymptotics.AsymptoticSingularity) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: usage error: {exc}\n")
-    _emit(rows, columns, args.format, args.out)
     return 0
 
 

@@ -395,6 +395,11 @@ class TestAsymCurves:
             asym_curves(*args)
         assert str(got.value) == str(ref.value)
 
+    @pytest.mark.parametrize("n", [[2**63], [4, 2**70]])
+    def test_rejects_n_past_int64_naming_the_limit(self, n):
+        with pytest.raises(ValueError, match="9223372036854775807"):
+            asym_curves(n, -1.5, 1.0)
+
     def test_overflow_far_below_capacity_is_raised(self):
         # e^(2(delta*-delta)) overflows: the scalar forms raise OverflowError too.
         with pytest.raises(OverflowError):

@@ -43,6 +43,14 @@ class TestChannelPoint:
         with pytest.raises(ValueError):
             ChannelPoint(n=n, nld=0.0, sigma2=sigma2)
 
+    @pytest.mark.parametrize("n", [2**63, 2**70, np.uint64(2**63)])
+    def test_rejects_n_past_int64_naming_the_limit(self, n):
+        with pytest.raises(ValueError, match="9223372036854775807"):
+            ChannelPoint(n=n, nld=-1.5, sigma2=1.0)
+
+    def test_accepts_largest_n(self):
+        assert ChannelPoint(n=2**63 - 1, nld=-1.5, sigma2=1.0).n == 2**63 - 1
+
     @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.uint8(4)])
     def test_accepts_numpy_integers(self, n):
         assert ChannelPoint(n=n, nld=0.5, sigma2=1.0).density == pytest.approx(math.exp(2.0))
@@ -423,3 +431,12 @@ class TestBoundCurves:
     def test_rejects_bad_inputs(self, n, nld, sigma2, kinds):
         with pytest.raises(ValueError):
             bound_curves(n, nld, sigma2, kinds)
+
+    @pytest.mark.parametrize("n", [[2**63], [4, 2**70], np.array([2**63], dtype=np.uint64)])
+    def test_rejects_n_past_int64_naming_the_limit(self, n):
+        with pytest.raises(ValueError, match="9223372036854775807"):
+            bound_curves(n, -1.5, 1.0)
+
+    def test_largest_n_gives_finite_logs(self):
+        curves = bound_curves([2**63 - 1], -1.5, 1.0)
+        assert all(np.isfinite(c.log_value).all() for c in curves.values())

@@ -277,6 +277,18 @@ class TestEquivCommand:
         assert "underflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--nld", "-1.5"],
+    ["asym", "--nld", "-1.5"],
+    ["invert", "--eps", "0.01"],
+], ids=lambda argv: argv[0])
+def test_dimension_past_int64_is_usage_error_naming_the_limit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "10000000000000000000000"])
+    assert exc.value.code == 2
+    assert "9223372036854775807" in capsys.readouterr().err
+
+
 class TestOutputPlumbing:
     def test_json_lines(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "4:8:x2", "--nld", "-1.5",
@@ -293,6 +305,35 @@ class TestOutputPlumbing:
         assert code == 0 and out == ""
         text = path.read_text(encoding="utf-8")
         assert text.startswith("n,") and text.endswith("\n") and "\r" not in text
+
+    def test_out_path_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "4", "--nld", "-1.5", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.count("\n") == 1 and "usage error" in err and str(path) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "1:6", "--nld", "-1.5"],
+        ["asym", "--n", "1:6", "--nld", "-1.5"],
+        ["invert", "--n", "1:3", "--eps", "0.01"],
+        ["simulate", "--lattice", "A2", "--sigma2", "0.1", "--trials", "2000", "--seed", "3"],
+        ["simulate", "--lattice", "Z1", "--target-eps", "0.1", "--trials", "2000", "--seed", "3"],
+        ["equiv", "--n", "3", "--r", "0.5,1"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_json_and_csv_carry_the_same_table(self, argv, capsys):
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = parse_csv(csv_out)
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in json_out.strip().split("\n")]
+        assert len(records) == len(rows)
+        for record, row in zip(records, rows):
+            assert list(record) == header
+            # json reads NaN back as a float nan, whose str is the CSV's "nan".
+            assert {k: str(v) for k, v in record.items()} == row
 
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
