@@ -424,6 +424,8 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     """
     if n <= 2:
         raise ValueError(f"tail integral bounds require n > 2, got {n}")
+    if not math.isfinite(x):
+        raise ValueError(f"tail integral bounds require a finite x, got x={x}")
     if not (x > 1.0 - 2.0 / n):
         raise ValueError(f"tail integral bounds require x > 1 - 2/n, got x={x}")
     ups = n * (x - 1.0 + 2.0 / n) / math.sqrt(2.0 * (n - 2.0))
@@ -468,6 +470,8 @@ def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
 def laplace_head_integral(n: int, x: float) -> float:
     """Laplace-method leading term of int_0^x e^(-n rho/2) rho^(n-1) d rho for x > 2:
     sqrt(2 pi / n) e^(-n) 2^n, independent of x (the peak sits at rho = 2)."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     if not (x > 2.0):
         raise ValueError(f"Laplace form requires x > 2, got {x}")
     return math.exp(0.5 * math.log(2.0 * math.pi / n) + n * (math.log(2.0) - 1.0))

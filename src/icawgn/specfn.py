@@ -391,7 +391,7 @@ def log_q_func(x: float) -> float:
     """ln Q(x), computed as scipy's ``log_ndtr(-x)``.  Accurate to 1e-13
     relative, also far past the underflow of Q itself (checked against mpmath
     up to x = 1e5)."""
-    return _cs.log_ndtr(-x)
+    return _cs.log_ndtr(-float(x))
 
 
 def q_func_inv(p: float) -> float:

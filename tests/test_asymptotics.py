@@ -454,6 +454,11 @@ class TestTailIntegralBounds:
         with pytest.raises(ValueError):
             tail_integral_bounds(10, 0.5)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="x="):
+            tail_integral_bounds(10, x)
+
 
 class TestHeadIntegralBounds:
     def test_sandwich_vs_quadrature(self):
@@ -503,6 +508,8 @@ class TestLaplaceHeadIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             laplace_head_integral(100, 2.0)
+        with pytest.raises(ValueError, match="dimension"):
+            laplace_head_integral(0, 3.0)
 
 
 class TestSlopeOracle:

@@ -260,9 +260,10 @@ class TestDSectionProb:
         got = d_section_prob(3, 2.0, 0.0, 1.0)
         assert got == pytest.approx(0.5 * reg_gamma_lower(1.5, 2.0), rel=1e-9)
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("r", [0.01, 0.5, 2.0, 5.0])
-    @pytest.mark.parametrize("s2", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [*range(2, 9), 50, 1000])
+    @pytest.mark.parametrize("s2, r", [(s2, r) for s2 in (0.5, 1.0)
+                                       for r in (0.01, 0.5, 2.0, 5.0, 30.0, 70.0, 100.0)
+                                       if r / math.sqrt(s2) <= 100.0])
     def test_half_ball_every_dimension(self, n, r, s2):
         ref = 0.5 * special.gammainc(0.5 * n, r * r / (2.0 * s2))
         assert d_section_prob(n, r, 0.0, s2) == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -317,16 +318,16 @@ class TestEquivalence:
     def test_both_sides_match_closed_form(self, n, r, s2):
         ref = self._closed_form(n, r, s2)
         lhs, rhs = equivalence_sides(n, r, s2)
-        assert lhs == pytest.approx(ref, rel=1e-8, abs=0.0)
-        assert rhs == pytest.approx(ref, rel=1e-8, abs=0.0)
+        assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("snr", [10.0, 30.0, 100.0])
     def test_both_sides_match_closed_form_at_large_radius(self, n, snr):
         ref = self._closed_form(n, snr, 1.0)
         lhs, rhs = equivalence_sides(n, snr, 1.0)
-        assert lhs == pytest.approx(ref, rel=1e-6, abs=0.0)
-        assert rhs == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert lhs == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("r", [1e-30, 1e-200])
     def test_rejects_radius_whose_right_side_underflows(self, r):

@@ -47,6 +47,11 @@ class TestNormTailApprox:
         _, g400 = norm_tail_normal_approx(400, 5.0, 1.0)
         assert g400 == pytest.approx(0.5 * g100, rel=1e-13)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_bad_noise_variance(self, sigma2):
+        with pytest.raises(ValueError, match="noise variance"):
+            norm_tail_normal_approx(16, 4.0, sigma2)
+
 
 class TestBerryEsseenT:
     def test_value_against_closed_form(self):

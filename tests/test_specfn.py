@@ -436,7 +436,7 @@ class TestQFunc:
                 q_func_inv(bad)
 
     def test_log_q_func_matches_q(self):
-        for x in (-3.0, -0.5, 0.0, 1.0, 5.0, 20.0):
+        for x in (-3.0, -0.5, 0.0, 1.0, 5.0, 20.0, -3, 0, 1, 20):
             assert log_q_func(x) == pytest.approx(math.log(q_func(x)), rel=1e-13)
 
     def test_log_q_func_deep_tail(self):
