@@ -165,11 +165,7 @@ def _cmd_simulate(args) -> dict[str, list]:
 
 def _cmd_equiv(args) -> dict[str, list]:
     n = int(args.n)
-    if not (2 <= n <= 8):
-        raise ValueError(f"equiv supports n in 2..8, got {n}")
     radii = [float(tok) for tok in args.r.split(",")]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
     sides = [bounds.equivalence_sides(n, r, args.sigma2) for r in radii]
     lhs, rhs = map(list, zip(*sides))
     return {"n": [n] * len(radii), "r": radii, "lhs": lhs, "rhs": rhs,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .bounds import (ChannelPoint, _check_nld, _check_sigma2, delta_star, effective_radius,
                      ml_bound, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
-from .quadrature import integrate_adaptive
+from .bounds import integrate_adaptive
 from .specfn import LogProb, q_func, q_func_inv
 
 __all__ = [

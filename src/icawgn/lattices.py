@@ -312,6 +312,8 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
     """Two-sided exact binomial (Clopper-Pearson) confidence interval."""
     if trials < 1 or not (0 <= errors <= trials):
         raise ValueError(f"invalid counts: {errors}/{trials}")
+    if not (0.0 < confidence < 1.0):
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
     lo = 0.0 if errors == 0 else float(_sp.betaincinv(errors, trials - errors + 1, alpha / 2.0))
     hi = 1.0 if errors == trials else float(_sp.betaincinv(errors + 1, trials - errors, 1.0 - alpha / 2.0))

@@ -138,7 +138,7 @@ def test_criterion_03_equivalence_identity():
             for s2 in (0.5, 1.0):
                 worst = max(worst, equivalence_check(n, r, s2))
     ok = worst <= 1e-6
-    report(3, "equivalence identity (18 nested quadratures)", ok, f"worst rel={worst:.2e}")
+    report(3, "equivalence identity (18 single integrals)", ok, f"worst rel={worst:.2e}")
     assert ok
 
 

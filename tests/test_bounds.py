@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from icawgn.bounds import (
     CURVE_KINDS,
@@ -142,6 +142,19 @@ class TestSphereBoundByVolume:
             via_volume = sphere_bound_by_volume(n, math.exp(-n * d), 1.0)
             direct = sphere_bound(ChannelPoint(n, d, 1.0)).value
             assert via_volume == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("v, sigma2", [(1e308, 1.0), (math.inf, 1.0), (1e308, 1e308)])
+    def test_squared_radius_past_double_range_gives_zero(self, v, sigma2):
+        # At n = 1 the squared radius (v/2)^2 overflows; x = r^2 / 2 sigma2 is
+        # then at least 2.5e307 and the tail is 0.0 in double.
+        assert sphere_bound_by_volume(1, v, sigma2) == 0.0
+
+    def test_squared_radius_past_double_range_over_huge_variance(self):
+        # r^2 = 1.96e308 overflows, but x = r^2 / 2 sigma2 = 0.98 does not:
+        # Q(1/2, x) = erfc(sqrt x) = 0.1615...
+        v, sigma2 = 2.8e154, 1e308
+        ref = math.erfc(0.5 * v / (math.sqrt(2.0) * math.sqrt(sigma2)))
+        assert sphere_bound_by_volume(1, v, sigma2) == pytest.approx(ref, rel=1e-12)
 
     def test_convex_second_difference_n3(self):
         f = [sphere_bound_by_volume(3, v, 1.0) for v in (0.5, 1.0, 1.5)]
@@ -326,8 +339,17 @@ class TestEquivalence:
     def test_both_sides_match_closed_form_at_large_radius(self, n, snr):
         ref = self._closed_form(n, snr, 1.0)
         lhs, rhs = equivalence_sides(n, snr, 1.0)
-        assert lhs == pytest.approx(ref, rel=1e-10, abs=0.0)
-        assert rhs == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("r, s2", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5), (5.0, 1.0)])
+    def test_section_probabilities_satisfy_identity(self, n, r, s2):
+        # The identity's left side as written, over the section probabilities,
+        # which equivalence_sides no longer integrates.
+        lhs, _ = integrate.quad(lambda w: n * w ** (n - 1) * d_section_prob(n, r, w, s2),
+                                0.0, 2.0 * r, epsabs=0.0, epsrel=1e-12)
+        assert lhs == pytest.approx(self._closed_form(n, r, s2), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("r", [1e-30, 1e-200])
     def test_rejects_radius_whose_right_side_underflows(self, r):

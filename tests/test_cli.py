@@ -262,6 +262,16 @@ class TestEquivCommand:
             main(["equiv", "--n", "9", "--r", "1.0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n, r, message", [
+        ("1", "1.0", "n in 2..8"), ("9", "1.0", "n in 2..8"),
+        ("3", "0", "radius must be finite and > 0"), ("3", "-1", "radius must be finite and > 0"),
+        ("3", "1,0", "radius must be finite and > 0")])
+    def test_library_domain_errors_are_usage_errors(self, n, r, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "--n", n, "--r", r])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("r", ["1000", "1e6"])
     def test_radius_past_hundred_sigma_is_usage_error(self, r, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -342,10 +352,9 @@ class TestOutputPlumbing:
 
     def test_numerical_failure_exit_1(self, monkeypatch, capsys):
         from icawgn import bounds as bounds_mod
-        from icawgn.quadrature import QuadratureError
 
         def explode(n, r, sigma2):
-            raise QuadratureError("synthetic non-convergence")
+            raise ArithmeticError("synthetic non-convergence")
 
         monkeypatch.setattr(bounds_mod, "equivalence_sides", explode)
         code = main(["equiv", "--n", "3", "--r", "1.0"])

@@ -222,6 +222,11 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
 
+    @pytest.mark.parametrize("confidence", [1.5, math.nan, -0.2, 0.0, 1.0])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            clopper_pearson(5, 10, confidence=confidence)
+
 
 class TestSimulate:
     def test_z1_closed_form_anchor(self):
