@@ -179,8 +179,9 @@ def poltyrev_radius(point: ChannelPoint) -> float:
 
 
 def _log_norm_tail(n: int, r: float, sigma2: float) -> LogProb:
-    # Pr{||Z|| > r} for Z ~ N(0, sigma2 I_n): chi-square upper tail.
-    return log_reg_gamma_upper(0.5 * n, r * r / (2.0 * sigma2))
+    # Pr{||Z|| > r} for Z ~ N(0, sigma2 I_n): chi-square upper tail.  Halving
+    # last keeps x = r^2/(2 sigma2) finite where 2 sigma2 overflows.
+    return log_reg_gamma_upper(0.5 * n, 0.5 * (r * r / sigma2))
 
 
 def sphere_bound(point: ChannelPoint) -> BoundValue:
@@ -209,7 +210,7 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
         # log; past double range Q(n/2, x) is exactly 0.0 in double.
         log_x = log_r2 - math.log(2.0) - math.log(sigma2)
         return 0.0 if log_x > _LOG_DBL_MAX else reg_gamma_upper(0.5 * n, math.exp(log_x))
-    return reg_gamma_upper(0.5 * n, math.exp(log_r2) / (2.0 * sigma2))
+    return reg_gamma_upper(0.5 * n, 0.5 * (math.exp(log_r2) / sigma2))
 
 
 def _ml_first_term(point: ChannelPoint, r: float) -> LogProb:
@@ -219,7 +220,7 @@ def _ml_first_term(point: ChannelPoint, r: float) -> LogProb:
     n = point.n
     lg = (n * point.nld + log_vn(n) + 0.5 * n * math.log(point.sigma2)
           + 0.5 * n * math.log(2.0) + math.lgamma(float(n)) - math.lgamma(0.5 * n))
-    tail = log_reg_gamma_lower(float(n), r * r / (2.0 * point.sigma2))
+    tail = log_reg_gamma_lower(float(n), 0.5 * (r * r / point.sigma2))
     if tail.is_zero:
         return LogProb.zero()
     return LogProb(lg + tail.log_value)
@@ -345,7 +346,7 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
                     + _math_map(math.lgamma, n) - _math_map(math.lgamma, a))
     if "sphere" in kinds or "ml" in kinds:
         r = _math_map(math.exp, -nld - log_vn / n)   # effective_radius
-        x = r * r / (2.0 * sigma2)
+        x = 0.5 * (r * r / sigma2)
         logs["sphere"] = log_reg_gamma_tail(a, x, upper=True)
         if "ml" in kinds:
             logs["ml"] = _ml_log(n, ml_terms, x, logs["sphere"])
@@ -357,12 +358,12 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
         r = np.sqrt(sigma2 * n * radicand)
         logs["typicality"] = np.logaddexp(
             n * nld + log_vn + n * _math_map(math.log, r),
-            log_reg_gamma_tail(a, r * r / (2.0 * sigma2), upper=True))
+            log_reg_gamma_tail(a, 0.5 * (r * r / sigma2), upper=True))
     if "poltyrev" in kinds:
         r = np.sqrt(n) * math.sqrt(sigma2) * math.exp(delta_star(sigma2) - nld)
         if not r.min(initial=math.inf) > 0.0:
             raise ValueError(f"radius must be > 0, got {r.min()}")
-        x = r * r / (2.0 * sigma2)
+        x = 0.5 * (r * r / sigma2)
         logs["poltyrev"] = _ml_log(n, ml_terms, x, log_reg_gamma_tail(a, x, upper=True))
     return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
 
@@ -467,19 +468,22 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     :func:`d_section_prob`.  The range 2..8 is the one the identity is
     checked over, not a numerical limit: past it the left side stays within
     6e-14 up to n = 200 while (2r)^n, a linear power, does not overflow.
-    A radius whose right side, of order r^(2n), is not a normal double is
-    rejected; one whose (2r)^n overflows (above about 1e38 at n = 8) raises
-    OverflowError.
+    A radius whose right side, of order r^(2n), is not a normal double, or
+    whose (2r)^n overflows (above about 1e38 at n = 8), is rejected.
     """
     if not (2 <= n <= 8):
         raise ValueError(f"equivalence check supports n in 2..8, got {n}")
     _check_sigma2(sigma2)
     _check_section_radius(r, sigma2)
-    log_rhs = (0.5 * n * math.log(2.0 * sigma2) + math.lgamma(n) - math.lgamma(0.5 * n)
-               + log_reg_gamma_lower(float(n), r * r / (2.0 * sigma2)).log_value)
+    log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
+               - math.lgamma(0.5 * n)
+               + log_reg_gamma_lower(float(n), 0.5 * (r * r / sigma2)).log_value)
     if not log_rhs >= math.log(sys.float_info.min):
         raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
                          f"identity, of order r^(2n), underflows a double")
+    if max(n * math.log(2.0 * r), log_rhs) > _LOG_DBL_MAX:
+        raise ValueError(f"r = {r:g} is too large at n = {n}: (2r)^n or the right side "
+                         f"of the identity overflows a double")
     lhs = integrate_adaptive(lambda t: _section_density(t, n, r, sigma2) * np.cos(t) ** n,
                              0.0, 0.5 * math.pi)
     return (2.0 * r) ** n * lhs, math.exp(log_rhs)

@@ -3,21 +3,26 @@ tail with a Berry-Esseen guarantee, numeric inversion of the finite-n bounds,
 the closed-form dispersion expansion, VNR and dB gap conversions.
 
 Inversion uses Brent's method (Brent, Algorithms for Minimization without
-Derivatives, 1973) on a bracket seeded from the dispersion expansion: the
-bounds are strictly increasing in the NLD and smooth in the log domain, so
-interpolation converges superlinearly, and derivative-free iteration avoids
-underflow-driven derivative noise.
+Derivatives, 1973) on a bracket found by walking from a seed toward the
+root: the bounds are strictly increasing in the NLD and smooth in the log
+domain, so interpolation converges superlinearly, and derivative-free
+iteration avoids underflow-driven derivative noise.  The converse is seeded
+at its closed form through scipy's inverse of the chi-square tail, so the
+walk only certifies it; the achievable bound is seeded from the dispersion
+expansion.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
+from scipy.special import cython_special as _cs
+
 from .bounds import (ChannelPoint, _check_nld, _check_sigma2, delta_star, effective_radius,
                      ml_bound, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
 from .bounds import integrate_adaptive
-from .specfn import LogProb, q_func, q_func_inv
+from .specfn import LogProb, log_vn, q_func, q_func_inv
 
 __all__ = [
     "InversionResult",
@@ -58,9 +63,11 @@ class InversionResult:
     bracket_width: float
 
 
-def _check_eps(eps: float) -> None:
+def _check_eps_dim(eps: float, n: int) -> None:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"error probability must be in (0, 1), got {eps}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
 
 
 def norm_tail_normal_approx(n: int, r: float, sigma2: float):
@@ -89,45 +96,41 @@ def berry_esseen_T() -> float:
 def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
     """Closed-form dispersion expansion of the optimal NLD at error
     probability eps:  delta* - sqrt(1/(2n)) Qinv(eps) + ln(n)/(2n)."""
-    _check_eps(eps)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_eps_dim(eps, n)
     return (delta_star(sigma2) - math.sqrt(0.5 / n) * q_func_inv(eps)
             + 0.5 * math.log(n) / n)
 
 
 def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
-                  kind: str) -> InversionResult:
+                  kind: str, seed: float, step: float) -> InversionResult:
     """Brent-Dekker root of ln bound(n, delta, sigma2) = ln eps in delta.
 
     The bounds are strictly increasing in delta, so a sign change pins the
-    unique root.  The bracket starts at the dispersion expansion
-    :func:`nld_eps_approx` +- 1/n, which is usually within a few 1/n of the
-    root (up to 22 nats at n <= 10 and eps = 1e-12), and widens
-    geometrically until it holds the root.  Brent's method then shrinks it,
+    unique root.  The search evaluates the bound at ``seed`` and walks from
+    there toward the root, doubling ``step`` after every move, until the sign
+    changes; the last two points are the bracket, so a seed within ``step``
+    of the root is itself one end of it.  Brent's method then shrinks it,
     by inverse quadratic or secant steps where they stay well inside and by
     bisection otherwise, until it is at most ``tol`` wide and the bound
     matches eps to 1e-10 (or the bracket hits float resolution).
     ``iterations`` counts the bound evaluations after the bracket is found;
     ``bracket_width`` is the width of the final sign-change bracket.
     """
-    _check_eps(eps)
     log_eps = math.log(eps)
-    seed = nld_eps_approx(n, eps, sigma2)
 
     def f(delta: float) -> float:
         return bound_fn(ChannelPoint(n=n, nld=delta, sigma2=sigma2)).log_value.log_value - log_eps
 
-    step = 1.0 / n
-    lo, hi = seed - step, seed + step
-    f_lo, f_hi = f(lo), f(hi)
+    # At least float resolution, so that the walk moves even at tol = 0.
+    step = max(2.0 * sys.float_info.epsilon * max(abs(seed), 1.0), step)
+    lo = hi = seed
+    f_lo = f_hi = f(seed)
     while f_lo > 0.0 or f_hi < 0.0:
         if hi - lo > _MAX_BRACKET:
             raise ValueError(
                 f"target eps={eps} not bracketed for the {kind} bound at n={n}: "
                 f"bound({lo:.4f})={math.exp(f_lo + log_eps):.3e}, "
                 f"bound({hi:.4f})={math.exp(f_hi + log_eps):.3e}")
-        step *= 2.0
         if f_lo > 0.0:
             hi, f_hi = lo, f_lo
             lo -= step
@@ -136,6 +139,7 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
             lo, f_lo = hi, f_hi
             hi += step
             f_hi = f(hi)
+        step *= 2.0
 
     # Brent-Dekker: cur is the best point, blk the other end of the bracket,
     # pre the previous best point.
@@ -184,15 +188,33 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
 def nld_eps_converse(n: int, eps: float, sigma2: float,
                      tol: float = 1e-10) -> InversionResult:
     """The NLD at which the sphere bound equals eps: an upper bound on the
-    best NLD of any constellation with error probability eps."""
-    return _invert_bound(sphere_bound, n, eps, sigma2, tol, "sphere")
+    best NLD of any constellation with error probability eps.
+
+    The root has a closed form: Q(n/2, r_eff^2 / 2 sigma2) = eps at
+    r_eff^2 = 2 sigma2 x with x = Q^-1(n/2, eps) (scipy's ``gammainccinv``),
+    so delta = -(ln 2x + ln sigma2)/2 - ln V_n / n, taken in logs so that a
+    sigma2 near the largest double does not overflow.  The search starts
+    there with a first step of tol/2 and usually ends after two bound
+    evaluations and no Brent iteration.  The sign change still certifies
+    the root because scipy's inverse is not accurate everywhere: in the deep
+    lower tail at large shape (a = 5e6, n = 1e7) it is 2.1e-8 relative off
+    at eps = 1 - 2^-53 and 6.8e-8 off at eps = 1 - 2^-40, which moves delta
+    by about 1e-8, past tol; the walk then takes a few more evaluations.
+    """
+    _check_eps_dim(eps, n)
+    _check_sigma2(sigma2)
+    x = _cs.gammainccinv(0.5 * n, eps)
+    seed = -0.5 * (math.log(2.0 * x) + math.log(sigma2)) - log_vn(n) / n
+    return _invert_bound(sphere_bound, n, eps, sigma2, tol, "sphere", seed, 0.5 * tol)
 
 
 def nld_eps_achievable(n: int, eps: float, sigma2: float,
                        tol: float = 1e-10) -> InversionResult:
     """The NLD at which the ML bound (at its optimizing radius) equals eps:
-    a constellation with this NLD and error probability <= eps exists."""
-    return _invert_bound(ml_bound, n, eps, sigma2, tol, "ml")
+    a constellation with this NLD and error probability <= eps exists.
+    The search starts at :func:`nld_eps_approx` with a first step of 1/n."""
+    return _invert_bound(ml_bound, n, eps, sigma2, tol, "ml",
+                         nld_eps_approx(n, eps, sigma2), 1.0 / n)
 
 
 def vnr_from_nld(delta: float, sigma2: float) -> float:
@@ -203,9 +225,7 @@ def vnr_from_nld(delta: float, sigma2: float) -> float:
 
 def vnr_opt_approx(n: int, eps: float) -> float:
     """Dispersion expansion of the optimal VNR: 1 + sqrt(2/n) Qinv(eps) - ln(n)/n."""
-    _check_eps(eps)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_eps_dim(eps, n)
     return 1.0 + math.sqrt(2.0 / n) * q_func_inv(eps) - math.log(n) / n
 
 
@@ -225,7 +245,5 @@ def lattice_snr_rho(point: ChannelPoint) -> float:
 def normalized_error_prob(eps1: float, n: int) -> float:
     """Per-block error target 1 - (1 - eps1)^n matching a per-dimension-1
     target eps1, computed through log1p/expm1 so tiny eps1 survive."""
-    _check_eps(eps1)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_eps_dim(eps1, n)
     return -math.expm1(n * math.log1p(-eps1))

@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,12 @@ class TestSphereBoundByVolume:
         ref = math.erfc(0.5 * v / (math.sqrt(2.0) * math.sqrt(sigma2)))
         assert sphere_bound_by_volume(1, v, sigma2) == pytest.approx(ref, rel=1e-12)
 
+    def test_huge_variance_against_closed_form(self):
+        # r = v/2 = 1e154 and sigma2 = 1e308: 2 sigma2 overflows, but
+        # x = r^2 / 2 sigma2 = 0.5, so Q(1/2, x) = erfc(sqrt 0.5).
+        assert sphere_bound_by_volume(1, 2e154, 1e308) == pytest.approx(
+            math.erfc(math.sqrt(0.5)), rel=1e-13)
+
     def test_convex_second_difference_n3(self):
         f = [sphere_bound_by_volume(3, v, 1.0) for v in (0.5, 1.0, 1.5)]
         assert f[0] - 2.0 * f[1] + f[2] >= 0.0
@@ -178,6 +186,31 @@ class TestSphereBoundByVolume:
             f2 = sphere_bound_by_volume(n, float(v + h), 1.0)
             # tolerance is a few ulp of the function values themselves
             assert f0 - 2.0 * f1 + f2 >= -4e-16
+
+
+class TestHugeVariance:
+    """sigma2 = 1e308, where 2 sigma2 overflows, at r_eff = 1e154 (x = 1/2)."""
+
+    POINT = ChannelPoint(1, -math.log(2e154), 1e308)
+
+    def _closed_forms(self):
+        # n = 1: Q(1/2, x) = erfc(sqrt x), and the ML first term is
+        # gamma V_1 int_0^r 2 phi(t / sigma) t / sigma dt
+        #   = (sigma / r) sqrt(2 / pi) (1 - e^-x).
+        s = effective_radius(self.POINT) / math.sqrt(self.POINT.sigma2)
+        x = 0.5 * s * s
+        sphere = math.erfc(math.sqrt(x))
+        return math.log(sphere), math.log(sphere + math.sqrt(2.0 / math.pi) * -math.expm1(-x) / s)
+
+    def test_scalar_bounds(self):
+        log_sphere, log_ml = self._closed_forms()
+        assert sphere_bound(self.POINT).log_raw == pytest.approx(log_sphere, rel=1e-13)
+        assert ml_bound(self.POINT).log_raw == pytest.approx(log_ml, rel=1e-13)
+
+    def test_bound_curves(self):
+        curves = bound_curves([1], self.POINT.nld, self.POINT.sigma2, ["sphere", "ml"])
+        for got, ref in zip((curves["sphere"], curves["ml"]), self._closed_forms()):
+            assert got.log_value[0] == pytest.approx(ref, rel=1e-13)
 
 
 class TestMlBound:
@@ -357,6 +390,23 @@ class TestEquivalence:
         for fn in (equivalence_sides, equivalence_check):
             with pytest.raises(ValueError, match="underflows"):
                 fn(8, r, 1.0)
+
+    def test_both_sides_where_two_sigma2_overflows(self):
+        # sigma2 = 1e308, r/sigma = 1e-4: at n = 2 the right side is
+        # 2 sigma2 (1 - e^-x (1 + x)), x = r^2 / 2 sigma2, about 2.5e291.
+        with mpmath.workdps(30):
+            x = mpmath.mpf(1e150) ** 2 / (2 * mpmath.mpf(1e308))
+            ref = float(2 * mpmath.mpf(1e308) * (1 - mpmath.exp(-x) * (1 + x)))
+        lhs, rhs = equivalence_sides(2, 1e150, 1e308)
+        assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, r, s2", [(8, 1e39, 1e76), (2, 1e154, 1e306)])
+    def test_rejects_radius_whose_power_or_right_side_overflows(self, n, r, s2):
+        # (2r)^n = 2.6e314 at n = 8, r = 1e39; both overflow at n = 2, r = 1e154.
+        for fn in (equivalence_sides, equivalence_check):
+            with pytest.raises(ValueError, match=re.escape(f"r = {r:g} is too large at n = {n}")):
+                fn(n, r, s2)
 
     def test_domain(self):
         with pytest.raises(ValueError):

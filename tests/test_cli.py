@@ -286,6 +286,13 @@ class TestEquivCommand:
         assert exc.value.code == 2
         assert "underflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, r, s2", [("8", "1e39", "1e76"), ("2", "1e154", "1e306")])
+    def test_radius_whose_power_overflows_is_usage_error(self, n, r, s2, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "--n", n, "--r", r, "--sigma2", s2])
+        assert exc.value.code == 2
+        assert "overflows" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--nld", "-1.5"],

@@ -185,7 +185,68 @@ class TestInversion:
         def flat(point):
             return BoundValue("flat", LogProb(math.log(0.5)), 1.0, False)
         with pytest.raises(ValueError, match="not bracketed"):
-            _invert_bound(flat, 10, 0.01, 1.0, 1e-10, "flat")
+            _invert_bound(flat, 10, 0.01, 1.0, 1e-10, "flat", 0.0, 0.1)
+
+    def test_converse_starts_at_closed_form(self):
+        # The closed-form seed is right here: two bound evaluations bracket it.
+        for n in (1, 10, 1000):
+            res = nld_eps_converse(n, 0.01, 1.0)
+            assert res.iterations == 0 and res.bracket_width <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.01, 1e-12, 1e-300])
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+    def test_converse_relative_accuracy_at_large_n(self, n, eps):
+        res = nld_eps_converse(n, eps, 1.0)
+        log_back = sphere_bound(ChannelPoint(n, res.delta, 1.0)).log_raw
+        assert abs(math.expm1(log_back - math.log(eps))) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1.0 - 2.0**-53, 1.0 - 2.0**-40])
+    def test_converse_deep_lower_tail_against_mpmath(self, eps):
+        # scipy's gammainccinv is 2.1e-8 and 6.8e-8 relative off here, which
+        # puts the bare closed form about 1e-8 from the root.
+        n = 10**7
+        with mpmath.workdps(30):
+            a = mpmath.mpf(n) / 2
+            target = mpmath.log(1 - mpmath.mpf(eps))
+
+            def log_lower(x):
+                # ln P(a, x) through Kummer's series M(1, a+1, x).
+                return (a * mpmath.log(x) - x - mpmath.loggamma(a + 1)
+                        + mpmath.log(mpmath.hyp1f1(1, a + 1, x, maxterms=10**7)))
+
+            x = mpmath.findroot(lambda x: log_lower(x) - target,
+                                a * (1 - mpmath.sqrt(-2 * target / a)))
+            ref = -mpmath.log(2 * x) / 2 - (n * mpmath.log(mpmath.pi) / 2
+                                            - mpmath.loggamma(a + 1)) / n
+        assert abs(nld_eps_converse(n, eps, 1.0).delta - float(ref)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_converse_at_smallest_eps(self, n):
+        # eps = 2^-1074: erfc(sqrt x) = 2^-1074 at n = 1, e^-x = 2^-1074 at n = 2.
+        with mpmath.workdps(30):
+            log_eps = -1074 * mpmath.log(2)
+            if n == 1:   # V_1 = 2
+                x = mpmath.findroot(lambda x: mpmath.log(mpmath.erfc(mpmath.sqrt(x))) - log_eps,
+                                    740)
+                log_v = mpmath.log(2)
+            else:        # V_2 = pi
+                x, log_v = -log_eps, mpmath.log(mpmath.pi)
+            ref = -mpmath.log(2 * x) / 2 - log_v / n
+        res = nld_eps_converse(n, 5e-324, 1.0)
+        assert math.isfinite(res.delta)
+        assert abs(res.delta - float(ref)) <= 1e-10
+
+    def test_converse_with_variance_near_largest_double(self):
+        # 2 sigma2 overflows, so the closed-form start is taken in logs.
+        res = nld_eps_converse(1, 0.5, 1e308)
+        x = 0.5 * math.exp(-2.0 * (res.delta + math.log(2.0))) / 1e308
+        assert math.erfc(math.sqrt(x)) == pytest.approx(0.5, rel=1e-10)
+
+    def test_converse_at_zero_tolerance(self):
+        # The first step is at least float resolution, so tol = 0 still
+        # brackets and stops at float resolution.
+        res = nld_eps_converse(10, 0.01, 1.0, tol=0.0)
+        assert abs(res.delta - nld_eps_converse(10, 0.01, 1.0).delta) <= 1e-10
 
     def test_monotone_in_eps(self):
         assert (nld_eps_converse(50, 0.001, 1.0).delta
