@@ -34,6 +34,7 @@ from .bounds import (
     _check_dims,
     _check_nld,
     _check_sigma2,
+    _gamma_arg,
     _log_vn_curve,
     _math_map,
     delta_cr,
@@ -153,7 +154,7 @@ def _terms(n: np.ndarray, nld: float, sigma2: float):
     # and the scalar mu.  r_eff is rounded exactly as effective_radius rounds
     # it: the sandwiches' logs move by n/2 times any relative change in rho*.
     r = _math_map(math.exp, -nld - _log_vn_curve(n) / n)
-    rho = r * r / (n * sigma2)
+    rho = 2.0 * _gamma_arg(r, sigma2) / n
     upsilon = n * (rho - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
     psi = np.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * np.sqrt(rho))
     mu = math.exp(2.0 * (delta_star(sigma2) - nld))

@@ -146,13 +146,14 @@ def delta_star(sigma2: float) -> float:
     """Capacity of the setting, (1/2) ln(1/(2 pi e sigma2)): the supremum NLD
     at which the error probability can still vanish with the dimension."""
     _check_sigma2(sigma2)
-    return -0.5 * math.log(2.0 * math.pi * math.e * sigma2)
+    # A sum of logs: the product 2 pi e sigma2 overflows for sigma2 > 1.05e307.
+    return -0.5 * (math.log(2.0 * math.pi * math.e) + math.log(sigma2))
 
 
 def delta_cr(sigma2: float) -> float:
     """Critical NLD (1/2) ln(1/(4 pi e sigma2)), where the achievability exponent flattens."""
     _check_sigma2(sigma2)
-    return -0.5 * math.log(4.0 * math.pi * math.e * sigma2)
+    return -0.5 * (math.log(4.0 * math.pi * math.e) + math.log(sigma2))
 
 
 def delta_ex(sigma2: float) -> float:
@@ -178,10 +179,17 @@ def poltyrev_radius(point: ChannelPoint) -> float:
     return math.sqrt(point.n) * sigma * math.exp(delta_star(point.sigma2) - point.nld)
 
 
+def _gamma_arg(r, sigma2: float):
+    # The incomplete-gamma argument x = r^2/(2 sigma2) of the noise norm at
+    # radius r, for floats and arrays alike.  Dividing before squaring keeps
+    # it finite where r^2 overflows (r above 1.3e154), and halving last where
+    # 2 sigma2 does.
+    return 0.5 * (r * (r / sigma2))
+
+
 def _log_norm_tail(n: int, r: float, sigma2: float) -> LogProb:
-    # Pr{||Z|| > r} for Z ~ N(0, sigma2 I_n): chi-square upper tail.  Halving
-    # last keeps x = r^2/(2 sigma2) finite where 2 sigma2 overflows.
-    return log_reg_gamma_upper(0.5 * n, 0.5 * (r * r / sigma2))
+    # Pr{||Z|| > r} for Z ~ N(0, sigma2 I_n): chi-square upper tail.
+    return log_reg_gamma_upper(0.5 * n, _gamma_arg(r, sigma2))
 
 
 def sphere_bound(point: ChannelPoint) -> BoundValue:
@@ -220,7 +228,7 @@ def _ml_first_term(point: ChannelPoint, r: float) -> LogProb:
     n = point.n
     lg = (n * point.nld + log_vn(n) + 0.5 * n * math.log(point.sigma2)
           + 0.5 * n * math.log(2.0) + math.lgamma(float(n)) - math.lgamma(0.5 * n))
-    tail = log_reg_gamma_lower(float(n), 0.5 * (r * r / point.sigma2))
+    tail = log_reg_gamma_lower(float(n), _gamma_arg(r, point.sigma2))
     if tail.is_zero:
         return LogProb.zero()
     return LogProb(lg + tail.log_value)
@@ -346,7 +354,7 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
                     + _math_map(math.lgamma, n) - _math_map(math.lgamma, a))
     if "sphere" in kinds or "ml" in kinds:
         r = _math_map(math.exp, -nld - log_vn / n)   # effective_radius
-        x = 0.5 * (r * r / sigma2)
+        x = _gamma_arg(r, sigma2)
         logs["sphere"] = log_reg_gamma_tail(a, x, upper=True)
         if "ml" in kinds:
             logs["ml"] = _ml_log(n, ml_terms, x, logs["sphere"])
@@ -358,12 +366,12 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
         r = np.sqrt(sigma2 * n * radicand)
         logs["typicality"] = np.logaddexp(
             n * nld + log_vn + n * _math_map(math.log, r),
-            log_reg_gamma_tail(a, 0.5 * (r * r / sigma2), upper=True))
+            log_reg_gamma_tail(a, _gamma_arg(r, sigma2), upper=True))
     if "poltyrev" in kinds:
         r = np.sqrt(n) * math.sqrt(sigma2) * math.exp(delta_star(sigma2) - nld)
         if not r.min(initial=math.inf) > 0.0:
             raise ValueError(f"radius must be > 0, got {r.min()}")
-        x = 0.5 * (r * r / sigma2)
+        x = _gamma_arg(r, sigma2)
         logs["poltyrev"] = _ml_log(n, ml_terms, x, log_reg_gamma_tail(a, x, upper=True))
     return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
 
@@ -477,7 +485,7 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     _check_section_radius(r, sigma2)
     log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
                - math.lgamma(0.5 * n)
-               + log_reg_gamma_lower(float(n), 0.5 * (r * r / sigma2)).log_value)
+               + log_reg_gamma_lower(float(n), _gamma_arg(r, sigma2)).log_value)
     if not log_rhs >= math.log(sys.float_info.min):
         raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
                          f"identity, of order r^(2n), underflows a double")

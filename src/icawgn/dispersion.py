@@ -2,14 +2,14 @@
 tail with a Berry-Esseen guarantee, numeric inversion of the finite-n bounds,
 the closed-form dispersion expansion, VNR and dB gap conversions.
 
-Inversion uses Brent's method (Brent, Algorithms for Minimization without
-Derivatives, 1973) on a bracket found by walking from a seed toward the
+Inversion uses Chandrupatla's method (Chandrupatla, Adv. Eng. Software
+28(3):145-149, 1997) on a bracket found by walking from a seed toward the
 root: the bounds are strictly increasing in the NLD and smooth in the log
-domain, so interpolation converges superlinearly, and derivative-free
-iteration avoids underflow-driven derivative noise.  The converse is seeded
-at its closed form through scipy's inverse of the chi-square tail, so the
-walk only certifies it; the achievable bound is seeded from the dispersion
-expansion.
+domain, so inverse quadratic interpolation converges superlinearly, and
+derivative-free iteration avoids underflow-driven derivative noise.  The
+converse is seeded at its closed form through scipy's inverse of the
+chi-square tail, so the walk only certifies it; the achievable bound is
+seeded from the dispersion expansion.
 """
 
 import math
@@ -103,16 +103,17 @@ def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
 
 def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
                   kind: str, seed: float, step: float) -> InversionResult:
-    """Brent-Dekker root of ln bound(n, delta, sigma2) = ln eps in delta.
+    """Chandrupatla root of ln bound(n, delta, sigma2) = ln eps in delta.
 
     The bounds are strictly increasing in delta, so a sign change pins the
     unique root.  The search evaluates the bound at ``seed`` and walks from
     there toward the root, doubling ``step`` after every move, until the sign
     changes; the last two points are the bracket, so a seed within ``step``
-    of the root is itself one end of it.  Brent's method then shrinks it,
-    by inverse quadratic or secant steps where they stay well inside and by
-    bisection otherwise, until it is at most ``tol`` wide and the bound
-    matches eps to 1e-10 (or the bracket hits float resolution).
+    of the root is itself one end of it.  Chandrupatla's method then
+    shrinks it, by a secant step first, then by inverse quadratic steps
+    where the interpolant is monotone over the bracket and by bisection
+    otherwise, until it is at most ``tol`` wide and the bound matches eps
+    to 1e-10 (or the bracket hits float resolution).
     ``iterations`` counts the bound evaluations after the bracket is found;
     ``bracket_width`` is the width of the final sign-change bracket.
     """
@@ -141,48 +142,42 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
             f_hi = f(hi)
         step *= 2.0
 
-    # Brent-Dekker: cur is the best point, blk the other end of the bracket,
-    # pre the previous best point.
-    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
-    blk, f_blk = lo, f_lo
-    s_pre = s_cur = hi - lo
+    # Chandrupatla: [a, b] is the bracket and the next point a + t (b - a);
+    # from the first step on, a is the newest point and c the one it displaced.
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
     iterations = 0
     while True:
-        if (f_pre > 0.0) != (f_cur > 0.0):
-            blk, f_blk = pre, f_pre
-            s_pre = s_cur = cur - pre
-        if abs(f_blk) < abs(f_cur):
-            pre, cur, blk = cur, blk, cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        cur, f_cur = (b, f_b) if abs(f_b) < abs(f_a) else (a, f_a)
         resolution = 2.0 * sys.float_info.epsilon * max(abs(cur), 1.0)
         value_ok = abs(math.expm1(f_cur)) * eps <= _VALUE_TOL
-        half = 0.5 * (blk - cur)
-        if (f_cur == 0.0 or abs(half) <= resolution
-                or (value_ok and abs(half) <= 0.5 * tol) or iterations >= _MAX_ITER):
+        width = abs(b - a)
+        if (f_cur == 0.0 or width <= 2.0 * resolution
+                or (value_ok and width <= tol) or iterations >= _MAX_ITER):
             break
         # Smallest step: half the tolerance, or float resolution while the
         # value still misses eps.
         min_step = max(0.5 * tol, resolution) if value_ok else resolution
-        if abs(s_pre) > min_step and abs(f_cur) < abs(f_pre):
-            if pre == blk:
-                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (pre - cur)
-                d_blk = (f_blk - f_cur) / (blk - cur)
-                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(half) - min_step):
-                s_pre, s_cur = s_cur, trial
-            else:
-                s_pre = s_cur = half
+        if iterations == 0:
+            t = f_a / (f_a - f_b)   # secant
         else:
-            s_pre = s_cur = half
-        pre, f_pre = cur, f_cur
-        cur += s_cur if abs(s_cur) > min_step else math.copysign(min_step, half)
-        f_cur = f(cur)
+            xi = (a - b) / (c - b)
+            phi = (f_a - f_b) / (f_c - f_b)
+            # Inverse quadratic through a, b and c where it is monotone on [a, b].
+            iqi = phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi
+            t = (f_a / (f_b - f_a) * f_c / (f_b - f_c)
+                 + (c - a) / (b - a) * f_a / (f_c - f_a) * f_b / (f_c - f_b)) if iqi else 0.5
+        tl = min_step / width
+        # max(tl, t) is tl for a NaN t: the secant from an exact zero (f = -inf).
+        x = a + min(max(tl, t), 1.0 - tl) * (b - a)
+        f_x = f(x)
         iterations += 1
-    width = 0.0 if f_cur == 0.0 else abs(blk - cur)
-    return InversionResult(delta=cur, bound_value=LogProb(f_cur + log_eps),
-                           iterations=iterations, bracket_width=width)
+        if (f_x > 0.0) == (f_a > 0.0):
+            c, f_c = a, f_a
+        else:
+            c, f_c, b, f_b = b, f_b, a, f_a
+        a, f_a = x, f_x
+    return InversionResult(delta=cur, bound_value=LogProb(f_cur + log_eps), iterations=iterations,
+                           bracket_width=0.0 if f_cur == 0.0 else width)
 
 
 def nld_eps_converse(n: int, eps: float, sigma2: float,
@@ -195,11 +190,12 @@ def nld_eps_converse(n: int, eps: float, sigma2: float,
     so delta = -(ln 2x + ln sigma2)/2 - ln V_n / n, taken in logs so that a
     sigma2 near the largest double does not overflow.  The search starts
     there with a first step of tol/2 and usually ends after two bound
-    evaluations and no Brent iteration.  The sign change still certifies
-    the root because scipy's inverse is not accurate everywhere: in the deep
-    lower tail at large shape (a = 5e6, n = 1e7) it is 2.1e-8 relative off
-    at eps = 1 - 2^-53 and 6.8e-8 off at eps = 1 - 2^-40, which moves delta
-    by about 1e-8, past tol; the walk then takes a few more evaluations.
+    evaluations and no Chandrupatla iteration.  The sign change still
+    certifies the root because scipy's inverse is not accurate everywhere:
+    in the deep lower tail at large shape (a = 5e6, n = 1e7) it is 2.1e-8
+    relative off at eps = 1 - 2^-53 and 6.8e-8 off at eps = 1 - 2^-40,
+    which moves delta by about 1e-8, past tol; the walk then takes a few
+    more evaluations.
     """
     _check_eps_dim(eps, n)
     _check_sigma2(sigma2)
@@ -239,7 +235,7 @@ def lattice_snr_rho(point: ChannelPoint) -> float:
     """Squared effective-radius-to-noise ratio r_eff^2 / (n sigma2); converges
     to the VNR as n grows."""
     r = effective_radius(point)
-    return r * r / (point.n * point.sigma2)
+    return r * (r / point.sigma2) / point.n   # r^2 overflows for r > 1.3e154
 
 
 def normalized_error_prob(eps1: float, n: int) -> float:

@@ -85,10 +85,6 @@ class LogProb:
         return cls(log_value=-math.inf, is_zero=True)
 
     @classmethod
-    def from_log(cls, log_value: float) -> "LogProb":
-        return cls(log_value=log_value)
-
-    @classmethod
     def from_linear(cls, value: float) -> "LogProb":
         if value < 0.0:
             raise ValueError(f"negative value {value!r}")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -345,6 +346,19 @@ class TestAsymCurves:
                         assert abs(got - ref) <= 1e-13 * abs(ref), where
                         seen["finite"] += 1
         assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("s2", [1e300, 1e307, 1e308, sys.float_info.max])
+    def test_scale_invariance_near_largest_double(self, s2):
+        # Every form depends on (delta, sigma2) only through delta + ln(sigma2)/2,
+        # although r_eff^2 is past double range here: above capacity, between
+        # the critical NLD and capacity, and below the critical NLD.
+        ns = np.arange(1, 1001)
+        for delta in (-1.3, -1.5, -2.0):
+            got = asym_curves(ns, delta - 0.5 * math.log(s2), s2)
+            ref = asym_curves(ns, delta, 1.0)
+            for key in ref:
+                assert np.array_equal(np.isnan(got[key]), np.isnan(ref[key])), (key, delta)
+                np.testing.assert_allclose(got[key], ref[key], rtol=1e-9, err_msg=key)
 
     @staticmethod
     def _exact_logs(n, delta, s2):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -75,6 +76,12 @@ class TestCapacities:
     def test_delta_star_minus_cr_is_half_ln2(self):
         for s2 in (0.3, 1.0, 7.5):
             assert delta_star(s2) - delta_cr(s2) == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("s2", [6e306, 1e308, sys.float_info.max])
+    def test_finite_where_the_product_overflows(self, s2):
+        # 2 pi e sigma2 and 4 pi e sigma2 are past double range here.
+        assert delta_star(s2) == pytest.approx(delta_star(1.0) - 0.5 * math.log(s2), rel=1e-15)
+        assert delta_cr(s2) == pytest.approx(delta_cr(1.0) - 0.5 * math.log(s2), rel=1e-15)
 
     def test_delta_ex(self):
         assert delta_ex(1.0) == pytest.approx(delta_star(1.0) - math.log(2.0), rel=1e-14)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from icawgn import dispersion
 from icawgn.bounds import BoundValue, ChannelPoint, delta_cr, delta_star, ml_bound, sphere_bound
 from icawgn.dispersion import (
     DB_PER_NAT,
@@ -187,6 +189,15 @@ class TestInversion:
         with pytest.raises(ValueError, match="not bracketed"):
             _invert_bound(flat, 10, 0.01, 1.0, 1e-10, "flat", 0.0, 0.1)
 
+    def test_exact_zero_at_a_bracket_end(self):
+        # The walk from -3 leaves -1.5, where the bound is exactly 0 (its log
+        # is -inf), as the lower end of the bracket.
+        def toy(point):
+            lp = LogProb.zero() if point.nld < -1.0 else LogProb(min(0.0, point.nld - 1.0))
+            return BoundValue("toy", lp, 1.0, False)
+        res = _invert_bound(toy, 4, math.exp(-1.5), 1.0, 1e-10, "toy", -3.0, 0.1)
+        assert res.delta == pytest.approx(-0.5, abs=1e-10)
+
     def test_converse_starts_at_closed_form(self):
         # The closed-form seed is right here: two bound evaluations bracket it.
         for n in (1, 10, 1000):
@@ -241,6 +252,37 @@ class TestInversion:
         res = nld_eps_converse(1, 0.5, 1e308)
         x = 0.5 * math.exp(-2.0 * (res.delta + math.log(2.0))) / 1e308
         assert math.erfc(math.sqrt(x)) == pytest.approx(0.5, rel=1e-10)
+
+    @pytest.mark.parametrize("sigma2", [1e300, 1e307, 1e308, sys.float_info.max])
+    def test_scale_invariance_near_largest_double(self, sigma2):
+        # The root moves by -ln(sigma2)/2 with the noise variance.  Here
+        # r_eff^2 and 2 pi e sigma2 are past double range, so this holds only
+        # if x = r^2/(2 sigma2) and delta* are formed without them.
+        shift = 0.5 * math.log(sigma2)
+        for n in (1, 2, 8, 50, 1000):
+            for eps in (0.5, 0.01, 1e-12):
+                for invert in (nld_eps_converse, nld_eps_achievable):
+                    got = invert(n, eps, sigma2).delta
+                    ref = invert(n, eps, 1.0).delta - shift
+                    assert abs(got - ref) <= 1e-12, (invert.__name__, n, eps, got, ref)
+
+    def test_bound_evaluation_budget(self, monkeypatch):
+        # A slower solver fails here, not only in the benchmark: over the
+        # benchmark's invert traffic the converse takes at most two
+        # evaluations and the ML solve at most 5.5 on average.
+        calls = {"sphere_bound": 0, "ml_bound": 0}
+        for name in calls:
+            def counted(point, _bound=getattr(dispersion, name), _name=name):
+                calls[_name] += 1
+                return _bound(point)
+            monkeypatch.setattr(dispersion, name, counted)
+        dims = range(2, 2001)
+        for n in dims:
+            before = calls["sphere_bound"]
+            nld_eps_converse(n, 0.01, 1.0)
+            assert calls["sphere_bound"] - before <= 2, n
+            nld_eps_achievable(n, 0.01, 1.0)
+        assert calls["ml_bound"] / len(dims) <= 5.5
 
     def test_converse_at_zero_tolerance(self):
         # The first step is at least float resolution, so tol = 0 still
@@ -300,6 +342,12 @@ class TestLatticeSnr:
     def test_matches_terms_rho(self):
         p = ChannelPoint(57, -1.6, 1.0)
         assert lattice_snr_rho(p) == pytest.approx(terms(p).rho_star, rel=1e-14)
+
+    def test_scale_free_where_r_eff_squared_overflows(self):
+        p = ChannelPoint(57, -1.6 - 0.5 * math.log(1e308), 1e308)
+        ref = lattice_snr_rho(ChannelPoint(57, -1.6, 1.0))
+        assert lattice_snr_rho(p) == pytest.approx(ref, rel=1e-12)
+        assert terms(p).rho_star == pytest.approx(ref, rel=1e-12)
 
     def test_tends_to_vnr(self):
         # rho/mu = (n pi)^(1/n) (1 + O(1/n^2)): 0.81% at n=1000, shrinking
