@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .bounds import (
+    _DELTA_STAR_1,
     ChannelPoint,
     _check_dims,
     _check_nld,
@@ -37,6 +38,7 @@ from .bounds import (
     _gamma_arg,
     _log_vn_curve,
     _math_map,
+    _unit_nld,
     delta_cr,
     delta_star,
 )
@@ -143,21 +145,21 @@ def terms(point: ChannelPoint) -> AsymptoticTerms:
     n = point.n
     if n <= 2:
         raise ValueError(f"asymptotic terms require n > 2, got {n}")
-    rho, upsilon, psi, mu = _terms(np.array([float(n)]), point.nld, point.sigma2)
+    rho, upsilon, psi, mu = _terms(np.array([float(n)]), _unit_nld(point))
     return AsymptoticTerms(rho_star=float(rho[0]), upsilon=float(upsilon[0]),
                            psi=float(psi[0]), mu=mu)
 
 
 @np.errstate(all="ignore")
-def _terms(n: np.ndarray, nld: float, sigma2: float):
-    # rho*, Upsilon and Psi over a float array of n (meaningful where n > 2),
-    # and the scalar mu.  r_eff is rounded exactly as effective_radius rounds
-    # it: the sandwiches' logs move by n/2 times any relative change in rho*.
-    r = _math_map(math.exp, -nld - _log_vn_curve(n) / n)
-    rho = 2.0 * _gamma_arg(r, sigma2) / n
+def _terms(n: np.ndarray, d: float):
+    # rho*, Upsilon and Psi over a float array of n (meaningful where n > 2), and
+    # the scalar mu, at the NLD d.  s is rounded exactly as the sphere bound
+    # rounds it: the sandwiches' logs move by n/2 times any relative change in rho*.
+    s = _math_map(math.exp, -d - _log_vn_curve(n) / n)
+    rho = 2.0 * _gamma_arg(s) / n
     upsilon = n * (rho - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
     psi = np.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * np.sqrt(rho))
-    mu = math.exp(2.0 * (delta_star(sigma2) - nld))
+    mu = math.exp(2.0 * (_DELTA_STAR_1 - d))
     return rho, upsilon, psi, mu
 
 
@@ -172,13 +174,13 @@ def _log_tail_q(n, upsilon):
     return 0.5 * np.log(n * n * math.pi / (n - 2.0)) + _log_scaled_q(upsilon)
 
 
-def _common_exponent(n, nld: float, sigma2: float, rho):
+def _common_exponent(n, d: float, rho):
     # ln of e^{n(delta*-delta)} e^{n/2} e^{-n rho*/2}
-    return n * (delta_star(sigma2) - nld) + 0.5 * n - 0.5 * n * rho
+    return n * (_DELTA_STAR_1 - d) + 0.5 * n - 0.5 * n * rho
 
 
-def _require_below_capacity(nld: float, sigma2: float, what: str) -> None:
-    if nld >= delta_star(sigma2):
+def _require_below_capacity(d: float, what: str) -> None:
+    if d >= _DELTA_STAR_1:
         raise ValueError(f"{what} requires delta < delta*")
 
 
@@ -186,24 +188,24 @@ def _in_ml_window(n, rho):
     return (1.0 - 2.0 / n < rho) & (rho < 2.0 - 2.0 / n)
 
 
-# The five closed forms over a float array of n at one (nld, sigma2).  A
-# condition on (nld, sigma2) alone raises the scalar form's error; the
+# The five closed forms over a float array of n at one NLD d in units of
+# sigma.  A condition on d alone raises the scalar form's error; the
 # sandwiches' limits in n (n > 2, the ML window) give NaN elements.
 
-def _sphere_sandwich(n, nld, sigma2):
-    _require_below_capacity(nld, sigma2, "sphere sandwich")
-    rho, upsilon, _, _ = _terms(n, nld, sigma2)
-    common = _common_exponent(n, nld, sigma2, rho)
+def _sphere_sandwich(n, d):
+    _require_below_capacity(d, "sphere sandwich")
+    rho, upsilon, _, _ = _terms(n, d)
+    common = _common_exponent(n, d, rho)
     upper = common - np.log(rho - 1.0 + 2.0 / n)
     lower = upper - np.log1p(upsilon ** -2)
     lower_q = common + _log_tail_q(n, upsilon)
     return [np.where(n > 2, v, math.nan) for v in (lower_q, lower, upper)]
 
 
-def _ml_sandwich(n, nld, sigma2):
-    _require_below_capacity(nld, sigma2, "ML sandwich")
-    rho, upsilon, psi, _ = _terms(n, nld, sigma2)
-    common = _common_exponent(n, nld, sigma2, rho)
+def _ml_sandwich(n, d):
+    _require_below_capacity(d, "ML sandwich")
+    rho, upsilon, psi, _ = _terms(n, d)
+    common = _common_exponent(n, d, rho)
     upper = common - np.log(2.0 - rho - 2.0 / n) - np.log(rho - 1.0 + 2.0 / n)
     lower = common + np.log(
         1.0 / ((2.0 - rho + 2.0 / n) * (1.0 + psi ** -2))
@@ -214,38 +216,38 @@ def _ml_sandwich(n, nld, sigma2):
     return [np.where(inside, v, math.nan) for v in (lower_q, lower, upper)]
 
 
-def _mu_checked(nld: float, sigma2: float) -> float:
-    d = delta_star(sigma2) - nld
-    if d <= 0.0:
+def _mu_checked(d: float) -> float:
+    gap = _DELTA_STAR_1 - d
+    if gap <= 0.0:
         raise ValueError("asymptotic form requires delta < delta*")
-    mu = math.exp(2.0 * d)
+    mu = math.exp(2.0 * gap)
     if mu - 1.0 < 1e-15:
         raise AsymptoticSingularity(
             f"mu = {mu!r} is at the mu -> 1 singularity (delta at capacity)")
     return mu
 
 
-def _sphere_asymptotic(n, nld, sigma2):
-    mu = _mu_checked(nld, sigma2)
-    return (-n * exponent_sp(nld, sigma2)
+def _sphere_asymptotic(n, d):
+    mu = _mu_checked(d)
+    return (-n * exponent_sp(d, 1.0)
             - 0.5 * mu * np.log(n * math.pi) - math.log(mu - 1.0))
 
 
-def _ml_branch(nld: float, sigma2: float) -> str:
-    dcr = delta_cr(sigma2)
-    if abs(nld - dcr) <= CRITICAL_NLD_TOL:
+def _ml_branch(d: float) -> str:
+    dcr = delta_cr(1.0)
+    if abs(d - dcr) <= CRITICAL_NLD_TOL:
         return "critical"
-    return "above" if nld > dcr else "below"
+    return "above" if d > dcr else "below"
 
 
-def _ml_asymptotic(n, nld, sigma2):
-    er = exponent_r(nld, sigma2)
-    branch = _ml_branch(nld, sigma2)
+def _ml_asymptotic(n, d):
+    er = exponent_r(d, 1.0)
+    branch = _ml_branch(d)
     if branch == "critical":
         return -n * er + np.log((np.sqrt(math.pi / (2.0 * n))
                                  + (np.log(n * math.pi) + 2.0) / n) / (2.0 * math.pi))
     if branch == "above":
-        mu = _mu_checked(nld, sigma2)
+        mu = _mu_checked(d)
         if 2.0 - mu < 1e-15:
             raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
         return (-n * er - 0.5 * mu * np.log(n * math.pi)
@@ -253,14 +255,14 @@ def _ml_asymptotic(n, nld, sigma2):
     return -n * er - 0.5 * np.log(2.0 * math.pi * n)
 
 
-def _typicality_asymptotic(n, nld, sigma2):
-    d = delta_star(sigma2) - nld
-    if d <= 0.0:
+def _typicality_asymptotic(n, d):
+    gap = _DELTA_STAR_1 - d
+    if gap <= 0.0:
         raise ValueError("asymptotic form requires delta < delta*")
-    if 2.0 * d < 1e-15:
+    if 2.0 * gap < 1e-15:
         raise AsymptoticSingularity("typicality prefactor singular as delta -> delta*")
-    return (-n * exponent_t(nld, sigma2) - 0.5 * np.log(n * math.pi)
-            + math.log1p(2.0 * d) - math.log(2.0 * d))
+    return (-n * exponent_t(d, 1.0) - 0.5 * np.log(n * math.pi)
+            + math.log1p(2.0 * gap) - math.log(2.0 * gap))
 
 
 # Keys of asym_curves, by the form that computes them.
@@ -296,10 +298,11 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
     _check_sigma2(sigma2)
     _check_nld(nld)
     n = _check_dims(n)
+    d = nld + 0.5 * math.log(sigma2)
     curves = {}
     for names, form in _FORMS:
         try:
-            values = np.atleast_2d(form(n, nld, sigma2))
+            values = np.atleast_2d(form(n, d))
         except ValueError:
             values = np.full((len(names), n.size), math.nan)
         curves.update(zip(names, np.where(np.isfinite(values), values, math.nan)))
@@ -309,7 +312,7 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
 @np.errstate(all="ignore")
 def _at(form, point: ChannelPoint) -> list[LogProb]:
     # One form at one point; a non-finite value is a ValueError, from LogProb.
-    values = np.atleast_2d(form(np.array([float(point.n)]), point.nld, point.sigma2))
+    values = np.atleast_2d(form(np.array([float(point.n)]), _unit_nld(point)))
     return [LogProb(float(v[0])) for v in values]
 
 
@@ -323,7 +326,7 @@ def sphere_sandwich(point: ChannelPoint) -> SandwichBounds:
     with C = n(delta* - delta) + n/2 - n rho*/2 and rho*, Upsilon from
     :func:`terms`.  Evaluated by :func:`asym_curves`.
     """
-    _require_below_capacity(point.nld, point.sigma2, "sphere sandwich")
+    _require_below_capacity(_unit_nld(point), "sphere sandwich")
     terms(point)   # rejects n <= 2
     return SandwichBounds(*_at(_sphere_sandwich, point))
 
@@ -337,7 +340,7 @@ def ml_sandwich(point: ChannelPoint) -> SandwichBounds:
     asymptotics instead.  Each member adds a head term in Psi to the
     sphere sandwich's tail term in Upsilon.
     """
-    _require_below_capacity(point.nld, point.sigma2, "ML sandwich")
+    _require_below_capacity(_unit_nld(point), "ML sandwich")
     n, rho = point.n, terms(point).rho_star
     if not _in_ml_window(n, rho):
         raise ValueError(
@@ -354,7 +357,7 @@ def sphere_asymptotic(point: ChannelPoint) -> LogProb:
 
 def ml_asymptotic_branch(point: ChannelPoint) -> str:
     """Which asymptotic regime the point falls in: 'above', 'below' or 'critical'."""
-    return _ml_branch(point.nld, point.sigma2)
+    return _ml_branch(_unit_nld(point))
 
 
 def ml_asymptotic(point: ChannelPoint) -> LogProb:
@@ -387,12 +390,12 @@ def poltyrev_r_asymptotic(point: ChannelPoint) -> LogProb:
     branch = ml_asymptotic_branch(point)
     if branch == "below":
         return ml_asymptotic(point)
-    n = point.n
-    er = exponent_r(point.nld, point.sigma2)
+    n, d = point.n, _unit_nld(point)
+    er = exponent_r(d, 1.0)
     if branch == "critical":
         return LogProb(-n * er - 0.5 * math.log(math.pi * n)
                        + math.log1p(1.0 / math.sqrt(8.0)))
-    mu = _mu_checked(point.nld, point.sigma2)
+    mu = _mu_checked(d)
     if 2.0 - mu < 1e-15:
         raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
     lnpi = math.log(n * math.pi)

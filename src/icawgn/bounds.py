@@ -25,6 +25,11 @@ times faster per evaluation.
 
 The section probabilities and the section-integral identity are the one
 place that integrates numerically, by a Gauss-Legendre rule over an angle.
+
+Units of sigma: the bounds depend on (delta, sigma2) only through d = delta +
+(1/2) ln sigma2, and on a radius r only through s = r/sigma.  Public functions
+form d and s once and evaluate at sigma2 = 1, reporting radii as sigma s, so
+any finite sigma2 > 0, subnormals included, gives the sigma2 = 1 result at d.
 """
 
 import functools
@@ -86,6 +91,9 @@ def _check_nld(delta: float) -> None:
 # The largest dimension: the array paths hold n in numpy's int64.
 _MAX_DIM = 2**63 - 1
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+_DELTA_STAR_1 = -0.5 * math.log(2.0 * math.pi * math.e)   # delta* at sigma2 = 1
+
 
 def _check_dim_limit(n: int) -> None:
     if n > _MAX_DIM:
@@ -114,8 +122,12 @@ class ChannelPoint:
 
     @property
     def density(self) -> float:
-        """Constellation density gamma = e^(n delta), points per unit volume."""
-        return math.exp(self.n * self.nld)
+        """Constellation density gamma = e^(n delta) per unit volume, inf past double range."""
+        return math.inf if self.n * self.nld > _LOG_DBL_MAX else math.exp(self.n * self.nld)
+
+
+def _unit_nld(point: ChannelPoint) -> float:
+    return point.nld + 0.5 * math.log(point.sigma2)
 
 
 @dataclass(frozen=True)
@@ -146,8 +158,7 @@ def delta_star(sigma2: float) -> float:
     """Capacity of the setting, (1/2) ln(1/(2 pi e sigma2)): the supremum NLD
     at which the error probability can still vanish with the dimension."""
     _check_sigma2(sigma2)
-    # A sum of logs: the product 2 pi e sigma2 overflows for sigma2 > 1.05e307.
-    return -0.5 * (math.log(2.0 * math.pi * math.e) + math.log(sigma2))
+    return _DELTA_STAR_1 - 0.5 * math.log(sigma2)
 
 
 def delta_cr(sigma2: float) -> float:
@@ -170,37 +181,35 @@ def effective_radius(point: ChannelPoint) -> float:
 
     r_eff = e^(-delta) V_n^(-1/n), computed through the exact log ball volume.
     """
-    return math.exp(-point.nld - log_vn(point.n) / point.n)
+    return _unit_radius(point.n, point.nld)
+
+
+def _unit_radius(n: int, d: float) -> float:
+    # r_eff / sigma at the NLD d in units of sigma.
+    return math.exp(-d - log_vn(n) / n)
 
 
 def poltyrev_radius(point: ChannelPoint) -> float:
     """The classical suboptimal decoding radius sqrt(n) sigma e^(delta* - delta)."""
-    sigma = math.sqrt(point.sigma2)
-    return math.sqrt(point.n) * sigma * math.exp(delta_star(point.sigma2) - point.nld)
+    s = math.sqrt(point.n) * math.exp(_DELTA_STAR_1 - _unit_nld(point))
+    return math.sqrt(point.sigma2) * s
 
 
-def _gamma_arg(r, sigma2: float):
-    # The incomplete-gamma argument x = r^2/(2 sigma2) of the noise norm at
-    # radius r, for floats and arrays alike.  Dividing before squaring keeps
-    # it finite where r^2 overflows (r above 1.3e154), and halving last where
-    # 2 sigma2 does.
-    return 0.5 * (r * (r / sigma2))
+def _gamma_arg(s):
+    return 0.5 * (s * s)
 
 
-def _log_norm_tail(n: int, r: float, sigma2: float) -> LogProb:
-    # Pr{||Z|| > r} for Z ~ N(0, sigma2 I_n): chi-square upper tail.
-    return log_reg_gamma_upper(0.5 * n, _gamma_arg(r, sigma2))
+def _log_norm_tail(n: int, s: float) -> LogProb:
+    # Pr{||Z|| > s} for Z ~ N(0, I_n): chi-square upper tail.
+    return log_reg_gamma_upper(0.5 * n, _gamma_arg(s))
 
 
 def sphere_bound(point: ChannelPoint) -> BoundValue:
     """Converse: Pr{||Z|| > r_eff}, a lower bound on the error probability of
     any constellation at this (n, delta, sigma2)."""
-    r = effective_radius(point)
-    lp = _log_norm_tail(point.n, r, point.sigma2)
-    return BoundValue(kind="sphere", log_value=lp, radius_used=r, clamped=False)
-
-
-_LOG_DBL_MAX = math.log(sys.float_info.max)
+    s = _unit_radius(point.n, _unit_nld(point))
+    return BoundValue(kind="sphere", log_value=_log_norm_tail(point.n, s),
+                      radius_used=math.sqrt(point.sigma2) * s, clamped=False)
 
 
 def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
@@ -212,23 +221,17 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     if not (v > 0.0):
         raise ValueError(f"volume must be > 0, got {v}")
     _check_sigma2(sigma2)
-    log_r2 = 2.0 * (math.log(v) - log_vn(n)) / n
-    if log_r2 > _LOG_DBL_MAX:
-        # r^2 past double range (n = 1 only): take x = r^2 / 2 sigma2 by its
-        # log; past double range Q(n/2, x) is exactly 0.0 in double.
-        log_x = log_r2 - math.log(2.0) - math.log(sigma2)
-        return 0.0 if log_x > _LOG_DBL_MAX else reg_gamma_upper(0.5 * n, math.exp(log_x))
-    return reg_gamma_upper(0.5 * n, 0.5 * (math.exp(log_r2) / sigma2))
+    # ln s^2 of the ball's radius in units of sigma; past double range Q(n/2, s^2/2) is 0.0.
+    log_s2 = 2.0 * (math.log(v) - log_vn(n)) / n - math.log(sigma2)
+    return 0.0 if log_s2 > _LOG_DBL_MAX else reg_gamma_upper(0.5 * n, 0.5 * math.exp(log_s2))
 
 
-def _ml_first_term(point: ChannelPoint, r: float) -> LogProb:
-    # gamma V_n int_0^r f_R(t) t^n dt
-    #   = exp[n delta + ln V_n + n ln sigma + (n/2) ln 2
-    #         + ln Gamma(n) - ln Gamma(n/2)] * P(n, r^2/(2 sigma2))
-    n = point.n
-    lg = (n * point.nld + log_vn(n) + 0.5 * n * math.log(point.sigma2)
-          + 0.5 * n * math.log(2.0) + math.lgamma(float(n)) - math.lgamma(0.5 * n))
-    tail = log_reg_gamma_lower(float(n), _gamma_arg(r, point.sigma2))
+def _ml_first_term(n: int, d: float, s: float) -> LogProb:
+    # gamma V_n int_0^r f_R(t) t^n dt in units of sigma
+    #   = exp[n d + ln V_n + (n/2) ln 2 + ln Gamma(n) - ln Gamma(n/2)] * P(n, s^2/2)
+    lg = (n * d + log_vn(n) + 0.5 * n * math.log(2.0)
+          + math.lgamma(float(n)) - math.lgamma(0.5 * n))
+    tail = log_reg_gamma_lower(float(n), _gamma_arg(s))
     if tail.is_zero:
         return LogProb.zero()
     return LogProb(lg + tail.log_value)
@@ -241,12 +244,12 @@ def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
 
     f_R being the noise-norm pdf.  Defaults to the optimizing radius r_eff.
     """
-    if r is None:
-        r = effective_radius(point)
-    elif not (r > 0.0):
+    n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
+    if r is not None and not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
-    total = log_add(_ml_first_term(point, r), _log_norm_tail(point.n, r, point.sigma2))
-    return BoundValue(kind="ml", log_value=total, radius_used=r,
+    s = _unit_radius(n, d) if r is None else r / sigma
+    total = log_add(_ml_first_term(n, d, s), _log_norm_tail(n, s))
+    return BoundValue(kind="ml", log_value=total, radius_used=sigma * s if r is None else r,
                       clamped=total.log_value > 0.0)
 
 
@@ -257,27 +260,30 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
 
     defaulting to the optimizing radius sigma sqrt(n (1 + 2 delta* - 2 delta)).
     """
-    n = point.n
-    if r is None:
-        radicand = 1.0 + 2.0 * (delta_star(point.sigma2) - point.nld)
-        if radicand <= 0.0:
-            raise ValueError(
-                f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
-        r = math.sqrt(point.sigma2 * n * radicand)
-    elif not (r > 0.0):
+    n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
+    if r is not None and not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
-    first = LogProb(n * point.nld + log_vn(n) + n * math.log(r))
-    total = log_add(first, _log_norm_tail(n, r, point.sigma2))
-    return BoundValue(kind="typicality", log_value=total, radius_used=r,
+    radicand = 1.0 + 2.0 * (_DELTA_STAR_1 - d)
+    if r is None and radicand <= 0.0:
+        raise ValueError(
+            f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
+    s = math.sqrt(n * radicand) if r is None else r / sigma
+    first = LogProb(n * d + log_vn(n) + n * math.log(s))
+    total = log_add(first, _log_norm_tail(n, s))
+    return BoundValue(kind="typicality", log_value=total, radius_used=sigma * s if r is None else r,
                       clamped=total.log_value > 0.0)
 
 
 def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
     """The ML bound evaluated at the classical radius sqrt(n) sigma e^(delta*-delta)."""
-    r = poltyrev_radius(point)
-    inner = ml_bound(point, r=r)
-    return BoundValue(kind="poltyrev_r", log_value=inner.log_value,
-                      radius_used=r, clamped=inner.clamped)
+    n, d = point.n, _unit_nld(point)
+    s = math.sqrt(n) * math.exp(_DELTA_STAR_1 - d)
+    if not s > 0.0:
+        raise ValueError(f"Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows "
+                         f"at delta = {point.nld}")
+    total = log_add(_ml_first_term(n, d, s), _log_norm_tail(n, s))
+    return BoundValue(kind="poltyrev_r", log_value=total,
+                      radius_used=math.sqrt(point.sigma2) * s, clamped=total.log_value > 0.0)
 
 
 CURVE_KINDS = ("sphere", "ml", "typicality", "poltyrev")
@@ -323,8 +329,8 @@ def _log_vn_curve(n: np.ndarray) -> np.ndarray:
 
 
 def _ml_log(n, ml_terms, x, log_norm_tail):
-    # ln of the ML bound at radius r, x = r^2/(2 sigma2): _ml_first_term plus
-    # the chi-square tail, summed in the log domain.
+    # ln of the ML bound at x = s^2/2: _ml_first_term plus the chi-square
+    # tail, summed in the log domain.
     return np.logaddexp(ml_terms + log_reg_gamma_tail(n, x, upper=False), log_norm_tail)
 
 
@@ -346,32 +352,34 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
     if unknown:
         raise ValueError(f"unknown bound kind {unknown[0]!r}")
     n = _check_dims(n)
+    d = nld + 0.5 * math.log(sigma2)
     a = 0.5 * n
     log_vn = _log_vn_curve(n)
     logs = {}
     if "ml" in kinds or "poltyrev" in kinds:
-        ml_terms = (n * nld + log_vn + 0.5 * n * math.log(sigma2) + 0.5 * n * math.log(2.0)
+        ml_terms = (n * d + log_vn + 0.5 * n * math.log(2.0)
                     + _math_map(math.lgamma, n) - _math_map(math.lgamma, a))
     if "sphere" in kinds or "ml" in kinds:
-        r = _math_map(math.exp, -nld - log_vn / n)   # effective_radius
-        x = _gamma_arg(r, sigma2)
+        s = _math_map(math.exp, -d - log_vn / n)   # _unit_radius
+        x = _gamma_arg(s)
         logs["sphere"] = log_reg_gamma_tail(a, x, upper=True)
         if "ml" in kinds:
             logs["ml"] = _ml_log(n, ml_terms, x, logs["sphere"])
     if "typicality" in kinds:
-        radicand = 1.0 + 2.0 * (delta_star(sigma2) - nld)
+        radicand = 1.0 + 2.0 * (_DELTA_STAR_1 - d)
         if radicand <= 0.0:
             raise ValueError(
                 f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
-        r = np.sqrt(sigma2 * n * radicand)
+        s = np.sqrt(n * radicand)
         logs["typicality"] = np.logaddexp(
-            n * nld + log_vn + n * _math_map(math.log, r),
-            log_reg_gamma_tail(a, _gamma_arg(r, sigma2), upper=True))
+            n * d + log_vn + n * _math_map(math.log, s),
+            log_reg_gamma_tail(a, _gamma_arg(s), upper=True))
     if "poltyrev" in kinds:
-        r = np.sqrt(n) * math.sqrt(sigma2) * math.exp(delta_star(sigma2) - nld)
-        if not r.min(initial=math.inf) > 0.0:
-            raise ValueError(f"radius must be > 0, got {r.min()}")
-        x = _gamma_arg(r, sigma2)
+        s = np.sqrt(n) * math.exp(_DELTA_STAR_1 - d)
+        if not s.min(initial=math.inf) > 0.0:
+            raise ValueError(f"Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows "
+                             f"at delta = {nld}")
+        x = _gamma_arg(s)
         logs["poltyrev"] = _ml_log(n, ml_terms, x, log_reg_gamma_tail(a, x, upper=True))
     return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
 
@@ -415,18 +423,19 @@ def integrate_adaptive(f, a: float, b: float) -> float:
 _MAX_SECTION_SNR = 100.0
 
 
-def _check_section_radius(r: float, sigma2: float) -> None:
+def _check_section_radius(r: float, sigma2: float) -> float:
+    # Checks sigma2 and a section radius; returns the radius in units of sigma.
+    _check_sigma2(sigma2)
     if not (0.0 < r < math.inf):
         raise ValueError(f"radius must be finite and > 0, got {r}")
-    snr = r / math.sqrt(sigma2)
-    if snr > _MAX_SECTION_SNR:
-        raise ValueError(f"r/sigma must be <= {_MAX_SECTION_SNR:g}, got {snr:g}")
-
-
-def _section_density(theta, n: int, r: float, sigma2: float):
-    # f_Z(r cos t) P((n-1)/2, r^2 sin^2 t / 2 sigma2) r sin t, in units of
-    # sigma: u = r cos(t) / sigma, v = r sin(t) / sigma.
     s = r / math.sqrt(sigma2)
+    if s > _MAX_SECTION_SNR:
+        raise ValueError(f"r/sigma must be <= {_MAX_SECTION_SNR:g}, got {s:g}")
+    return s
+
+
+def _section_density(theta, n: int, s: float):
+    # f_Z(s cos t) P((n-1)/2, s^2 sin^2 t / 2) s sin t at s = r/sigma.
     u = s * np.cos(theta)
     v = s * np.sin(theta)
     chi_cdf = gammainc(0.5 * (n - 1), 0.5 * v * v)
@@ -450,14 +459,12 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    _check_sigma2(sigma2)
-    _check_section_radius(r, sigma2)
+    s = _check_section_radius(r, sigma2)
     if not (0.0 <= w <= 2.0 * r):
         raise ValueError(f"chord offset must lie in [0, 2r], got w={w}, r={r}")
     if w == 2.0 * r:
         return 0.0
-    return integrate_adaptive(lambda t: _section_density(t, n, r, sigma2),
-                              0.0, math.acos(0.5 * w / r))
+    return integrate_adaptive(lambda t: _section_density(t, n, s), 0.0, math.acos(0.5 * w / r))
 
 
 def equivalence_sides(n: int, r: float, sigma2: float):
@@ -481,18 +488,16 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     """
     if not (2 <= n <= 8):
         raise ValueError(f"equivalence check supports n in 2..8, got {n}")
-    _check_sigma2(sigma2)
-    _check_section_radius(r, sigma2)
+    s = _check_section_radius(r, sigma2)
     log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
-               - math.lgamma(0.5 * n)
-               + log_reg_gamma_lower(float(n), _gamma_arg(r, sigma2)).log_value)
+               - math.lgamma(0.5 * n) + log_reg_gamma_lower(float(n), _gamma_arg(s)).log_value)
     if not log_rhs >= math.log(sys.float_info.min):
         raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
                          f"identity, of order r^(2n), underflows a double")
     if max(n * math.log(2.0 * r), log_rhs) > _LOG_DBL_MAX:
         raise ValueError(f"r = {r:g} is too large at n = {n}: (2r)^n or the right side "
                          f"of the identity overflows a double")
-    lhs = integrate_adaptive(lambda t: _section_density(t, n, r, sigma2) * np.cos(t) ** n,
+    lhs = integrate_adaptive(lambda t: _section_density(t, n, s) * np.cos(t) ** n,
                              0.0, 0.5 * math.pi)
     return (2.0 * r) ** n * lhs, math.exp(log_rhs)
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from scipy.special import cython_special as _cs
 
-from .bounds import (ChannelPoint, _check_nld, _check_sigma2, delta_star, effective_radius,
-                     ml_bound, sphere_bound)
+from .bounds import (ChannelPoint, _check_nld, _check_sigma2, _unit_nld, _unit_radius,
+                     delta_star, ml_bound, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
 from .bounds import integrate_adaptive
 from .specfn import LogProb, log_vn, q_func, q_func_inv
@@ -81,7 +81,8 @@ def norm_tail_normal_approx(n: int, r: float, sigma2: float):
     if not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
     _check_sigma2(sigma2)
-    approx = q_func((r * r - n * sigma2) / (sigma2 * math.sqrt(2.0 * n)))
+    s = r / math.sqrt(sigma2)
+    approx = q_func((s * s - n) / math.sqrt(2.0 * n))
     guarantee = 6.0 * berry_esseen_T() / math.sqrt(n)
     return approx, guarantee
 
@@ -105,6 +106,7 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
                   kind: str, seed: float, step: float) -> InversionResult:
     """Chandrupatla root of ln bound(n, delta, sigma2) = ln eps in delta.
 
+    Solved at sigma2 = 1, where ``seed`` is given, then shifted by -(1/2) ln sigma2.
     The bounds are strictly increasing in delta, so a sign change pins the
     unique root.  The search evaluates the bound at ``seed`` and walks from
     there toward the root, doubling ``step`` after every move, until the sign
@@ -117,10 +119,12 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
     ``iterations`` counts the bound evaluations after the bracket is found;
     ``bracket_width`` is the width of the final sign-change bracket.
     """
+    _check_sigma2(sigma2)
+    shift = 0.5 * math.log(sigma2)
     log_eps = math.log(eps)
 
     def f(delta: float) -> float:
-        return bound_fn(ChannelPoint(n=n, nld=delta, sigma2=sigma2)).log_value.log_value - log_eps
+        return bound_fn(ChannelPoint(n=n, nld=delta, sigma2=1.0)).log_value.log_value - log_eps
 
     # At least float resolution, so that the walk moves even at tol = 0.
     step = max(2.0 * sys.float_info.epsilon * max(abs(seed), 1.0), step)
@@ -130,8 +134,8 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
         if hi - lo > _MAX_BRACKET:
             raise ValueError(
                 f"target eps={eps} not bracketed for the {kind} bound at n={n}: "
-                f"bound({lo:.4f})={math.exp(f_lo + log_eps):.3e}, "
-                f"bound({hi:.4f})={math.exp(f_hi + log_eps):.3e}")
+                f"bound({lo - shift:.4f})={math.exp(f_lo + log_eps):.3e}, "
+                f"bound({hi - shift:.4f})={math.exp(f_hi + log_eps):.3e}")
         if f_lo > 0.0:
             hi, f_hi = lo, f_lo
             lo -= step
@@ -176,8 +180,8 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
         else:
             c, f_c, b, f_b = b, f_b, a, f_a
         a, f_a = x, f_x
-    return InversionResult(delta=cur, bound_value=LogProb(f_cur + log_eps), iterations=iterations,
-                           bracket_width=0.0 if f_cur == 0.0 else width)
+    return InversionResult(delta=cur - shift, bound_value=LogProb(f_cur + log_eps),
+                           iterations=iterations, bracket_width=0.0 if f_cur == 0.0 else width)
 
 
 def nld_eps_converse(n: int, eps: float, sigma2: float,
@@ -187,8 +191,7 @@ def nld_eps_converse(n: int, eps: float, sigma2: float,
 
     The root has a closed form: Q(n/2, r_eff^2 / 2 sigma2) = eps at
     r_eff^2 = 2 sigma2 x with x = Q^-1(n/2, eps) (scipy's ``gammainccinv``),
-    so delta = -(ln 2x + ln sigma2)/2 - ln V_n / n, taken in logs so that a
-    sigma2 near the largest double does not overflow.  The search starts
+    so delta = -(ln 2x + ln sigma2)/2 - ln V_n / n.  The search starts
     there with a first step of tol/2 and usually ends after two bound
     evaluations and no Chandrupatla iteration.  The sign change still
     certifies the root because scipy's inverse is not accurate everywhere:
@@ -198,9 +201,8 @@ def nld_eps_converse(n: int, eps: float, sigma2: float,
     more evaluations.
     """
     _check_eps_dim(eps, n)
-    _check_sigma2(sigma2)
     x = _cs.gammainccinv(0.5 * n, eps)
-    seed = -0.5 * (math.log(2.0 * x) + math.log(sigma2)) - log_vn(n) / n
+    seed = -0.5 * math.log(2.0 * x) - log_vn(n) / n
     return _invert_bound(sphere_bound, n, eps, sigma2, tol, "sphere", seed, 0.5 * tol)
 
 
@@ -210,7 +212,7 @@ def nld_eps_achievable(n: int, eps: float, sigma2: float,
     a constellation with this NLD and error probability <= eps exists.
     The search starts at :func:`nld_eps_approx` with a first step of 1/n."""
     return _invert_bound(ml_bound, n, eps, sigma2, tol, "ml",
-                         nld_eps_approx(n, eps, sigma2), 1.0 / n)
+                         nld_eps_approx(n, eps, 1.0), 1.0 / n)
 
 
 def vnr_from_nld(delta: float, sigma2: float) -> float:
@@ -234,8 +236,8 @@ def gap_db(delta: float, sigma2: float) -> float:
 def lattice_snr_rho(point: ChannelPoint) -> float:
     """Squared effective-radius-to-noise ratio r_eff^2 / (n sigma2); converges
     to the VNR as n grows."""
-    r = effective_radius(point)
-    return r * (r / point.sigma2) / point.n   # r^2 overflows for r > 1.3e154
+    s = _unit_radius(point.n, _unit_nld(point))
+    return s * s / point.n
 
 
 def normalized_error_prob(eps1: float, n: int) -> float:

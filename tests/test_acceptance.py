@@ -149,9 +149,8 @@ def test_criterion_04_ml_closed_form_vs_quadrature():
     worst = 0.0
     for n in (4, 16, 64):
         for d in (-1.5, -2.0):
-            p = ChannelPoint(n, d, 1.0)
-            r = effective_radius(p)
-            closed = _ml_first_term(p, r).log_value
+            r = effective_radius(ChannelPoint(n, d, 1.0))
+            closed = _ml_first_term(n, d, r).log_value
             oracle = log_ml_first_term_quad(n, d, 1.0, r)
             worst = max(worst, abs(math.expm1(closed - oracle)))
     ok = worst <= 1e-10

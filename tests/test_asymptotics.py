@@ -347,7 +347,7 @@ class TestAsymCurves:
                         seen["finite"] += 1
         assert min(seen.values()) > 100, seen
 
-    @pytest.mark.parametrize("s2", [1e300, 1e307, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("s2", [5e-324, 1e-300, 1e300, 1e307, 1e308, sys.float_info.max])
     def test_scale_invariance_near_largest_double(self, s2):
         # Every form depends on (delta, sigma2) only through delta + ln(sigma2)/2,
         # although r_eff^2 is past double range here: above capacity, between

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from icawgn import asymptotics, bounds
 from icawgn.bounds import (
     CURVE_KINDS,
     ChannelPoint,
@@ -27,6 +29,7 @@ from icawgn.bounds import (
     sphere_bound_by_volume,
     typicality_bound,
 )
+from icawgn.dispersion import lattice_snr_rho, norm_tail_normal_approx
 from icawgn.specfn import q_func
 from helpers import log_ml_first_term_quad
 
@@ -60,6 +63,12 @@ class TestChannelPoint:
 
     def test_density(self):
         assert ChannelPoint(n=3, nld=0.5, sigma2=1.0).density == pytest.approx(math.exp(1.5))
+
+    def test_density_past_double_range(self):
+        # e^(n delta) overflows a double from n delta = 709.78 and underflows below -745.
+        assert ChannelPoint(n=1000, nld=1.0, sigma2=1.0).density == math.inf
+        assert ChannelPoint(n=1000, nld=-1.0, sigma2=1.0).density == 0.0
+        assert ChannelPoint(n=1, nld=709.78, sigma2=1.0).density == pytest.approx(math.exp(709.78))
 
 
 class TestCapacities:
@@ -499,6 +508,15 @@ class TestBoundCurves:
         with pytest.raises(exc):
             bound_curves([4], nld, 1.0, [kind])
 
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda: poltyrev_ml_bound(ChannelPoint(4, 800.0, 1.0)), id="scalar"),
+        pytest.param(lambda: bound_curves([4], 800.0, 1.0, ["poltyrev"]), id="curves")])
+    def test_poltyrev_radius_underflow_is_named(self, evaluate):
+        # The caller gave no radius, so the message names the one that underflows.
+        with pytest.raises(ValueError, match=re.escape(
+                "Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows at delta = 800.0")):
+            evaluate()
+
     @pytest.mark.parametrize("n, nld, sigma2, kinds", [
         ([0, 1], -1.5, 1.0, CURVE_KINDS),
         ([1.0, 2.0], -1.5, 1.0, CURVE_KINDS),
@@ -520,3 +538,52 @@ class TestBoundCurves:
     def test_largest_n_gives_finite_logs(self):
         curves = bound_curves([2**63 - 1], -1.5, 1.0)
         assert all(np.isfinite(c.log_value).all() for c in curves.values())
+
+
+class TestUnitsOfSigma:
+    """Every entry point at sigma2 equals its sigma2 = 1 value at the shifted NLD
+    delta + ln(sigma2)/2, with radii scaled by sigma, from the smallest subnormal
+    sigma2 to the largest double."""
+
+    DIMS = (1, 2, 8, 100, 1000)
+    # NLDs in units of sigma: above capacity, between the critical NLD and
+    # capacity, below it, and the point of `bounds --n 2 --nld -709 --sigma2
+    # 1e308`, where sigma2 n (1 + 2(delta* - delta)) overflowed.  The radii
+    # of norm_tail_normal_approx include (4, 2e154) at sigma2 = 1e308, where
+    # r^2 - n sigma2 was inf - inf.
+    UNIT_NLDS = (-1.3, -1.5, -2.0, -709.0 + 0.5 * math.log(1e308))
+
+    @pytest.mark.parametrize("s2", [5e-324, 1e-300, 1e300, 1e308, sys.float_info.max])
+    def test_matches_unit_variance(self, s2):
+        h, sigma = 0.5 * math.log(s2), math.sqrt(s2)
+        for d in self.UNIT_NLDS:
+            nld = d - h
+            for n in self.DIMS:
+                point, unit = ChannelPoint(n, nld, s2), ChannelPoint(n, nld + h, 1.0)
+                for fn in _SCALAR_BOUNDS.values():
+                    got, ref = fn(point), fn(unit)
+                    where = (fn.__name__, n, d)
+                    assert got.log_raw == pytest.approx(ref.log_raw, rel=1e-9), where
+                    assert got.radius_used == pytest.approx(sigma * ref.radius_used, rel=1e-9), where
+                assert lattice_snr_rho(point) == pytest.approx(lattice_snr_rho(unit), rel=1e-9)
+            got = bound_curves(self.DIMS, nld, s2)
+            ref = bound_curves(self.DIMS, nld + h, 1.0)
+            for kind in CURVE_KINDS:
+                np.testing.assert_allclose(got[kind].log_value, ref[kind].log_value, rtol=1e-9,
+                                           err_msg=f"{kind} at d = {d}")
+        for v in (0.5, 2.0, 6.0):
+            assert sphere_bound_by_volume(1, v * sigma, s2) == pytest.approx(
+                sphere_bound_by_volume(1, v, 1.0), rel=1e-9)
+        for n in (1, 4, 100):
+            for s in (0.5, 2.0, 3.0, 12.0):
+                assert norm_tail_normal_approx(n, s * sigma, s2) == pytest.approx(
+                    norm_tail_normal_approx(n, s, 1.0), rel=1e-9), (n, s)
+
+
+def test_no_private_helper_takes_the_noise_variance():
+    # The private helpers work in units of sigma; only validators see sigma2.
+    takes = sorted({name for module in (bounds, asymptotics)
+                    for name, fn in vars(module).items()
+                    if name.startswith("_") and inspect.isfunction(fn)
+                    and "sigma2" in inspect.signature(fn).parameters})
+    assert takes == ["_check_section_radius", "_check_sigma2"]

@@ -253,18 +253,18 @@ class TestInversion:
         x = 0.5 * math.exp(-2.0 * (res.delta + math.log(2.0))) / 1e308
         assert math.erfc(math.sqrt(x)) == pytest.approx(0.5, rel=1e-10)
 
-    @pytest.mark.parametrize("sigma2", [1e300, 1e307, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("sigma2", [5e-324, 1e-300, 1e300, 1e307, 1e308, sys.float_info.max])
     def test_scale_invariance_near_largest_double(self, sigma2):
-        # The root moves by -ln(sigma2)/2 with the noise variance.  Here
-        # r_eff^2 and 2 pi e sigma2 are past double range, so this holds only
-        # if x = r^2/(2 sigma2) and delta* are formed without them.
+        # The root moves by exactly -ln(sigma2)/2 with the noise variance: the
+        # solve runs at sigma2 = 1, so r_eff^2 and 2 pi e sigma2, past double
+        # range at the large variances, are never formed.
         shift = 0.5 * math.log(sigma2)
         for n in (1, 2, 8, 50, 1000):
             for eps in (0.5, 0.01, 1e-12):
                 for invert in (nld_eps_converse, nld_eps_achievable):
                     got = invert(n, eps, sigma2).delta
                     ref = invert(n, eps, 1.0).delta - shift
-                    assert abs(got - ref) <= 1e-12, (invert.__name__, n, eps, got, ref)
+                    assert got == ref, (invert.__name__, n, eps, got, ref)
 
     def test_bound_evaluation_budget(self, monkeypatch):
         # A slower solver fails here, not only in the benchmark: over the
