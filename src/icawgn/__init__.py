@@ -65,6 +65,7 @@ from .dispersion import (
     nld_eps_approx,
     nld_eps_converse,
     nld_eps_achievable,
+    nld_eps_achievable_curve,
     vnr_from_nld,
     vnr_opt_approx,
     gap_db,

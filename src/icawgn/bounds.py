@@ -16,12 +16,12 @@ form stays exact.
 
 Two paths evaluate the bounds at their default radii.  The scalar one
 (:func:`sphere_bound`, :func:`ml_bound`, ...) takes one
-:class:`ChannelPoint` and returns a :class:`BoundValue`; inversions and the
-asymptotic comparisons use it.  The array one, :func:`bound_curves`, takes
-a vector of dimensions at one (delta, sigma2) and returns a
-:class:`BoundCurve` per kind; it agrees with the scalar path to 1e-12
-relative in the log (bit for bit at almost every n) and is more than ten
-times faster per evaluation.
+:class:`ChannelPoint` and returns a :class:`BoundValue`; the converse
+inversion and the asymptotic comparisons use it.  The array one,
+:func:`bound_curves`, takes a vector of dimensions at one sigma2 and one
+delta or one per dimension, and returns a :class:`BoundCurve` per kind; it
+agrees with the scalar path to 1e-12 relative in the log (bit for bit at
+almost every n) and is more than ten times faster per evaluation.
 
 The section probabilities and the section-integral identity are the one
 place that integrates numerically, by a Gauss-Legendre rule over an angle.
@@ -268,8 +268,10 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
         raise ValueError(
             f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
     s = math.sqrt(n * radicand) if r is None else r / sigma
-    first = LogProb(n * d + log_vn(n) + n * math.log(s))
-    total = log_add(first, _log_norm_tail(n, s))
+    first = n * d + log_vn(n) + n * math.log(s)
+    if first == math.inf:
+        raise ValueError(f"volume term gamma V_n r^n overflows at r = {r}, r/sigma = {s}")
+    total = log_add(LogProb(first), _log_norm_tail(n, s))
     return BoundValue(kind="typicality", log_value=total, radius_used=sigma * s if r is None else r,
                       clamped=total.log_value > 0.0)
 
@@ -328,6 +330,16 @@ def _log_vn_curve(n: np.ndarray) -> np.ndarray:
     return 0.5 * n * math.log(math.pi) - _math_map(math.lgamma, 0.5 * n + 1.0)
 
 
+def _reject_first(bad, values, n, message: str) -> None:
+    # ValueError naming the first flagged value, and its n if ``values`` is an array.
+    if np.any(bad):
+        if not np.ndim(values):
+            raise ValueError(message.format(float(values)))
+        i = np.argmax(bad)
+        n, values = np.broadcast_arrays(n, values)
+        raise ValueError(message.format(float(values[i])) + f" at n = {n[i]:.0f}")
+
+
 def _ml_log(n, ml_terms, x, log_norm_tail):
     # ln of the ML bound at x = s^2/2: _ml_first_term plus the chi-square
     # tail, summed in the log domain.
@@ -335,19 +347,22 @@ def _ml_log(n, ml_terms, x, log_norm_tail):
 
 
 @np.errstate(over="ignore")
-def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCurve]:
+def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCurve]:
     """The bounds named in ``kinds`` (from :data:`CURVE_KINDS`) at every
-    dimension of the 1-d integer array ``n``, at one (nld, sigma2).
+    dimension of the 1-d integer array ``n``, at one sigma2 and at ``nld``:
+    one NLD, or an array of them broadcast against ``n``.
 
     The array path of :func:`sphere_bound`, :func:`ml_bound`,
     :func:`typicality_bound` and :func:`poltyrev_ml_bound` at their default
     radii: the same formulas, with the incomplete gammas from
     :func:`~icawgn.specfn.log_reg_gamma_tail`.  Log values agree with the
     scalar functions to 1e-12 relative (bit for bit at almost every n), and
-    inputs the scalar functions reject raise the same exception types.
+    inputs the scalar functions reject raise the same exception types.  An array
+    ``nld`` equals one scalar-``nld`` call per element; a rejection names its n.
     """
     _check_sigma2(sigma2)
-    _check_nld(nld)
+    nld = np.asarray(nld, dtype=float)
+    _reject_first(~np.isfinite(nld), nld, n, "NLD must be finite, got {}")
     unknown = [k for k in kinds if k not in CURVE_KINDS]
     if unknown:
         raise ValueError(f"unknown bound kind {unknown[0]!r}")
@@ -367,18 +382,16 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, B
             logs["ml"] = _ml_log(n, ml_terms, x, logs["sphere"])
     if "typicality" in kinds:
         radicand = 1.0 + 2.0 * (_DELTA_STAR_1 - d)
-        if radicand <= 0.0:
-            raise ValueError(
-                f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
+        _reject_first(radicand <= 0.0, radicand, n,
+                      "default typicality radius undefined: 1 + 2(delta* - delta) = {} <= 0")
         s = np.sqrt(n * radicand)
         logs["typicality"] = np.logaddexp(
             n * d + log_vn + n * _math_map(math.log, s),
             log_reg_gamma_tail(a, _gamma_arg(s), upper=True))
     if "poltyrev" in kinds:
-        s = np.sqrt(n) * math.exp(_DELTA_STAR_1 - d)
-        if not s.min(initial=math.inf) > 0.0:
-            raise ValueError(f"Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows "
-                             f"at delta = {nld}")
+        s = np.sqrt(n) * _math_map(math.exp, np.atleast_1d(_DELTA_STAR_1 - d))
+        _reject_first(~(s > 0.0), nld, n,
+                      "Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows at delta = {}")
         x = _gamma_arg(s)
         logs["poltyrev"] = _ml_log(n, ml_terms, x, log_reg_gamma_tail(a, x, upper=True))
     return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}

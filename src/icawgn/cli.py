@@ -124,19 +124,15 @@ def _cmd_asym(args) -> dict[str, list]:
 
 
 def _cmd_invert(args) -> dict[str, list]:
-    ds = bounds.delta_star(args.sigma2)
-    dcr = bounds.delta_cr(args.sigma2)
-    rows = []
-    for n in _parse_n_range(args.n):
-        conv = dispersion.nld_eps_converse(n, args.eps, args.sigma2).delta
-        ach = dispersion.nld_eps_achievable(n, args.eps, args.sigma2).delta
-        approx = dispersion.nld_eps_approx(n, args.eps, args.sigma2)
-        rows.append((n, conv, ach, approx, ds, dcr,
-                     *(dispersion.gap_db(d, args.sigma2) for d in (conv, ach, approx))))
-    columns = ["n", "delta_converse", "delta_achievable", "delta_approx",
-               "delta_star", "delta_cr",
-               "gap_db_converse", "gap_db_achievable", "gap_db_approx"]
-    return dict(zip(columns, map(list, zip(*rows))))
+    ds, dcr = bounds.delta_star(args.sigma2), bounds.delta_cr(args.sigma2)
+    ns, eps, sigma2 = _parse_n_range(args.n), args.eps, args.sigma2
+    # The ML solves run together, one bound_curves call per round.
+    delta = {"converse": [dispersion.nld_eps_converse(n, eps, sigma2).delta for n in ns],
+             "achievable": [r.delta for r in dispersion.nld_eps_achievable_curve(ns, eps, sigma2)],
+             "approx": [dispersion.nld_eps_approx(n, eps, sigma2) for n in ns]}
+    return {"n": ns, **{f"delta_{k}": v for k, v in delta.items()},
+            "delta_star": [ds] * len(ns), "delta_cr": [dcr] * len(ns),
+            **{f"gap_db_{k}": [dispersion.gap_db(d, sigma2) for d in v] for k, v in delta.items()}}
 
 
 def _cmd_simulate(args) -> dict[str, list]:

@@ -9,7 +9,9 @@ domain, so inverse quadratic interpolation converges superlinearly, and
 derivative-free iteration avoids underflow-driven derivative noise.  The
 converse is seeded at its closed form through scipy's inverse of the
 chi-square tail, so the walk only certifies it; the achievable bound is
-seeded from the dispersion expansion.
+seeded from the dispersion expansion.  One coroutine holds the method:
+:func:`_invert_bound` drives it on a scalar bound (the converse), and the
+achievable inversions run one per n in lockstep on ``bound_curves``.
 """
 
 import math
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 from scipy.special import cython_special as _cs
 
 from .bounds import (ChannelPoint, _check_nld, _check_sigma2, _unit_nld, _unit_radius,
-                     delta_star, ml_bound, sphere_bound)
-# Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive.
-from .bounds import integrate_adaptive
+                     bound_curves, delta_star, sphere_bound)
+# Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
+from .bounds import integrate_adaptive, ml_bound
 from .specfn import LogProb, log_vn, q_func, q_func_inv
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "nld_eps_approx",
     "nld_eps_converse",
     "nld_eps_achievable",
+    "nld_eps_achievable_curve",
     "vnr_from_nld",
     "vnr_opt_approx",
     "gap_db",
@@ -102,11 +105,10 @@ def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
             + 0.5 * math.log(n) / n)
 
 
-def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
-                  kind: str, seed: float, step: float) -> InversionResult:
-    """Chandrupatla root of ln bound(n, delta, sigma2) = ln eps in delta.
+def _chandrupatla(n, eps, tol, kind, seed, step, shift):
+    """Chandrupatla root of ln bound(n, delta, 1) = ln eps in delta, as a coroutine:
+    yields each delta, is sent ln bound there, and returns the result at delta - ``shift``.
 
-    Solved at sigma2 = 1, where ``seed`` is given, then shifted by -(1/2) ln sigma2.
     The bounds are strictly increasing in delta, so a sign change pins the
     unique root.  The search evaluates the bound at ``seed`` and walks from
     there toward the root, doubling ``step`` after every move, until the sign
@@ -119,17 +121,11 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
     ``iterations`` counts the bound evaluations after the bracket is found;
     ``bracket_width`` is the width of the final sign-change bracket.
     """
-    _check_sigma2(sigma2)
-    shift = 0.5 * math.log(sigma2)
     log_eps = math.log(eps)
-
-    def f(delta: float) -> float:
-        return bound_fn(ChannelPoint(n=n, nld=delta, sigma2=1.0)).log_value.log_value - log_eps
-
     # At least float resolution, so that the walk moves even at tol = 0.
     step = max(2.0 * sys.float_info.epsilon * max(abs(seed), 1.0), step)
     lo = hi = seed
-    f_lo = f_hi = f(seed)
+    f_lo = f_hi = (yield seed) - log_eps
     while f_lo > 0.0 or f_hi < 0.0:
         if hi - lo > _MAX_BRACKET:
             raise ValueError(
@@ -139,11 +135,11 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
         if f_lo > 0.0:
             hi, f_hi = lo, f_lo
             lo -= step
-            f_lo = f(lo)
+            f_lo = (yield lo) - log_eps
         else:
             lo, f_lo = hi, f_hi
             hi += step
-            f_hi = f(hi)
+            f_hi = (yield hi) - log_eps
         step *= 2.0
 
     # Chandrupatla: [a, b] is the bracket and the next point a + t (b - a);
@@ -173,7 +169,7 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
         tl = min_step / width
         # max(tl, t) is tl for a NaN t: the secant from an exact zero (f = -inf).
         x = a + min(max(tl, t), 1.0 - tl) * (b - a)
-        f_x = f(x)
+        f_x = (yield x) - log_eps
         iterations += 1
         if (f_x > 0.0) == (f_a > 0.0):
             c, f_c = a, f_a
@@ -182,6 +178,19 @@ def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
         a, f_a = x, f_x
     return InversionResult(delta=cur - shift, bound_value=LogProb(f_cur + log_eps),
                            iterations=iterations, bracket_width=0.0 if f_cur == 0.0 else width)
+
+
+def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
+                  kind: str, seed: float, step: float) -> InversionResult:
+    """One :func:`_chandrupatla` solve on the scalar ``bound_fn``, seeded at sigma2 = 1."""
+    _check_sigma2(sigma2)
+    solver = _chandrupatla(n, eps, tol, kind, seed, step, 0.5 * math.log(sigma2))
+    delta = next(solver)
+    try:
+        while True:
+            delta = solver.send(bound_fn(ChannelPoint(n=n, nld=delta, sigma2=1.0)).log_raw)
+    except StopIteration as done:
+        return done.value
 
 
 def nld_eps_converse(n: int, eps: float, sigma2: float,
@@ -211,8 +220,31 @@ def nld_eps_achievable(n: int, eps: float, sigma2: float,
     """The NLD at which the ML bound (at its optimizing radius) equals eps:
     a constellation with this NLD and error probability <= eps exists.
     The search starts at :func:`nld_eps_approx` with a first step of 1/n."""
-    return _invert_bound(ml_bound, n, eps, sigma2, tol, "ml",
-                         nld_eps_approx(n, eps, 1.0), 1.0 / n)
+    return _achievable_solves([n], eps, sigma2, tol)[0]
+
+
+def nld_eps_achievable_curve(ns, eps: float, sigma2: float) -> list[InversionResult]:
+    """What ``[nld_eps_achievable(n, eps, sigma2) for n in ns]`` returns, solved in lockstep."""
+    return _achievable_solves(ns, eps, sigma2, 1e-10)
+
+
+def _achievable_solves(ns, eps: float, sigma2: float, tol: float) -> list[InversionResult]:
+    # One solver per n; each round, one bound_curves call feeds every unfinished one.
+    _check_sigma2(sigma2)
+    ns, shift = list(ns), 0.5 * math.log(sigma2)
+    solvers = [_chandrupatla(n, eps, tol, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n, shift)
+               for n in ns]
+    live = {i: next(solver) for i, solver in enumerate(solvers)}   # index -> delta to evaluate
+    results = [None] * len(ns)
+    while live:
+        logs = bound_curves([ns[i] for i in live], list(live.values()), 1.0, ["ml"])["ml"]
+        for i, log_bound in zip(list(live), logs.log_value.tolist()):
+            try:
+                live[i] = solvers[i].send(log_bound)
+            except StopIteration as done:
+                results[i] = done.value
+                del live[i]
+    return results
 
 
 def vnr_from_nld(delta: float, sigma2: float) -> float:
@@ -235,9 +267,12 @@ def gap_db(delta: float, sigma2: float) -> float:
 
 def lattice_snr_rho(point: ChannelPoint) -> float:
     """Squared effective-radius-to-noise ratio r_eff^2 / (n sigma2); converges
-    to the VNR as n grows."""
-    s = _unit_radius(point.n, _unit_nld(point))
-    return s * s / point.n
+    to the VNR as n grows.  inf past double range."""
+    try:
+        s = _unit_radius(point.n, _unit_nld(point))
+    except OverflowError:
+        return math.inf
+    return s * s / point.n if s < 1e154 else s * (s / point.n)   # s^2 alone overflows past 1.3e154
 
 
 def normalized_error_prob(eps1: float, n: int) -> float:

@@ -293,6 +293,14 @@ class TestTypicalityBound:
         bv = typicality_bound(ChannelPoint(4, delta_star(1.0) + 0.6, 1.0), r=1.0)
         assert bv.value == 1.0 and bv.clamped
 
+    @pytest.mark.parametrize("point, r", [(ChannelPoint(2, 0.0, 5e-324), 1e200),
+                                          (ChannelPoint(2, 0.0, 1.0), math.inf)])
+    def test_overflowing_volume_term_names_the_radius(self, point, r):
+        # gamma V_n r^n overflows once r/sigma does: the message says so, and at which r.
+        with pytest.raises(ValueError, match=re.escape(
+                f"volume term gamma V_n r^n overflows at r = {r}, r/sigma = inf")):
+            typicality_bound(point, r=r)
+
 
 class TestPoltyrevBound:
     def test_same_radius_coincides_with_ml(self):
@@ -538,6 +546,37 @@ class TestBoundCurves:
     def test_largest_n_gives_finite_logs(self):
         curves = bound_curves([2**63 - 1], -1.5, 1.0)
         assert all(np.isfinite(c.log_value).all() for c in curves.values())
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.25])
+    def test_array_nld_matches_one_call_per_element(self, sigma2):
+        ns = list(range(1, 301)) + [10_000, 1_000_000]
+        nlds = np.random.default_rng(7).uniform(-3.0, -1.0, len(ns)) - 0.5 * math.log(sigma2)
+        curves = bound_curves(ns, nlds, sigma2)
+        for i, (n, nld) in enumerate(zip(ns, nlds.tolist())):
+            one = bound_curves([n], nld, sigma2)
+            for kind in CURVE_KINDS:
+                assert curves[kind].log_value[i] == one[kind].log_value[0], (kind, n, nld)
+                assert curves[kind].clamped[i] == one[kind].clamped[0], (kind, n, nld)
+
+    @pytest.mark.parametrize("bad_nld, kind, exc, message", [
+        (math.nan, "sphere", ValueError, "NLD must be finite, got nan at n = 3"),
+        (0.3, "typicality", ValueError, "1 + 2(delta* - delta) = -2.4378770664093454 <= 0 at n = 3"),
+        (800.0, "poltyrev", ValueError, "underflows at delta = 800.0 at n = 3"),
+        (-800.0, "ml", OverflowError, "math range error"),
+    ])
+    def test_array_nld_rejects_one_bad_element_by_name(self, bad_nld, kind, exc, message):
+        nlds = [-1.5, -1.6, bad_nld, -1.7]
+        with pytest.raises(exc, match=re.escape(message)):
+            bound_curves([1, 2, 3, 4], nlds, 1.0, [kind])
+        # One n broadcast against several NLDs.
+        with pytest.raises(exc, match=re.escape(message)):
+            bound_curves([3], [-1.5, bad_nld], 1.0, [kind])
+        with pytest.raises(exc):
+            bound_curves([3], bad_nld, 1.0, [kind])
+
+    def test_array_nld_must_broadcast_against_n(self):
+        with pytest.raises(ValueError):
+            bound_curves([1, 2, 3], [-1.5, -1.6], 1.0)
 
 
 class TestUnitsOfSigma:

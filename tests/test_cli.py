@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from icawgn import bounds, dispersion
 from icawgn.cli import _parse_n_range, main
 from icawgn.lattices import clopper_pearson
 
@@ -209,6 +210,27 @@ class TestInvertCommand:
         assert code == 0
         assert all(math.isfinite(float(v)) for v in rows[0].values())
         assert float(rows[0]["delta_cr"]) == pytest.approx(-354.9569110861877, abs=1e-12)
+
+    @pytest.mark.parametrize("eps, sigma2, dims", [
+        *((e, s, "1:120") for e in ("0.5", "1e-2", "1e-12") for s in ("1", "0.5")),
+        # bound_curves' ML log is an ulp off ml_bound's at n = 350.
+        ("1e-12", "1", "340:360"),
+    ])
+    def test_cells_are_the_library_values(self, capsys, eps, sigma2, dims):
+        code, out, _ = run_cli(capsys, "invert", "--n", dims, "--eps", eps, "--sigma2", sigma2)
+        _, rows = parse_csv(out)
+        lo, hi = map(int, dims.split(":"))
+        assert code == 0 and len(rows) == hi - lo + 1
+        e, s2 = float(eps), float(sigma2)
+        for n, row in enumerate(rows, start=lo):
+            delta = {"converse": dispersion.nld_eps_converse(n, e, s2).delta,
+                     "achievable": dispersion.nld_eps_achievable(n, e, s2).delta,
+                     "approx": dispersion.nld_eps_approx(n, e, s2)}
+            ref = {"n": n, "delta_star": bounds.delta_star(s2), "delta_cr": bounds.delta_cr(s2)}
+            for k, d in delta.items():
+                ref[f"delta_{k}"] = d
+                ref[f"gap_db_{k}"] = dispersion.gap_db(d, s2)
+            assert row == {k: str(v) for k, v in ref.items()}, n
 
     def test_n1_row_present(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--n", "1", "--eps", "0.01")

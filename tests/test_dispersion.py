@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from icawgn import dispersion
-from icawgn.bounds import BoundValue, ChannelPoint, delta_cr, delta_star, ml_bound, sphere_bound
+from icawgn.bounds import (BoundValue, ChannelPoint, delta_cr, delta_star, effective_radius,
+                           ml_bound, sphere_bound)
 from icawgn.dispersion import (
     DB_PER_NAT,
     _invert_bound,
@@ -17,6 +18,7 @@ from icawgn.dispersion import (
     gap_db,
     lattice_snr_rho,
     nld_eps_achievable,
+    nld_eps_achievable_curve,
     nld_eps_approx,
     nld_eps_converse,
     norm_tail_normal_approx,
@@ -25,7 +27,14 @@ from icawgn.dispersion import (
     vnr_opt_approx,
 )
 from icawgn.asymptotics import terms
-from icawgn.specfn import LogProb, q_func, reg_gamma_upper
+from icawgn.specfn import LogProb, log_vn, q_func, reg_gamma_upper
+
+
+def _scalar_ml_solve(n, eps, sigma2, bound=ml_bound):
+    # The ML inversion on the scalar bound, from the seed and step of
+    # nld_eps_achievable: the reference for its lockstep solve.
+    return _invert_bound(bound, n, eps, sigma2, 1e-10, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n)
+
 
 DS = delta_star(1.0)
 
@@ -276,6 +285,12 @@ class TestInversion:
                 calls[_name] += 1
                 return _bound(point)
             monkeypatch.setattr(dispersion, name, counted)
+
+        # The ML solve evaluates the bound through bound_curves, one element each.
+        def curves(n, nld, sigma2, kinds, _curves=dispersion.bound_curves):
+            calls["ml_bound"] += len(n)
+            return _curves(n, nld, sigma2, kinds)
+        monkeypatch.setattr(dispersion, "bound_curves", curves)
         dims = range(2, 2001)
         for n in dims:
             before = calls["sphere_bound"]
@@ -283,6 +298,74 @@ class TestInversion:
             assert calls["sphere_bound"] - before <= 2, n
             nld_eps_achievable(n, 0.01, 1.0)
         assert calls["ml_bound"] / len(dims) <= 5.5
+
+    @pytest.mark.parametrize("sigma2", [1.0, 5e-324, 1e300])
+    @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-6, 1e-12])
+    def test_curve_matches_scalar_solver(self, eps, sigma2):
+        # Same seeds, same steps, and bound_curves' ML logs equal ml_bound's
+        # but for a rare last ulp; where one differs, both results still meet
+        # the contract and their deltas are within 2 tol.  A solve does not
+        # depend on the others of its curve.
+        ns = list(range(1, 401)) + [10**4, 10**5, 10**6]
+        got = nld_eps_achievable_curve(ns, eps, sigma2)
+        assert len(got) == len(ns)
+        for n, res in zip(ns, got):
+            assert res == nld_eps_achievable(n, eps, sigma2), n
+            ref = _scalar_ml_solve(n, eps, sigma2)
+            if res != ref:
+                assert abs(res.delta - ref.delta) <= 2e-10, (n, res, ref)
+                assert res.iterations == ref.iterations, (n, res, ref)
+                assert res.bracket_width <= 1e-10, (n, res, ref)
+                assert abs(math.expm1(res.bound_value.log_value - math.log(eps))) <= 1e-10 / eps
+
+    @pytest.mark.parametrize("ns, eps, sigma2", [
+        ([4, 1], 1e-300, 1.0),         # r_eff overflows at n = 1
+        ([4, 0], 0.01, 1.0),
+        ([4, 2**63], 0.01, 1.0),
+        ([4, 2.5], 0.01, 1.0),
+        ([4], 0.0, 1.0),
+        ([4], math.nan, 1.0),
+        ([4], 0.01, 0.0),
+        ([4], 0.01, math.inf),
+    ])
+    def test_curve_raises_what_the_scalar_solver_raises(self, ns, eps, sigma2):
+        with pytest.raises(Exception) as ref:
+            [_scalar_ml_solve(n, eps, sigma2) for n in ns]
+        with pytest.raises(type(ref.value)):
+            nld_eps_achievable_curve(ns, eps, sigma2)
+        with pytest.raises(type(ref.value)):
+            [nld_eps_achievable(n, eps, sigma2) for n in ns]
+
+    def test_curve_on_no_dimensions(self):
+        assert nld_eps_achievable_curve([], 0.01, 1.0) == []
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-6, 1e-12])
+    def test_curve_evaluation_budget(self, monkeypatch, eps):
+        # On the benchmark's 50-n chunks the lockstep solve takes at most 9
+        # bound_curves calls, and evaluates the ML bound at exactly as many
+        # points as the scalar solver does: at most 5.5 per solve at eps = 0.01.
+        evals = {"rounds": 0, "curve": 0, "scalar": 0}
+
+        def curves(n, nld, sigma2, kinds, _curves=dispersion.bound_curves):
+            evals["rounds"] += 1
+            evals["curve"] += len(n)
+            return _curves(n, nld, sigma2, kinds)
+
+        def scalar(point):
+            evals["scalar"] += 1
+            return ml_bound(point)
+
+        monkeypatch.setattr(dispersion, "bound_curves", curves)
+        for lo in range(2, 2001, 50):
+            ns = range(lo, min(lo + 49, 2000) + 1)
+            evals["rounds"] = 0
+            nld_eps_achievable_curve(ns, eps, 1.0)
+            assert evals["rounds"] <= 9, (lo, evals)
+            for n in ns:
+                _scalar_ml_solve(n, eps, 1.0, scalar)
+        assert evals["curve"] == evals["scalar"]
+        if eps == 1e-2:
+            assert evals["curve"] / 1999 <= 5.5
 
     def test_converse_at_zero_tolerance(self):
         # The first step is at least float resolution, so tol = 0 still
@@ -348,6 +431,21 @@ class TestLatticeSnr:
         ref = lattice_snr_rho(ChannelPoint(57, -1.6, 1.0))
         assert lattice_snr_rho(p) == pytest.approx(ref, rel=1e-12)
         assert terms(p).rho_star == pytest.approx(ref, rel=1e-12)
+
+    def test_inf_past_double_range(self):
+        # r_eff/sigma itself overflows at delta = -800.
+        assert lattice_snr_rho(ChannelPoint(4, -800.0, 1.0)) == math.inf
+
+    def test_finite_where_only_r_eff_squared_overflows(self):
+        # ln rho = 700 at n = 10^6, where r_eff^2 is about e^714.
+        n = 10**6
+        d = -0.5 * (700.0 + math.log(n)) - log_vn(n) / n
+        assert lattice_snr_rho(ChannelPoint(n, d, 1.0)) == pytest.approx(math.exp(700.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(1, -1.5), (4, 300.0), (57, -1.6), (4, -354.0), (10**6, -2.0)])
+    def test_value_unchanged_in_range(self, n, d):
+        s = effective_radius(ChannelPoint(n, d, 1.0))
+        assert lattice_snr_rho(ChannelPoint(n, d, 1.0)) == s * s / n
 
     def test_tends_to_vnr(self):
         # rho/mu = (n pi)^(1/n) (1 + O(1/n^2)): 0.81% at n=1000, shrinking
