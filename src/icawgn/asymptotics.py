@@ -42,7 +42,7 @@ from .bounds import (
     delta_cr,
     delta_star,
 )
-from .specfn import LogProb, log_add
+from .specfn import _LOG_DBL_MAX, LogProb, _exp_or_inf, log_add
 
 __all__ = [
     "AsymptoticTerms",
@@ -112,12 +112,15 @@ class SandwichBounds:
 def exponent_sp(delta: float, sigma2: float) -> float:
     """Sphere-packing (converse) exponent (1/2)[e^(2 D) - 1 - 2 D], D = delta* - delta.
 
-    Zero at and above capacity.  expm1 keeps the quadratic behavior near
-    capacity exact, where the raw form would cancel catastrophically.
+    Zero at and above capacity, inf where e^(2 D) passes double range.
+    expm1 keeps the quadratic behavior near capacity exact, where the raw
+    form would cancel catastrophically.
     """
     d = delta_star(sigma2) - delta
     if d <= 0.0:
         return 0.0
+    if 2.0 * d > _LOG_DBL_MAX:
+        return math.inf
     return 0.5 * (math.expm1(2.0 * d) - 2.0 * d)
 
 
@@ -155,11 +158,11 @@ def _terms(n: np.ndarray, d: float):
     # rho*, Upsilon and Psi over a float array of n (meaningful where n > 2), and
     # the scalar mu, at the NLD d.  s is rounded exactly as the sphere bound
     # rounds it: the sandwiches' logs move by n/2 times any relative change in rho*.
-    s = _math_map(math.exp, -d - _log_vn_curve(n) / n)
+    s = _math_map(_exp_or_inf, -d - _log_vn_curve(n) / n)
     rho = 2.0 * _gamma_arg(s) / n
     upsilon = n * (rho - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
     psi = np.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * np.sqrt(rho))
-    mu = math.exp(2.0 * (_DELTA_STAR_1 - d))
+    mu = _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
     return rho, upsilon, psi, mu
 
 
@@ -220,7 +223,7 @@ def _mu_checked(d: float) -> float:
     gap = _DELTA_STAR_1 - d
     if gap <= 0.0:
         raise ValueError("asymptotic form requires delta < delta*")
-    mu = math.exp(2.0 * gap)
+    mu = _exp_or_inf(2.0 * gap)
     if mu - 1.0 < 1e-15:
         raise AsymptoticSingularity(
             f"mu = {mu!r} is at the mu -> 1 singularity (delta at capacity)")
@@ -291,9 +294,9 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
     or :class:`AsymptoticSingularity`: n <= 2 and delta >= delta* for the
     sandwiches, outside the window for the ML sandwich, and at the mu -> 1
     and mu -> 2 singularities.  Inputs :func:`~icawgn.bounds.bound_curves`
-    rejects raise the same errors here, and an NLD so far below capacity
-    that e^(2(delta*-delta)) overflows raises ``OverflowError`` as the
-    scalar forms do.
+    rejects raise the same errors here.  So far below capacity that
+    e^(2(delta*-delta)) or r_eff passes double range, a form whose log is
+    -inf there is NaN, and the scalar form raises ``ValueError``.
     """
     _check_sigma2(sigma2)
     _check_nld(nld)

@@ -30,6 +30,15 @@ Units of sigma: the bounds depend on (delta, sigma2) only through d = delta +
 (1/2) ln sigma2, and on a radius r only through s = r/sigma.  Public functions
 form d and s once and evaluate at sigma2 = 1, reporting radii as sigma s, so
 any finite sigma2 > 0, subnormals included, gives the sigma2 = 1 result at d.
+
+Past double range: every exponential of an NLD (r_eff/sigma, the Poltyrev
+radius, the density) goes through ``specfn._exp_or_inf``, which is math.exp
+up to the largest double and inf above it, as an underflow is 0.  The
+incomplete gammas are exact at those ends, Q(a, inf) = P(a, 0) = 0 and
+P(a, inf) = Q(a, 0) = 1, so far below capacity the sphere bound is an exact
+zero and the ML bound its first term at r = inf, and far above it the
+bounds are exactly 1, where math.exp would have raised OverflowError.
+Every finite value keeps its bits.
 """
 
 import functools
@@ -44,7 +53,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc
 
 from .specfn import (
+    _LOG_DBL_MAX,
     LogProb,
+    _exp_or_inf,
     log_add,
     log_reg_gamma_lower,
     log_reg_gamma_tail,
@@ -91,7 +102,6 @@ def _check_nld(delta: float) -> None:
 # The largest dimension: the array paths hold n in numpy's int64.
 _MAX_DIM = 2**63 - 1
 
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 _DELTA_STAR_1 = -0.5 * math.log(2.0 * math.pi * math.e)   # delta* at sigma2 = 1
 
 
@@ -123,7 +133,7 @@ class ChannelPoint:
     @property
     def density(self) -> float:
         """Constellation density gamma = e^(n delta) per unit volume, inf past double range."""
-        return math.inf if self.n * self.nld > _LOG_DBL_MAX else math.exp(self.n * self.nld)
+        return _exp_or_inf(self.n * self.nld)
 
 
 def _unit_nld(point: ChannelPoint) -> float:
@@ -186,12 +196,12 @@ def effective_radius(point: ChannelPoint) -> float:
 
 def _unit_radius(n: int, d: float) -> float:
     # r_eff / sigma at the NLD d in units of sigma.
-    return math.exp(-d - log_vn(n) / n)
+    return _exp_or_inf(-d - log_vn(n) / n)
 
 
 def poltyrev_radius(point: ChannelPoint) -> float:
     """The classical suboptimal decoding radius sqrt(n) sigma e^(delta* - delta)."""
-    s = math.sqrt(point.n) * math.exp(_DELTA_STAR_1 - _unit_nld(point))
+    s = math.sqrt(point.n) * _exp_or_inf(_DELTA_STAR_1 - _unit_nld(point))
     return math.sqrt(point.sigma2) * s
 
 
@@ -221,9 +231,9 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     if not (v > 0.0):
         raise ValueError(f"volume must be > 0, got {v}")
     _check_sigma2(sigma2)
-    # ln s^2 of the ball's radius in units of sigma; past double range Q(n/2, s^2/2) is 0.0.
+    # ln s^2 of the ball's radius in units of sigma.
     log_s2 = 2.0 * (math.log(v) - log_vn(n)) / n - math.log(sigma2)
-    return 0.0 if log_s2 > _LOG_DBL_MAX else reg_gamma_upper(0.5 * n, 0.5 * math.exp(log_s2))
+    return reg_gamma_upper(0.5 * n, 0.5 * _exp_or_inf(log_s2))
 
 
 def _ml_first_term(n: int, d: float, s: float) -> LogProb:
@@ -279,10 +289,7 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
 def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
     """The ML bound evaluated at the classical radius sqrt(n) sigma e^(delta*-delta)."""
     n, d = point.n, _unit_nld(point)
-    s = math.sqrt(n) * math.exp(_DELTA_STAR_1 - d)
-    if not s > 0.0:
-        raise ValueError(f"Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows "
-                         f"at delta = {point.nld}")
+    s = math.sqrt(n) * _exp_or_inf(_DELTA_STAR_1 - d)
     total = log_add(_ml_first_term(n, d, s), _log_norm_tail(n, s))
     return BoundValue(kind="poltyrev_r", log_value=total,
                       radius_used=math.sqrt(point.sigma2) * s, clamped=total.log_value > 0.0)
@@ -375,7 +382,7 @@ def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCur
         ml_terms = (n * d + log_vn + 0.5 * n * math.log(2.0)
                     + _math_map(math.lgamma, n) - _math_map(math.lgamma, a))
     if "sphere" in kinds or "ml" in kinds:
-        s = _math_map(math.exp, -d - log_vn / n)   # _unit_radius
+        s = _math_map(_exp_or_inf, -d - log_vn / n)   # _unit_radius
         x = _gamma_arg(s)
         logs["sphere"] = log_reg_gamma_tail(a, x, upper=True)
         if "ml" in kinds:
@@ -389,9 +396,7 @@ def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCur
             n * d + log_vn + n * _math_map(math.log, s),
             log_reg_gamma_tail(a, _gamma_arg(s), upper=True))
     if "poltyrev" in kinds:
-        s = np.sqrt(n) * _math_map(math.exp, np.atleast_1d(_DELTA_STAR_1 - d))
-        _reject_first(~(s > 0.0), nld, n,
-                      "Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows at delta = {}")
+        s = np.sqrt(n) * _math_map(_exp_or_inf, np.atleast_1d(_DELTA_STAR_1 - d))
         x = _gamma_arg(s)
         logs["poltyrev"] = _ml_log(n, ml_terms, x, log_reg_gamma_tail(a, x, upper=True))
     return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
@@ -402,6 +407,9 @@ _QUAD_MIN_NODES = 16
 # The section integrals up to r/sigma = 100 converge by 512 nodes.
 _QUAD_MAX_NODES = 512
 _QUAD_REL_TOL = 1e-11
+# The rule stops once two estimates differ by less than the smallest normal
+# double, so its relative tolerance holds only for integrals above this.
+_QUAD_MIN_VALUE = sys.float_info.min / _QUAD_REL_TOL
 
 
 def integrate_adaptive(f, a: float, b: float) -> float:
@@ -480,6 +488,10 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     return integrate_adaptive(lambda t: _section_density(t, n, s), 0.0, math.acos(0.5 * w / r))
 
 
+# Past it the two sides of the identity drift apart by more than 1e-12.
+_MAX_EQUIV_DIM = 400
+
+
 def equivalence_sides(n: int, r: float, sigma2: float):
     """Both sides of the section-integral identity
 
@@ -492,21 +504,34 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     The right side is the ML bound's radial term in closed form, taken in
     the log domain: (2 sigma2)^(n/2) Gamma(n) / Gamma(n/2) P(n, r^2 / 2 sigma2).
     For n = 2..8 and sigma2 in {0.5, 1} the two sides agree to 3.3e-14
-    relative up to r/sigma = 100 (mpmath oracle).  r/sigma is limited as in
-    :func:`d_section_prob`.  The range 2..8 is the one the identity is
-    checked over, not a numerical limit: past it the left side stays within
-    6e-14 up to n = 200 while (2r)^n, a linear power, does not overflow.
-    A radius whose right side, of order r^(2n), is not a normal double, or
-    whose (2r)^n overflows (above about 1e38 at n = 8), is rejected.
+    relative up to r/sigma = 100 (mpmath oracle).  Over random (n, r, sigma2)
+    with r/sigma in [0.05, 100], the worst measured discrepancy between the
+    two sides is 3.4e-14 for n = 2..8, 4.2e-13 for 9..100, 5.9e-13 for
+    101..200 and 7.8e-13 for 201..400; it passes 1e-12 from about n = 450
+    (1.2e-12 at n = 467, where the right side, an exp of logs of size
+    n ln n, is 9.7e-13 off mpmath and the left 2.1e-13), so n is capped at
+    400.  r/sigma is limited as in
+    :func:`d_section_prob`.  A radius is rejected where the right side, of
+    order r^(2n), is not a normal double; where (2r)^n or the right side
+    overflows (above about r = 1e38 at n = 8); and where the angle integral,
+    the right side over (2r)^n, is below 2.2e-297 (the smallest normal double
+    over the rule's 1e-11 tolerance), since the rule stops on an absolute
+    change below the smallest normal double.  That last limit binds from
+    about n = 80 at small r/sigma; at n = 400 it leaves about [4.6, 67].
     """
-    if not (2 <= n <= 8):
-        raise ValueError(f"equivalence check supports n in 2..8, got {n}")
+    if not (2 <= n <= _MAX_EQUIV_DIM):
+        raise ValueError(f"equivalence check supports n in 2..{_MAX_EQUIV_DIM}, got {n}")
     s = _check_section_radius(r, sigma2)
     log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
                - math.lgamma(0.5 * n) + log_reg_gamma_lower(float(n), _gamma_arg(s)).log_value)
     if not log_rhs >= math.log(sys.float_info.min):
         raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
                          f"identity, of order r^(2n), underflows a double")
+    if not log_rhs - n * math.log(2.0 * r) >= math.log(_QUAD_MIN_VALUE):
+        raise ValueError(f"r = {r:g} is out of range at n = {n}: the angle integral, the right "
+                         f"side of the identity over (2r)^n, is below {_QUAD_MIN_VALUE:.3g} "
+                         f"(the smallest normal double / 1e-11), where the quadrature "
+                         f"loses its relative accuracy")
     if max(n * math.log(2.0 * r), log_rhs) > _LOG_DBL_MAX:
         raise ValueError(f"r = {r:g} is too large at n = {n}: (2r)^n or the right side "
                          f"of the identity overflows a double")

@@ -62,7 +62,10 @@ def _emit(table: dict[str, list], fmt: str, out_path: str | None) -> None:
         rows = zip(*(map(str, col) for col in table.values()))
         lines = [",".join(table), *map(",".join, rows)]
     else:
-        lines = [json.dumps(dict(zip(table, row))) for row in zip(*table.values())]
+        # RFC 8259 has no NaN or Infinity: a non-finite cell is written as null.
+        lines = [json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                             for k, v in zip(table, row)}, allow_nan=False)
+                 for row in zip(*table.values())]
     text = "\n".join(lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -215,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("equiv", help="section-integral equivalence residuals")
-    p.add_argument("--n", required=True, help="single dimension in 2..8")
+    p.add_argument("--n", required=True, help="single dimension in 2..400")
     p.add_argument("--r", required=True, help="comma list of radii")
     common(p)
     p.set_defaults(func=_cmd_equiv)

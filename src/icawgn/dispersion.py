@@ -24,7 +24,7 @@ from .bounds import (ChannelPoint, _check_nld, _check_sigma2, _unit_nld, _unit_r
                      bound_curves, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
-from .specfn import LogProb, log_vn, q_func, q_func_inv
+from .specfn import LogProb, _exp_or_inf, log_vn, q_func, q_func_inv
 
 __all__ = [
     "InversionResult",
@@ -248,9 +248,9 @@ def _achievable_solves(ns, eps: float, sigma2: float, tol: float) -> list[Invers
 
 
 def vnr_from_nld(delta: float, sigma2: float) -> float:
-    """Volume-to-noise ratio mu = e^(2(delta* - delta))."""
+    """Volume-to-noise ratio mu = e^(2(delta* - delta)), inf past double range."""
     _check_nld(delta)
-    return math.exp(2.0 * (delta_star(sigma2) - delta))
+    return _exp_or_inf(2.0 * (delta_star(sigma2) - delta))
 
 
 def vnr_opt_approx(n: int, eps: float) -> float:
@@ -268,10 +268,7 @@ def gap_db(delta: float, sigma2: float) -> float:
 def lattice_snr_rho(point: ChannelPoint) -> float:
     """Squared effective-radius-to-noise ratio r_eff^2 / (n sigma2); converges
     to the VNR as n grows.  inf past double range."""
-    try:
-        s = _unit_radius(point.n, _unit_nld(point))
-    except OverflowError:
-        return math.inf
+    s = _unit_radius(point.n, _unit_nld(point))
     return s * s / point.n if s < 1e154 else s * (s / point.n)   # s^2 alone overflows past 1.3e154
 
 

@@ -390,8 +390,10 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
 
     A probe is accepted when its Clopper-Pearson interval contains eps;
     the accepted scale is then re-estimated once with 4x the probe trials.
-    The error probability is strictly decreasing in the scale, so geometric
-    bisection on the probe means converges.
+    The error probability is strictly decreasing in the scale, so each
+    rejected probe moves one end of the bracket [s_lo, s_hi], which starts
+    at [0, inf): the next probe doubles s_lo while s_hi is infinite, halves
+    s_hi while s_lo is zero, and bisects geometrically once both are set.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -414,30 +416,23 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
                                  estimate=est, probes=probes)
 
     # Start at the capacity-matched scale (NLD = delta*), where errors are
-    # plentiful, and expand geometrically to bracket the target.
-    s_lo = math.exp(-spec.log_det / spec.dim - delta_star(sigma2))
-    e_lo = probe(s_lo, trials_per_probe)
-    while e_lo.p_hat <= eps and probes < max_probes:
-        if e_lo.ci_low <= eps <= e_lo.ci_high:
-            return finish(s_lo)
-        s_lo /= 2.0
-        e_lo = probe(s_lo, trials_per_probe)
-    s_hi = 2.0 * s_lo
-    e_hi = probe(s_hi, trials_per_probe)
-    while e_hi.p_hat >= eps and probes < max_probes:
-        if e_hi.ci_low <= eps <= e_hi.ci_high:
-            return finish(s_hi)
-        s_hi *= 2.0
-        e_hi = probe(s_hi, trials_per_probe)
+    # plentiful; double or halve until the target is bracketed, then bisect.
+    s_lo, s_hi = 0.0, math.inf
+    s = math.exp(-spec.log_det / spec.dim - delta_star(sigma2))
     while probes < max_probes:
-        s_mid = math.sqrt(s_lo * s_hi)
-        est = probe(s_mid, trials_per_probe)
+        est = probe(s, trials_per_probe)
         if est.ci_low <= eps <= est.ci_high:
-            return finish(s_mid)
+            return finish(s)
         if est.p_hat > eps:
-            s_lo = s_mid
+            s_lo = s
         else:
-            s_hi = s_mid
+            s_hi = s
+        if s_hi == math.inf:
+            s = 2.0 * s_lo
+        elif s_lo == 0.0:
+            s = s_hi / 2.0
+        else:
+            s = math.sqrt(s_lo * s_hi)
     raise ArithmeticError(
         f"scale search did not converge after {probes} probes "
         f"(bracket [{s_lo:.6g}, {s_hi:.6g}]); raise trials_per_probe")

@@ -15,6 +15,7 @@ relative accuracy in the log domain.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,15 @@ _LINEAR_MIN = 1e-300
 _SCIPY_SERIES_MAX_A = 1e5
 _LARGE_A_LOWER_MIN = 1e-2
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _exp_or_inf(v: float) -> float:
+    # e^v, or inf past double range (math.exp raises there).  math.exp of
+    # _LOG_DBL_MAX is finite and of the next double up overflows, so every
+    # finite result is math.exp's own.
+    return math.inf if v > _LOG_DBL_MAX else math.exp(v)
+
 
 @dataclass(frozen=True)
 class LogProb:
@@ -94,10 +104,10 @@ class LogProb:
 
     @property
     def linear(self) -> float:
-        """Plain exp of the log value (0 for exact zeros, unclamped)."""
+        """Plain exp of the log value (0 for exact zeros, inf past double range, unclamped)."""
         if self.is_zero:
             return 0.0
-        return math.exp(self.log_value)
+        return _exp_or_inf(self.log_value)
 
     @property
     def probability(self) -> float:

@@ -44,6 +44,12 @@ class TestExponents:
         assert exponent_sp(DS, 1.0) == 0.0
         assert exponent_sp(DS + 0.3, 1.0) == 0.0
 
+    def test_sp_inf_past_double_range(self):
+        # e^(2 D) overflows from D = ln(DBL_MAX)/2 = 354.89 on; the exponent
+        # below that, at D = 354, is still finite.
+        assert exponent_sp(-400.0, 1.0) == math.inf
+        assert math.isfinite(exponent_sp(DS - 354.0, 1.0))
+
     def test_sp_at_critical(self):
         assert exponent_sp(DCR, 1.0) == pytest.approx(0.5 * (1.0 - math.log(2.0)), rel=1e-14)
 
@@ -415,11 +421,18 @@ class TestAsymCurves:
             asym_curves(n, -1.5, 1.0)
 
     def test_overflow_far_below_capacity_is_raised(self):
-        # e^(2(delta*-delta)) overflows: the scalar forms raise OverflowError too.
-        with pytest.raises(OverflowError):
+        # e^(2(delta*-delta)) and r_eff^2 pass double range and saturate to inf:
+        # E_sp = inf, so the sphere forms' logs are -inf, which the scalar form
+        # raises as a ValueError and asym_curves reports as NaN.  The ML form
+        # below critical, -n E_r - ln(2 pi n)/2, stays finite.
+        with pytest.raises(ValueError):
             sphere_asymptotic(ChannelPoint(5, -400.0, 1.0))
-        with pytest.raises(OverflowError):
-            asym_curves([5], -400.0, 1.0)
+        curves = asym_curves([5], -400.0, 1.0)
+        for key in ("sphere_lower_q", "sphere_lower", "sphere_upper", "sphere_asym"):
+            assert math.isnan(curves[key][0]), key
+        er = (DS + 400.0) + 0.5 * math.log(math.e / 4.0)
+        assert curves["ml_asym"][0] == pytest.approx(-5.0 * er - 0.5 * math.log(10.0 * math.pi),
+                                                     rel=1e-14)
 
 
 class TestUbLbRatio:

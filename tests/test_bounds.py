@@ -265,6 +265,12 @@ class TestMlBound:
         tight = ml_bound(ChannelPoint(512, -1.5, 1.0))
         assert not tight.clamped and tight.value < 1.0
 
+    def test_vacuous_bound_past_double_range_clamps_to_one(self):
+        # gamma V_n r^n = e^(1000 + 100 ln 5 + ln V_100) passes the largest
+        # double: the linear value saturates to inf and clamps to 1.
+        vac = ml_bound(ChannelPoint(100, 10.0, 1.0), r=5.0)
+        assert vac.log_raw > 709.8 and vac.clamped and vac.value == 1.0
+
 
 class TestTypicalityBound:
     def test_default_radius_at_half_nat_gap(self):
@@ -434,9 +440,28 @@ class TestEquivalence:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            equivalence_check(9, 1.0, 1.0)
+            equivalence_check(401, 10.0, 1.0)
         with pytest.raises(ValueError):
             equivalence_check(1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [9, 50, 200])
+    def test_both_sides_match_mpmath_past_eight_dimensions(self, n):
+        # (2 s2)^(n/2) Gamma(n) / Gamma(n/2) P(n, r^2 / 2 s2) at r = s2 = 1.
+        with mpmath.workdps(40):
+            ref = float(mpmath.power(2, mpmath.mpf(n) / 2) * mpmath.gamma(n)
+                        / mpmath.gamma(mpmath.mpf(n) / 2)
+                        * mpmath.gammainc(n, 0, mpmath.mpf(1) / 2, regularized=True))
+        lhs, rhs = equivalence_sides(n, 1.0, 1.0)
+        assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_rejects_an_angle_integral_below_the_quadrature_floor(self):
+        # At n = 250, r = sigma = 1 the right side is 3.8e-248, a normal
+        # double, but over 2^250 it is 2.1e-323, where the rule's stopping
+        # test, an absolute change below the smallest normal double, is no
+        # longer relative: unchecked, the two sides differ by 0.18.
+        with pytest.raises(ValueError, match="the angle integral"):
+            equivalence_sides(250, 1.0, 1.0)
 
 
 class TestCrossBoundInvariants:
@@ -474,6 +499,23 @@ _SCALAR_BOUNDS = {"sphere": sphere_bound, "ml": ml_bound, "typicality": typicali
                   "poltyrev": poltyrev_ml_bound}
 
 
+def _exact_limit(n, nld, kind):
+    # ln of a bound at sigma2 = 1 past double range, from mpmath.  At delta =
+    # -800 r_eff/sigma passes the largest double, Q(n/2, inf) = 0 and P(n, inf)
+    # = 1: the sphere bound is an exact zero and the ML bound its first term,
+    # n delta + ln V_n + (n/2) ln 2 + ln Gamma(n) - ln Gamma(n/2).  At +800
+    # every radius underflows to 0, P(n, 0) = 0 and Q(n/2, 0) = 1.
+    if nld > 0.0:
+        return 0.0
+    if kind == "sphere":
+        return -math.inf
+    with mpmath.workdps(30):
+        m = mpmath.mpf(n)
+        log_vn = m / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(m / 2 + 1)
+        return float(m * nld + log_vn + m / 2 * mpmath.log(2)
+                     + mpmath.loggamma(m) - mpmath.loggamma(m / 2))
+
+
 class TestBoundCurves:
     """The array path against the scalar bounds it stands in for."""
 
@@ -505,25 +547,33 @@ class TestBoundCurves:
 
     @pytest.mark.parametrize("nld, kind, exc", [
         (0.3, "typicality", ValueError),    # 1 + 2(delta* - delta) <= 0
+        # Past double range, where these raised exc until the radius saturated,
+        # both paths return the bound's exact limit.
         (800.0, "poltyrev", ValueError),    # the radius underflows to 0
         (-800.0, "sphere", OverflowError),  # r_eff overflows
         (-800.0, "ml", OverflowError),
         (-800.0, "poltyrev", OverflowError),
     ])
     def test_rejects_what_the_scalar_bound_rejects(self, nld, kind, exc):
-        with pytest.raises(exc):
-            _SCALAR_BOUNDS[kind](ChannelPoint(4, nld, 1.0))
-        with pytest.raises(exc):
-            bound_curves([4], nld, 1.0, [kind])
+        try:
+            ref = _SCALAR_BOUNDS[kind](ChannelPoint(4, nld, 1.0)).log_raw
+        except exc:
+            assert kind == "typicality"
+            with pytest.raises(exc):
+                bound_curves([4], nld, 1.0, [kind])
+        else:
+            assert ref == pytest.approx(_exact_limit(4, nld, kind), rel=1e-14)
+            assert bound_curves([4], nld, 1.0, [kind])[kind].log_value[0] == ref
 
     @pytest.mark.parametrize("evaluate", [
-        pytest.param(lambda: poltyrev_ml_bound(ChannelPoint(4, 800.0, 1.0)), id="scalar"),
-        pytest.param(lambda: bound_curves([4], 800.0, 1.0, ["poltyrev"]), id="curves")])
+        pytest.param(lambda: poltyrev_ml_bound(ChannelPoint(4, 800.0, 1.0)).log_raw, id="scalar"),
+        pytest.param(lambda: bound_curves([4], 800.0, 1.0, ["poltyrev"])["poltyrev"].log_value[0],
+                     id="curves")])
     def test_poltyrev_radius_underflow_is_named(self, evaluate):
-        # The caller gave no radius, so the message names the one that underflows.
-        with pytest.raises(ValueError, match=re.escape(
-                "Poltyrev radius sqrt(n) sigma e^(delta* - delta) underflows at delta = 800.0")):
-            evaluate()
+        # poltyrev_radius names the radius that underflows, 0.0; there P(n, 0) = 0
+        # and Q(n/2, 0) = 1, so the bound is exactly 1, as sphere and ML are.
+        assert poltyrev_radius(ChannelPoint(4, 800.0, 1.0)) == 0.0
+        assert evaluate() == 0.0
 
     @pytest.mark.parametrize("n, nld, sigma2, kinds", [
         ([0, 1], -1.5, 1.0, CURVE_KINDS),
@@ -561,11 +611,20 @@ class TestBoundCurves:
     @pytest.mark.parametrize("bad_nld, kind, exc, message", [
         (math.nan, "sphere", ValueError, "NLD must be finite, got nan at n = 3"),
         (0.3, "typicality", ValueError, "1 + 2(delta* - delta) = -2.4378770664093454 <= 0 at n = 3"),
+        # These raised exc with this message until the radius saturated; the
+        # element now takes the bound's exact limit.
         (800.0, "poltyrev", ValueError, "underflows at delta = 800.0 at n = 3"),
         (-800.0, "ml", OverflowError, "math range error"),
     ])
     def test_array_nld_rejects_one_bad_element_by_name(self, bad_nld, kind, exc, message):
         nlds = [-1.5, -1.6, bad_nld, -1.7]
+        if abs(bad_nld) == 800.0:
+            got = bound_curves([1, 2, 3, 4], nlds, 1.0, [kind])[kind].log_value
+            assert got[2] == pytest.approx(_exact_limit(3, bad_nld, kind), rel=1e-14)
+            assert got.tolist() == [bound_curves([n], nld, 1.0, [kind])[kind].log_value[0]
+                                    for n, nld in zip([1, 2, 3, 4], nlds)]
+            assert bound_curves([3], [-1.5, bad_nld], 1.0, [kind])[kind].log_value[1] == got[2]
+            return
         with pytest.raises(exc, match=re.escape(message)):
             bound_curves([1, 2, 3, 4], nlds, 1.0, [kind])
         # One n broadcast against several NLDs.

@@ -91,9 +91,41 @@ class TestBoundsEdgeContract:
     """Exit status and stderr of `bounds` at the edges of its domain."""
 
     def test_radius_overflow_is_numerical_failure(self, capsys):
-        code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "-800")
-        assert code == 1 and out == ""
-        assert err.startswith("error: numerical:")
+        # r_eff/sigma passes the largest double at -800 and saturates to inf, so
+        # this is no numerical failure: the sphere bound is an exact zero and the
+        # ML bound its first term at r = inf, n delta + ln V_n + (n/2) ln 2
+        # + ln Gamma(n) - ln Gamma(n/2) = -800 n + ln(pi^2 / 2) + 2 ln 2 + ln 6.
+        code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "-800",
+                                 "--which", "sphere,ml")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[0]["sphere"] == "0.0" and rows[0]["sphere_log"] == "-inf"
+        ref = -3200.0 + math.log(math.pi ** 2 / 2.0) + 2.0 * math.log(2.0) + math.log(6.0)
+        assert float(rows[0]["ml_log"]) == pytest.approx(ref, rel=1e-15)
+
+    def test_poltyrev_radius_underflow_gives_exact_one(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "800",
+                                 "--which", "poltyrev")
+        assert code == 0 and err == ""
+        assert out == "n,poltyrev,poltyrev_log\n4,1.0,0.0\n"
+
+    def test_asym_past_double_range_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "asym", "--n", "3:6", "--nld", "-800")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r["sphere_log"] for r in rows] == ["-inf"] * 4
+        assert all(math.isfinite(float(r["ml_log"])) for r in rows)
+
+    def test_invert_at_1e_300_exits_0(self, capsys):
+        # The achievable search at n = 1 walks past delta = -710, where r_eff
+        # saturates; every row still solves.
+        code, out, err = run_cli(capsys, "invert", "--n", "1:300", "--eps", "1e-300")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 300
+        for r in rows:
+            conv, ach = float(r["delta_converse"]), float(r["delta_achievable"])
+            assert math.isfinite(ach) and ach <= conv, r["n"]
 
     def test_radius_underflow_gives_exact_values(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "800",
@@ -102,7 +134,7 @@ class TestBoundsEdgeContract:
         assert out == "n,sphere,sphere_log,ml,ml_log\n4,1.0,0.0,1.0,0.0\n"
 
     @pytest.mark.parametrize("argv", [
-        ["--n", "4", "--nld", "800", "--which", "poltyrev"],   # radius underflows to 0
+        ["--n", "4", "--nld", "inf"],                           # NLD not finite
         ["--n", "4", "--nld", "0.3"],                           # typicality radicand <= 0
         ["--n", "1:400:50", "--nld", "0.3"],
         ["--n", "0", "--nld", "-1.5"],
@@ -292,11 +324,12 @@ class TestEquivCommand:
 
     def test_out_of_range_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["equiv", "--n", "9", "--r", "1.0"])
+            main(["equiv", "--n", "401", "--r", "10"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("n, r, message", [
-        ("1", "1.0", "n in 2..8"), ("9", "1.0", "n in 2..8"),
+        ("1", "1.0", "n in 2..400"), ("401", "1.0", "n in 2..400"),
+        ("250", "1.0", "the angle integral"),
         ("3", "0", "radius must be finite and > 0"), ("3", "-1", "radius must be finite and > 0"),
         ("3", "1,0", "radius must be finite and > 0")])
     def test_library_domain_errors_are_usage_errors(self, n, r, message, capsys):
@@ -384,6 +417,7 @@ class TestOutputPlumbing:
         ["simulate", "--lattice", "A2", "--sigma2", "0.1", "--trials", "2000", "--seed", "3"],
         ["simulate", "--lattice", "Z1", "--target-eps", "0.1", "--trials", "2000", "--seed", "3"],
         ["equiv", "--n", "3", "--r", "0.5,1"],
+        ["bounds", "--n", "4", "--nld", "-800"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_json_and_csv_carry_the_same_table(self, argv, capsys):
         code, csv_out, _ = run_cli(capsys, *argv)
@@ -391,12 +425,18 @@ class TestOutputPlumbing:
         header, rows = parse_csv(csv_out)
         code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        records = [json.loads(line) for line in json_out.strip().split("\n")]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+        records = [json.loads(line, parse_constant=reject)
+                   for line in json_out.strip().split("\n")]
         assert len(records) == len(rows)
         for record, row in zip(records, rows):
             assert list(record) == header
-            # json reads NaN back as a float nan, whose str is the CSV's "nan".
-            assert {k: str(v) for k, v in record.items()} == row
+            # A non-finite cell is null in JSON and nan, inf or -inf in the CSV.
+            assert {k: row[k] if v is None and row[k] in ("nan", "inf", "-inf") else str(v)
+                    for k, v in record.items()} == row
 
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:

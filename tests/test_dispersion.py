@@ -319,7 +319,7 @@ class TestInversion:
                 assert abs(math.expm1(res.bound_value.log_value - math.log(eps))) <= 1e-10 / eps
 
     @pytest.mark.parametrize("ns, eps, sigma2", [
-        ([4, 1], 1e-300, 1.0),         # r_eff overflows at n = 1
+        ([1, 0], 1e-300, 1.0),         # n = 1 solves (r_eff saturates on the way); n = 0 does not
         ([4, 0], 0.01, 1.0),
         ([4, 2**63], 0.01, 1.0),
         ([4, 2.5], 0.01, 1.0),
@@ -335,6 +335,20 @@ class TestInversion:
             nld_eps_achievable_curve(ns, eps, sigma2)
         with pytest.raises(type(ref.value)):
             [nld_eps_achievable(n, eps, sigma2) for n in ns]
+
+    def test_solves_where_r_eff_passes_double_range(self):
+        # At n = 1 and eps = 1e-300 the bracket walk passes delta = -710, where
+        # r_eff saturates to inf.  The root is where the ML bound's first term,
+        # e^delta V_1 sqrt(2) Gamma(1) / Gamma(1/2), is eps (the tail Q(1/2, x)
+        # is below 1e-300 there): delta = ln eps - ln(2 sqrt(2 / pi)).
+        res = nld_eps_achievable(1, 1e-300, 1.0)
+        root = math.log(1e-300) - math.log(2.0 * math.sqrt(2.0 / math.pi))
+        assert res.delta == pytest.approx(root, rel=1e-14)
+        assert abs(math.expm1(res.bound_value.log_value - math.log(1e-300))) <= 1e-10
+        assert res.bracket_width <= 1e-10
+        ref = _scalar_ml_solve(1, 1e-300, 1.0)
+        assert abs(res.delta - ref.delta) <= 2e-10
+        assert nld_eps_achievable_curve([4, 1], 1e-300, 1.0)[1] == res
 
     def test_curve_on_no_dimensions(self):
         assert nld_eps_achievable_curve([], 0.01, 1.0) == []
@@ -386,6 +400,9 @@ class TestVnrAndGaps:
         assert vnr_from_nld(DS, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert vnr_from_nld(delta_cr(1.0), 1.0) == pytest.approx(2.0, rel=1e-14)
         assert vnr_from_nld(-1.5, 1.0) == pytest.approx(1.1760048028, abs=1e-9)
+
+    def test_vnr_inf_past_double_range(self):
+        assert vnr_from_nld(-800.0, 1.0) == math.inf
 
     def test_vnr_opt_consistency_with_nld_expansion(self):
         for n in (100, 300, 1000, 10000):

@@ -367,6 +367,27 @@ class TestFindScale:
         assert res.scale == pytest.approx(2.0 * q_func_inv(0.005), rel=0.05)
         assert res.delta == pytest.approx(-math.log(res.scale), rel=1e-12)
 
+    @pytest.mark.parametrize("eps, searched", [(0.038, 1), (1e-6, None)])
+    def test_each_probe_narrows_the_bracket(self, monkeypatch, eps, searched):
+        # A deterministic estimator: the Z1 error probability 2Q(s/2) with a
+        # +-5% interval.  At eps = 0.038 the capacity-scale probe (p = 0.0388)
+        # holds eps in its interval and is accepted although p > eps.  At
+        # eps = 1e-6 the search doubles twice: the lower end moves with it,
+        # so no scale is probed twice.
+        scales = []
+
+        def estimate(spec, sigma2, trials, seed, streams):
+            scales.append(spec.scale)
+            p = 2.0 * q_func(spec.scale / 2.0)
+            return lattices.SimEstimate(trials, 0, p, 0.95 * p, 1.05 * p, seed, streams)
+
+        monkeypatch.setattr(lattices, "simulate_error_prob", estimate)
+        res = find_scale_for_error(builtin("Z1"), eps, 1.0, trials_per_probe=10, seed=0)
+        probed = scales[:-1]   # the last call re-estimates the accepted scale
+        assert scales[-1] == res.scale and res.estimate.ci_low <= eps <= res.estimate.ci_high
+        assert len(set(probed)) == len(probed)
+        assert searched is None or len(probed) == searched
+
     def test_smaller_eps_needs_larger_scale(self):
         small = find_scale_for_error(builtin("Z1"), 0.001, 1.0,
                                      trials_per_probe=60000, seed=4)

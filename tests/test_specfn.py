@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from icawgn.specfn import (
     _LINEAR_MIN,
     _SCIPY_SERIES_MAX_A,
     LogProb,
+    _exp_or_inf,
     log_add,
     log_gamma,
     log_reg_gamma_lower,
@@ -49,6 +51,20 @@ class TestLogProb:
 
     def test_probability_clamps(self):
         assert LogProb(0.7).probability == 1.0
+        # Past double range the linear value saturates to inf.
+        assert LogProb(1000.0).linear == math.inf and LogProb(1000.0).probability == 1.0
+
+    def test_exp_or_inf_keeps_every_finite_exp(self):
+        # ln DBL_MAX rounds below the exact value: its exp is the largest
+        # finite result, and math.exp of the next double up overflows.
+        top = math.log(sys.float_info.max)
+        assert _exp_or_inf(top) == math.exp(top) < math.inf
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(top, math.inf))
+        assert _exp_or_inf(math.nextafter(top, math.inf)) == math.inf
+        for v in (-800.0, -1.5, 0.0, 1.0, 700.0):
+            assert _exp_or_inf(v) == math.exp(v)
+        assert math.isnan(_exp_or_inf(math.nan))
 
     def test_log_add(self):
         a = LogProb(math.log(0.25))
