@@ -129,7 +129,7 @@ def _cmd_asym(args) -> dict[str, list]:
 def _cmd_invert(args) -> dict[str, list]:
     ds, dcr = bounds.delta_star(args.sigma2), bounds.delta_cr(args.sigma2)
     ns, eps, sigma2 = _parse_n_range(args.n), args.eps, args.sigma2
-    # The ML solves run together, one bound_curves call per round.
+    # The ML solves run together, one array evaluation of the bound per round.
     delta = {"converse": [dispersion.nld_eps_converse(n, eps, sigma2).delta for n in ns],
              "achievable": [r.delta for r in dispersion.nld_eps_achievable_curve(ns, eps, sigma2)],
              "approx": [dispersion.nld_eps_approx(n, eps, sigma2) for n in ns]}

@@ -11,17 +11,20 @@ converse is seeded at its closed form through scipy's inverse of the
 chi-square tail, so the walk only certifies it; the achievable bound is
 seeded from the dispersion expansion.  One coroutine holds the method:
 :func:`_invert_bound` drives it on a scalar bound (the converse), and the
-achievable inversions run one per n in lockstep on ``bound_curves``.
+achievable inversions run one per n in lockstep: each round evaluates the
+ML bound once over every unfinished n, on terms in n alone computed once
+per call.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import cython_special as _cs
 
-from .bounds import (ChannelPoint, _check_nld, _check_sigma2, _unit_nld, _unit_radius,
-                     bound_curves, delta_star, sphere_bound)
+from .bounds import (ChannelPoint, _check_dims, _check_nld, _check_sigma2, _dim_terms,
+                     _sphere_ml_curves, _unit_nld, _unit_radius, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
 from .specfn import LogProb, _exp_or_inf, log_vn, q_func, q_func_inv
@@ -229,16 +232,21 @@ def nld_eps_achievable_curve(ns, eps: float, sigma2: float) -> list[InversionRes
 
 
 def _achievable_solves(ns, eps: float, sigma2: float, tol: float) -> list[InversionResult]:
-    # One solver per n; each round, one bound_curves call feeds every unfinished one.
+    # One solver per n; each round, one _sphere_ml_curves call feeds every
+    # unfinished one, on the n-only terms computed once here.
     _check_sigma2(sigma2)
     ns, shift = list(ns), 0.5 * math.log(sigma2)
     solvers = [_chandrupatla(n, eps, tol, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n, shift)
                for n in ns]
+    if not ns:
+        return []
+    terms = _dim_terms(_check_dims(ns))
     live = {i: next(solver) for i, solver in enumerate(solvers)}   # index -> delta to evaluate
     results = [None] * len(ns)
     while live:
-        logs = bound_curves([ns[i] for i in live], list(live.values()), 1.0, ["ml"])["ml"]
-        for i, log_bound in zip(list(live), logs.log_value.tolist()):
+        t = terms.take(np.fromiter(live, np.intp, len(live)))
+        _, logs = _sphere_ml_curves(t, np.fromiter(live.values(), float, len(live)))
+        for i, log_bound in zip(list(live), logs.tolist()):
             try:
                 live[i] = solvers[i].send(log_bound)
             except StopIteration as done:

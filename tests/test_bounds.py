@@ -637,6 +637,21 @@ class TestBoundCurves:
         with pytest.raises(ValueError):
             bound_curves([1, 2, 3], [-1.5, -1.6], 1.0)
 
+    def test_round_evaluator_is_bound_curves_ml(self):
+        # The lockstep inversion evaluates the ML bound through
+        # _sphere_ml_curves on the n-only terms of the unfinished n; every bit
+        # equals bound_curves' "ml", also on a subset and past double range.
+        rng = np.random.default_rng(19)
+        ns = np.arange(1, 3001)
+        nlds = rng.uniform(-3.0, 0.5, ns.size)
+        nlds[::97], nlds[50::97] = 800.0, -800.0
+        ref = bound_curves(ns, nlds, 1.0, ["ml"])["ml"].log_value
+        terms = bounds._dim_terms(bounds._check_dims(ns))
+        live = np.sort(rng.choice(ns.size, 700, replace=False))
+        for i in (np.arange(ns.size), live, live[:1]):
+            _, got = bounds._sphere_ml_curves(terms.take(i), nlds[i])
+            assert got.tobytes() == ref[i].tobytes()
+
 
 class TestUnitsOfSigma:
     """Every entry point at sigma2 equals its sigma2 = 1 value at the shifted NLD

@@ -286,11 +286,11 @@ class TestInversion:
                 return _bound(point)
             monkeypatch.setattr(dispersion, name, counted)
 
-        # The ML solve evaluates the bound through bound_curves, one element each.
-        def curves(n, nld, sigma2, kinds, _curves=dispersion.bound_curves):
-            calls["ml_bound"] += len(n)
-            return _curves(n, nld, sigma2, kinds)
-        monkeypatch.setattr(dispersion, "bound_curves", curves)
+        # The ML solve evaluates the bound through _sphere_ml_curves, one element each.
+        def curves(t, d, _curves=dispersion._sphere_ml_curves):
+            calls["ml_bound"] += len(t.n)
+            return _curves(t, d)
+        monkeypatch.setattr(dispersion, "_sphere_ml_curves", curves)
         dims = range(2, 2001)
         for n in dims:
             before = calls["sphere_bound"]
@@ -356,20 +356,20 @@ class TestInversion:
     @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-6, 1e-12])
     def test_curve_evaluation_budget(self, monkeypatch, eps):
         # On the benchmark's 50-n chunks the lockstep solve takes at most 9
-        # bound_curves calls, and evaluates the ML bound at exactly as many
-        # points as the scalar solver does: at most 5.5 per solve at eps = 0.01.
+        # rounds of _sphere_ml_curves, and evaluates the ML bound at exactly as
+        # many points as the scalar solver does: at most 5.5 per solve at eps = 0.01.
         evals = {"rounds": 0, "curve": 0, "scalar": 0}
 
-        def curves(n, nld, sigma2, kinds, _curves=dispersion.bound_curves):
+        def curves(t, d, _curves=dispersion._sphere_ml_curves):
             evals["rounds"] += 1
-            evals["curve"] += len(n)
-            return _curves(n, nld, sigma2, kinds)
+            evals["curve"] += len(t.n)
+            return _curves(t, d)
 
         def scalar(point):
             evals["scalar"] += 1
             return ml_bound(point)
 
-        monkeypatch.setattr(dispersion, "bound_curves", curves)
+        monkeypatch.setattr(dispersion, "_sphere_ml_curves", curves)
         for lo in range(2, 2001, 50):
             ns = range(lo, min(lo + 49, 2000) + 1)
             evals["rounds"] = 0
@@ -380,6 +380,19 @@ class TestInversion:
         assert evals["curve"] == evals["scalar"]
         if eps == 1e-2:
             assert evals["curve"] / 1999 <= 5.5
+
+    def test_n_only_terms_built_once_per_call(self, monkeypatch):
+        # The lockstep rounds evaluate only what depends on delta.
+        built = []
+
+        def counted(n, _dim_terms=dispersion._dim_terms):
+            built.append(len(n))
+            return _dim_terms(n)
+
+        monkeypatch.setattr(dispersion, "_dim_terms", counted)
+        nld_eps_achievable_curve(range(2, 52), 0.01, 1.0)
+        nld_eps_achievable(10, 0.01, 1.0)
+        assert built == [50, 1]
 
     def test_converse_at_zero_tolerance(self):
         # The first step is at least float resolution, so tol = 0 still

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -375,6 +376,47 @@ class TestArrayKernel:
             ref = np.array([fn(float(ai), float(xi)).log_value for ai, xi in zip(a, x)])
             got = log_reg_gamma_tail(a, x, upper=upper)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), upper
+
+    # (a, x) points that each take one branch, for either tail.
+    _BRANCH_POINTS = {
+        "lower_linear": [(10.0, 5.0), (2e5, 2e5 - 100.0), (0.5, 0.2)],
+        "upper_linear": [(10.0, 15.0), (3.0, 3.0), (0.5, 2.0)],
+        "kummer": [(1000.0, 100.0), (2e5, 1.9e5), (20.0, 1e-20)],
+        "cf": [(10.0, 1000.0), (1000.0, 3000.0), (0.5, 800.0)],
+        "ends": [(3.0, 0.0), (3.0, math.inf), (5e4, 0.0)],
+    }
+
+    @pytest.mark.parametrize("upper", [True, False])
+    @pytest.mark.parametrize("group", [
+        ("lower_linear", "kummer"),    # every x < a
+        ("upper_linear", "cf"),        # every x >= a
+        ("lower_linear", "upper_linear"),
+        ("kummer",), ("cf",), ("ends",), (),
+    ], ids=["x<a", "x>=a", "linear", "kummer", "cf", "ends", "empty"])
+    def test_each_dispatch_matches_a_mixed_array(self, group, upper):
+        # An array whose elements all take one branch skips the splits the
+        # others need; each element keeps the bits it has in a mixed array.
+        mixed = [p for pts in self._BRANCH_POINTS.values() for p in pts]
+        pts = [p for name in group for p in self._BRANCH_POINTS[name]]
+        ref = log_reg_gamma_tail(*np.array(mixed).T, upper=upper)
+        at = [mixed.index(p) for p in pts]
+        a, x = np.array(pts, dtype=float).reshape(-1, 2).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = log_reg_gamma_tail(a, x, upper=upper)
+            grid = log_reg_gamma_tail(a.reshape(-1, 1), x.reshape(-1, 1), upper=upper)
+        assert got.shape == a.shape and grid.shape == (a.size, 1)
+        assert got.tobytes() == grid.tobytes() == ref[at].tobytes()
+
+    @pytest.mark.parametrize("upper", [True, False])
+    @pytest.mark.parametrize("xs", [[[0.0, 1.0, 3.0], [5.0, 40.0, math.inf]],
+                                    [[1e-30, 1.0, 3.0], [5.0, 40.0, 900.0]]],
+                             ids=["ends", "inner"])
+    def test_scalar_shape_against_a_grid_of_x(self, xs, upper):
+        xs = np.array(xs)
+        ref = log_reg_gamma_tail(np.full(xs.size, 3.0), xs.reshape(-1), upper=upper)
+        got = log_reg_gamma_tail(3.0, xs, upper=upper)
+        assert got.shape == xs.shape and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("a, x", [(math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0),
                                       (1.0, -0.5), (1.0, math.nan)])
