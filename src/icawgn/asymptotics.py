@@ -42,7 +42,7 @@ from .bounds import (
     delta_cr,
     delta_star,
 )
-from .specfn import _LOG_DBL_MAX, LogProb, _exp_or_inf, log_add
+from .specfn import _LOG_DBL_MAX, LogProb, _check_dim, _exp_or_inf, log_add
 
 __all__ = [
     "AsymptoticTerms",
@@ -116,6 +116,7 @@ def exponent_sp(delta: float, sigma2: float) -> float:
     expm1 keeps the quadratic behavior near capacity exact, where the raw
     form would cancel catastrophically.
     """
+    _check_nld(delta)
     d = delta_star(sigma2) - delta
     if d <= 0.0:
         return 0.0
@@ -130,6 +131,7 @@ def exponent_r(delta: float, sigma2: float) -> float:
     Equals the sphere-packing exponent on [delta_cr, delta*); below
     delta_cr it is the straight line (delta* - delta) + (1/2) ln(e/4).
     """
+    _check_nld(delta)
     if delta >= delta_cr(sigma2):
         return exponent_sp(delta, sigma2)
     return (delta_star(sigma2) - delta) + ER_LINE_CONSTANT
@@ -137,6 +139,7 @@ def exponent_r(delta: float, sigma2: float) -> float:
 
 def exponent_t(delta: float, sigma2: float) -> float:
     """Typicality exponent D - (1/2) ln(1 + 2 D), D = delta* - delta."""
+    _check_nld(delta)
     d = delta_star(sigma2) - delta
     if 1.0 + 2.0 * d <= 0.0:
         raise ValueError(f"typicality exponent undefined: 1 + 2(delta*-delta) = {1 + 2 * d} <= 0")
@@ -145,10 +148,8 @@ def exponent_t(delta: float, sigma2: float) -> float:
 
 def terms(point: ChannelPoint) -> AsymptoticTerms:
     """The derived quantities rho*, Upsilon, Psi, mu at an evaluation point."""
-    n = point.n
-    if n <= 2:
-        raise ValueError(f"asymptotic terms require n > 2, got {n}")
-    rho, upsilon, psi, mu = _terms(np.array([float(n)]), _unit_nld(point))
+    _check_dim(point.n, 3)
+    rho, upsilon, psi, mu = _terms(np.array([float(point.n)]), _unit_nld(point))
     return AsymptoticTerms(rho_star=float(rho[0]), upsilon=float(upsilon[0]),
                            psi=float(psi[0]), mu=mu)
 
@@ -429,8 +430,7 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     The loose lower form carries a (1 - Upsilon^-2) factor and degrades to
     the trivial zero bound when that factor is nonpositive.
     """
-    if n <= 2:
-        raise ValueError(f"tail integral bounds require n > 2, got {n}")
+    _check_dim(n, 3)
     if not math.isfinite(x):
         raise ValueError(f"tail integral bounds require a finite x, got x={x}")
     if not (x > 1.0 - 2.0 / n):
@@ -457,8 +457,7 @@ class HeadIntegralBounds(NamedTuple):
 def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
     """Closed forms enclosing int_0^x e^(-n rho/2) rho^(n-1) d rho
     for 0 < x < 2 - 2/n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     if not (0.0 < x < 2.0 - 2.0 / n):
         raise ValueError(f"head integral bounds require 0 < x < 2 - 2/n, got x={x}")
     psi = math.sqrt(n) * (2.0 - x + 2.0 / n) / (2.0 * math.sqrt(x))
@@ -477,8 +476,7 @@ def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
 def laplace_head_integral(n: int, x: float) -> float:
     """Laplace-method leading term of int_0^x e^(-n rho/2) rho^(n-1) d rho for x > 2:
     sqrt(2 pi / n) e^(-n) 2^n, independent of x (the peak sits at rho = 2)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     if not (x > 2.0):
         raise ValueError(f"Laplace form requires x > 2, got {x}")
     return math.exp(0.5 * math.log(2.0 * math.pi / n) + n * (math.log(2.0) - 1.0))

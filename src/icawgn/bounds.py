@@ -43,7 +43,6 @@ Every finite value keeps its bits.
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,6 +54,7 @@ from scipy.special import gammainc
 from .specfn import (
     _LOG_DBL_MAX,
     LogProb,
+    _check_dim,
     _exp_or_inf,
     log_add,
     log_reg_gamma_lower,
@@ -99,15 +99,7 @@ def _check_nld(delta: float) -> None:
         raise ValueError(f"NLD must be finite, got {delta}")
 
 
-# The largest dimension: the array paths hold n in numpy's int64.
-_MAX_DIM = 2**63 - 1
-
 _DELTA_STAR_1 = -0.5 * math.log(2.0 * math.pi * math.e)   # delta* at sigma2 = 1
-
-
-def _check_dim_limit(n: int) -> None:
-    if n > _MAX_DIM:
-        raise ValueError(f"dimension must be <= 2^63 - 1 = {_MAX_DIM}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -119,14 +111,7 @@ class ChannelPoint:
     sigma2: float
 
     def __post_init__(self):
-        # Plain ints skip the abstract-class isinstance, which costs more than
-        # the rest of this check: inversions build one point per evaluation.
-        n = self.n
-        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
-            raise ValueError(f"dimension must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        _check_dim_limit(n)
+        _check_dim(self.n)
         _check_sigma2(self.sigma2)
         _check_nld(self.nld)
 
@@ -228,6 +213,7 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     Equals Q(n/2, (v/V_n)^(2/n) / (2 sigma2)); convex in v, which is what
     lets the converse extend to unequal Voronoi cell volumes.
     """
+    _check_dim(n)
     if not (v > 0.0):
         raise ValueError(f"volume must be > 0, got {v}")
     _check_sigma2(sigma2)
@@ -311,16 +297,17 @@ class BoundCurve(NamedTuple):
 
 
 def _check_dims(n) -> np.ndarray:
+    # A 1-d sequence of dimensions, each valid for _check_dim, as floats.
     n = np.asarray(n)
+    if n.shape == (0,):
+        return np.zeros(0)
     # Integers past int64 arrive as uint64 or as Python ints in an object array.
     if n.ndim == 1 and n.dtype.kind in "uO":
         for v in n.tolist():
-            if isinstance(v, numbers.Integral):
-                _check_dim_limit(v)
+            _check_dim(v)
     if n.ndim != 1 or n.dtype.kind not in "iu":
         raise ValueError(f"dimensions must be a 1-d integer array, got {n!r}")
-    if n.size and n.min() < 1:
-        raise ValueError(f"dimension must be >= 1, got {n.min()}")
+    _check_dim(n.min())
     return n.astype(float)
 
 
@@ -410,7 +397,7 @@ def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCur
     _reject_first(~np.isfinite(nld), nld, n, "NLD must be finite, got {}")
     unknown = [k for k in kinds if k not in CURVE_KINDS]
     if unknown:
-        raise ValueError(f"unknown bound kind {unknown[0]!r}")
+        raise ValueError(f"unknown bound kind {unknown[0]!r} (choose from {', '.join(CURVE_KINDS)})")
     t = _dim_terms(_check_dims(n))
     n, a = t.n, t.a
     d = nld + 0.5 * math.log(sigma2)
@@ -508,8 +495,7 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     where the value is half the chi CDF, it is within 1e-12 relative for
     n up to 1000 and r/sigma up to 100 (1.1e-13 measured against mpmath).
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_dim(n, 2)
     s = _check_section_radius(r, sigma2)
     if not (0.0 <= w <= 2.0 * r):
         raise ValueError(f"chord offset must lie in [0, 2r], got w={w}, r={r}")
@@ -549,8 +535,7 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     change below the smallest normal double.  That last limit binds from
     about n = 80 at small r/sigma; at n = 400 it leaves about [4.6, 67].
     """
-    if not (2 <= n <= _MAX_EQUIV_DIM):
-        raise ValueError(f"equivalence check supports n in 2..{_MAX_EQUIV_DIM}, got {n}")
+    _check_dim(n, 2, _MAX_EQUIV_DIM)
     s = _check_section_radius(r, sigma2)
     log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
                - math.lgamma(0.5 * n) + log_reg_gamma_lower(float(n), _gamma_arg(s)).log_value)

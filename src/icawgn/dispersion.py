@@ -27,7 +27,7 @@ from .bounds import (ChannelPoint, _check_dims, _check_nld, _check_sigma2, _dim_
                      _sphere_ml_curves, _unit_nld, _unit_radius, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
-from .specfn import LogProb, _exp_or_inf, log_vn, q_func, q_func_inv
+from .specfn import LogProb, _check_dim, _exp_or_inf, log_vn, q_func, q_func_inv
 
 __all__ = [
     "InversionResult",
@@ -69,11 +69,9 @@ class InversionResult:
     bracket_width: float
 
 
-def _check_eps_dim(eps: float, n: int) -> None:
+def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"error probability must be in (0, 1), got {eps}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
 
 
 def norm_tail_normal_approx(n: int, r: float, sigma2: float):
@@ -82,8 +80,7 @@ def norm_tail_normal_approx(n: int, r: float, sigma2: float):
     Returns (approx, guarantee) with approx = Q((r^2 - n sigma2)/(sigma2 sqrt(2n)))
     and |Pr{||Z|| > r} - approx| <= guarantee = 6 T / sqrt(n).
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     if not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
     _check_sigma2(sigma2)
@@ -103,7 +100,8 @@ def berry_esseen_T() -> float:
 def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
     """Closed-form dispersion expansion of the optimal NLD at error
     probability eps:  delta* - sqrt(1/(2n)) Qinv(eps) + ln(n)/(2n)."""
-    _check_eps_dim(eps, n)
+    _check_eps(eps)
+    _check_dim(n)
     return (delta_star(sigma2) - math.sqrt(0.5 / n) * q_func_inv(eps)
             + 0.5 * math.log(n) / n)
 
@@ -212,7 +210,8 @@ def nld_eps_converse(n: int, eps: float, sigma2: float,
     which moves delta by about 1e-8, past tol; the walk then takes a few
     more evaluations.
     """
-    _check_eps_dim(eps, n)
+    _check_eps(eps)
+    _check_dim(n)
     x = _cs.gammainccinv(0.5 * n, eps)
     seed = -0.5 * math.log(2.0 * x) - log_vn(n) / n
     return _invert_bound(sphere_bound, n, eps, sigma2, tol, "sphere", seed, 0.5 * tol)
@@ -263,7 +262,8 @@ def vnr_from_nld(delta: float, sigma2: float) -> float:
 
 def vnr_opt_approx(n: int, eps: float) -> float:
     """Dispersion expansion of the optimal VNR: 1 + sqrt(2/n) Qinv(eps) - ln(n)/n."""
-    _check_eps_dim(eps, n)
+    _check_eps(eps)
+    _check_dim(n)
     return 1.0 + math.sqrt(2.0 / n) * q_func_inv(eps) - math.log(n) / n
 
 
@@ -283,5 +283,6 @@ def lattice_snr_rho(point: ChannelPoint) -> float:
 def normalized_error_prob(eps1: float, n: int) -> float:
     """Per-block error target 1 - (1 - eps1)^n matching a per-dimension-1
     target eps1, computed through log1p/expm1 so tiny eps1 survive."""
-    _check_eps_dim(eps1, n)
+    _check_eps(eps1)
+    _check_dim(n)
     return -math.expm1(n * math.log1p(-eps1))

@@ -26,7 +26,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .bounds import _check_sigma2, delta_star
-from .dispersion import DB_PER_NAT
+from .dispersion import DB_PER_NAT, _check_eps
+from .specfn import _check_dim
 
 __all__ = [
     "LatticeSpec",
@@ -153,8 +154,7 @@ def builtin(name: str) -> LatticeSpec:
     m = _ZN_RE.match(name)
     if m:
         k = int(m.group(1) or m.group(2))
-        if k < 1:
-            raise ValueError(f"integer lattice dimension must be >= 1, got {k}")
+        _check_dim(k)
         return LatticeSpec(name=f"Z{k}", dim=k, generator=np.eye(k))
     if name == "A2":
         return LatticeSpec(name="A2", dim=2,
@@ -179,12 +179,16 @@ def builtin(name: str) -> LatticeSpec:
 
 
 def _family(spec: LatticeSpec) -> str:
-    if _ZN_RE.match(spec.name):
-        return "zn"
-    if spec.name in ("A2", "D4", "E8"):
-        return spec.name.lower()
-    raise UnsupportedLatticeError(
-        f"no exact decoder for lattice {spec.name!r} (builtins only)")
+    # The decoder is picked by name, so the spec must be that builtin at some scale.
+    try:
+        builtin_gen = np.array_equal(builtin(spec.name).generator, spec.generator)
+    except ValueError:
+        builtin_gen = False
+    if not builtin_gen:
+        raise UnsupportedLatticeError(
+            f"no exact decoder for lattice {spec.name!r}: only the builtins, "
+            f"with their own generators, are decoded")
+    return "zn" if _ZN_RE.match(spec.name) else spec.name.lower()
 
 
 def _round_half_down(x: np.ndarray) -> np.ndarray:
@@ -395,8 +399,7 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     at [0, inf): the next probe doubles s_lo while s_hi is infinite, halves
     s_hi while s_lo is zero, and bisects geometrically once both are set.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_eps(eps)
     if trials_per_probe < 1:
         raise ValueError(f"trials_per_probe must be >= 1, got {trials_per_probe}")
     _check_sigma2(sigma2)

@@ -15,6 +15,7 @@ relative accuracy in the log domain.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -65,6 +66,9 @@ _SCIPY_SERIES_MAX_A = 1e5
 _LARGE_A_LOWER_MIN = 1e-2
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+
+# The largest dimension: the array paths hold n in numpy's int64.
+_MAX_DIM = 2**63 - 1
 
 
 def _exp_or_inf(v: float) -> float:
@@ -132,10 +136,21 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _check_dim(n, least: int = 1, most: int = _MAX_DIM) -> None:
+    # The one rule for a dimension: an integer, not a bool, in least..most.
+    # Plain ints pass at the first test, without the costlier isinstance:
+    # log_vn and ChannelPoint check n at every scalar bound.
+    if type(n) is int and least <= n <= most:
+        return
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
+    if not least <= n <= most:
+        raise ValueError(f"dimension must be an integer n in {least}..{most}, got {n}")
+
+
 def log_vn(n: int) -> float:
     """ln of the volume of the n-dimensional unit ball: (n/2) ln pi - ln Gamma(n/2 + 1)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
@@ -145,8 +160,7 @@ def log_vn_asymptotic(n: int) -> float:
     Error is O(1/n) (about -1/(6n)); intended for asymptotic cross-checks
     only, never as a substitute for :func:`log_vn`.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     return 0.5 * n * math.log(2.0 * math.pi * math.e / n) - 0.5 * math.log(n * math.pi)
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +42,38 @@ class TestRangeParsing:
         for bad in ("5:2", "0:4", "2:8:x1", "2:8:0"):
             with pytest.raises(ValueError):
                 _parse_n_range(bad)
+
+    @pytest.mark.parametrize("ratio", ["xnan", "xinf", "x-inf", "x0.5", "x-2"])
+    def test_geometric_ratio_must_be_finite_and_above_1(self, ratio, capsys):
+        with pytest.raises(ValueError, match="finite and > 1"):
+            _parse_n_range(f"1:10:{ratio}")
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", f"1:10:{ratio}", "--nld", "-1.5"])
+        assert exc.value.code == 2
+        assert ratio in capsys.readouterr().err
+
+    def test_geometric_walk_is_bounded(self, capsys):
+        # ln 10 / ln(1 + 1e-10) is about 2.3e10 steps: rejected before any.
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "1:10:x1.0000000001", "--nld", "-1.5"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert "x1.0000000001" in capsys.readouterr().err
+        assert _parse_n_range("1:10:x1.00001") == list(range(1, 11))   # 2.3e5 steps
+
+    @pytest.mark.parametrize("text", ["2:64:x2", "10:1000:x10", "8:64:x2", "2:1000:x2",
+                                      "2:16:x2", "16:256:x4", "100:1000:x10", "10:5000:x5",
+                                      "4:8:x2", "3:3:x2", "1:10:x1.0001", "1:100000:x1.01",
+                                      "7:1000000:x1.5"])
+    def test_geometric_ranges_keep_their_values(self, text):
+        # The walk as it was before the repeats were dropped on the way.
+        a, b, g = text.split(":")
+        steps, v, ratio = [], float(a), float(g[1:])
+        while v <= int(b) + 1e-9:
+            steps.append(int(round(v)))
+            v *= ratio
+        assert _parse_n_range(text) == sorted(set(steps))
 
 
 class TestBoundsCommand:

@@ -154,6 +154,26 @@ class TestDecode:
         with pytest.raises(UnsupportedLatticeError):
             decode(rogue, [0.1, 0.2])
 
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec("D4", 4, np.eye(4)),
+        LatticeSpec("Z4", 4, 2.0 * np.eye(4)),
+        LatticeSpec("E8", 8, np.eye(8)),
+        LatticeSpec("Z2", 2, builtin("A2").generator),
+    ], ids=lambda spec: spec.name)
+    def test_builtin_name_with_another_generator_rejected(self, spec):
+        # The decoder is picked by name: D4's decodes the points of Z^4 wrongly,
+        # e.g. (0.9, 0, 0, 0) to the origin although (1, 0, 0, 0) is nearer.
+        with pytest.raises(UnsupportedLatticeError, match=spec.name):
+            decode(spec, np.full(spec.dim, 0.1))
+        with pytest.raises(UnsupportedLatticeError, match=spec.name):
+            simulate_error_prob(spec, 0.05, 100, seed=1)
+
+    def test_scaled_builtins_keep_their_decoder(self):
+        for name in ("Z4", "Zn(4)", "A2", "D4", "E8"):
+            spec = dataclasses.replace(builtin(name), scale=0.5)
+            assert _family(spec) == _family(builtin(name))
+            assert simulate_error_prob(spec, 0.01, 100, seed=1).trials == 100
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             decode(builtin("Z2"), [0.1, 0.2, 0.3])
