@@ -296,17 +296,22 @@ class BoundCurve(NamedTuple):
         return np.minimum(np.exp(self.log_value), 1.0)
 
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
 def _check_dims(n) -> np.ndarray:
     # A 1-d sequence of dimensions, each valid for _check_dim, as floats.
-    n = np.asarray(n)
+    # np.asarray makes [4, True] int64, so a bool element is caught first.
+    has_bool = isinstance(n, (list, tuple)) and not _BOOLS.isdisjoint(map(type, n))
+    given, n = n, np.asarray(n)
     if n.shape == (0,):
         return np.zeros(0)
     # Integers past int64 arrive as uint64 or as Python ints in an object array.
     if n.ndim == 1 and n.dtype.kind in "uO":
         for v in n.tolist():
             _check_dim(v)
-    if n.ndim != 1 or n.dtype.kind not in "iu":
-        raise ValueError(f"dimensions must be a 1-d integer array, got {n!r}")
+    if has_bool or n.ndim != 1 or n.dtype.kind not in "iu":
+        raise ValueError(f"dimensions must be a 1-d integer array, got {given!r}")
     _check_dim(n.min())
     return n.astype(float)
 

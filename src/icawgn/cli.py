@@ -29,7 +29,7 @@ __all__ = ["main"]
 
 def _parse_n_range(text: str) -> list[int]:
     """Dimension range: 'a', 'a:b' (step 1), 'a:b:step', or geometric 'a:b:xG'
-    (a, a G, a G^2, ... rounded, at most 10^6 steps)."""
+    (a, a G, a G^2, ... rounded); at most 10^6 values or steps."""
     parts = text.split(":")
     if len(parts) == 1:
         return [int(parts[0])]
@@ -38,9 +38,7 @@ def _parse_n_range(text: str) -> list[int]:
     a, b = int(parts[0]), int(parts[1])
     if a < 1 or b < a:
         raise ValueError(f"bad range bounds in {text!r}")
-    if len(parts) == 2:
-        return list(range(a, b + 1))
-    step = parts[2]
+    step = parts[2] if len(parts) == 3 else "1"
     if step.startswith("x"):
         ratio = float(step[1:])
         if not (1.0 < ratio < math.inf):
@@ -56,6 +54,8 @@ def _parse_n_range(text: str) -> list[int]:
     inc = int(step)
     if inc < 1:
         raise ValueError(f"step must be >= 1, got {step!r}")
+    if (b - a) // inc >= 10**6:
+        raise ValueError(f"range {text!r} has more than 10^6 values")
     return list(range(a, b + 1, inc))
 
 

@@ -8,17 +8,21 @@ of the hexagonal lattice.  By the geometric uniformity of lattices every
 Voronoi cell is congruent, so the simulation transmits the zero point only
 and still estimates the average error probability exactly.  Noise shorter
 than the lattice's packing radius lies strictly inside the zero point's
-Voronoi cell, so the simulation draws each noise row's squared norm first
-(a scaled chi-square) and draws a direction, and decodes, only for the rows
-outside that ball; at typical simulation noise levels that is a few percent
-of them.  Norms and directions come from two generators per substream, so
-seeded counts repeat exactly for any chunk size, but differ from those of
-releases that drew every noise coordinate directly.
+Voronoi cell, so the simulation draws only the noise rows outside that
+ball: their number is binomial with the exact chance q of leaving it, and
+their squared norms come from the chi-square conditioned on exceeding the
+packing radius, an exact finite mixture of shifted Gamma draws.  At
+typical simulation noise levels q is a few percent.  Counts, Gammas, tail
+uniforms and directions come from four generators per substream, so seeded
+counts repeat exactly for any chunk size; they differ from those of
+releases that drew a norm for every row, or every noise coordinate, while
+their distribution is the same.
 """
 
 import dataclasses
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,6 +53,10 @@ _SQRT3 = math.sqrt(3.0)
 RESERVED_NAMES = frozenset({"BW16", "Leech24", "S127", "LDLC"})
 
 _CHUNK_SCALARS = 1 << 18  # 2 MB of noise per chunk
+
+# Below this t, e^-t is a normal double and the mixture weights of
+# _outside_noise are running products; above it they are summed as logs.
+_T_LINEAR = -math.log(sys.float_info.min)
 
 
 class UnsupportedLatticeError(ValueError):
@@ -324,33 +332,89 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
     return lo, hi
 
 
+def _tail_weights(dim: int, t: float) -> np.ndarray:
+    """The mixture weights of Gamma(a) conditioned on exceeding t, a = dim/2.
+
+    With a0 = a - ceil(a) + 1 and k = ceil(a) - 1, the recurrence
+    Q(b + 1, t) = Q(b, t) + e^-t t^b / Gamma(b + 1) gives
+    Q(a, t) = Q(a0, t) + sum_j e^-t t^(a0+j) / Gamma(a0+j+1), j = 0..k-1,
+    and these k + 1 terms, in that order, are returned.  Their sum is
+    Q(a, t).  While e^-t is a normal double the terms are e^-t times running
+    products of t / (a0 + j), a few ulps each; past it they come from logs.
+    """
+    half = dim % 2
+    steps = t / (np.arange(1, (dim + 1) // 2) - 0.5 * half)  # t / (a0 + j)
+    if half and steps.size:
+        steps[0] = 2.0 * math.sqrt(t / math.pi)               # t^(1/2) / Gamma(3/2)
+    head = math.erfc(math.sqrt(t)) if half else math.exp(-t)
+    if t < _T_LINEAR:
+        terms = math.exp(-t) * np.cumprod(steps)
+    else:
+        terms = np.exp(np.cumsum(np.log(steps)) - t)
+    return np.concatenate([[head], terms])
+
+
 def _outside_noise(seq: np.random.SeedSequence, trials: int, dim: int, s: float,
                    rho2: float):
     """Yield, chunk by chunk, the rows of ``trials`` N(0, s^2 I_dim) draws
-    with squared norm >= rho2.
+    with squared norm >= rho2, and none of the rows inside.
 
-    Squared norms 2 s^2 G, G ~ Gamma(dim/2), come from the first of two
-    generators spawned from ``seq``; only the rows outside get dim normals
-    from the second, scaled onto their radius.  A Gaussian vector's norm and
-    direction are independent, so these are distributed as the outside rows
-    of a plain draw, and neither stream depends on the chunk size.
+    Such a row's squared norm is 2 s^2 G with G ~ Gamma(a), a = dim/2,
+    conditioned on G >= t = rho2 / 2 s^2, which happens with probability
+    q = Q(a, t).  By the recurrence of ``_tail_weights`` that conditional law
+    is a finite mixture, drawn without inversion or rejection.  Write G as
+    Gamma(a0) followed by the k unit-rate arrivals of a Gamma(k).  With
+    weight e^-t t^(a0+j) / Gamma(a0+j+1) the Gamma(a0) part and j arrivals
+    fall below t, and the other k - j come after it: G = t + Gamma(k - j).
+    With weight Q(a0, t), G = W + Gamma(k), where W ~ Gamma(a0) given W > t
+    is t + Exp(1) when a0 = 1, and Z^2/2 for Z ~ N(0, 1) given
+    Z < -sqrt(2 t) when a0 = 1/2.
+
+    Four generators are spawned from ``seq``: the first draws the number of
+    outside rows, M ~ Binomial(trials, q), and how many take each component
+    (a multinomial, the Q(a0, t) one first); the second the Gammas; the
+    third the uniforms of W when a0 = 1/2; the fourth dim normals per row,
+    scaled onto its radius.  A Gaussian vector's norm and direction are
+    independent, so these are distributed as the outside rows of a plain
+    draw.  The M rows go in chunks of ``_CHUNK_SCALARS // dim``, taken in
+    component order, and no stream depends on the chunk size.
 
     With rho2 the squared packing radius, skipping the rows inside is exact:
     if |z| < rho, every other lattice point x has |x| >= 2 rho, so
     |z - x| >= |x| - |z| >= 2 rho - |z| > |z| and the zero point is strictly
     nearest, with no tie to break.
     """
-    radii, dirs = (np.random.default_rng(c) for c in seq.spawn(2))
+    two_s2 = 2.0 * s * s
+    t = rho2 / two_s2 if two_s2 > 0.0 else math.inf
+    if t == math.inf:       # s^2 below double range: no row leaves the ball
+        return
+    w = _tail_weights(dim, t)
+    q = min(w.sum(), 1.0)
+    if q == 0.0:
+        return
+    counts_rng, gammas, tails, dirs = (np.random.default_rng(c) for c in seq.spawn(4))
+    counts = counts_rng.multinomial(counts_rng.binomial(trials, q), w / q)
+    # Gamma shapes: k + 1 for t + Exp(1) + Gamma(k), then k - j.
+    shapes = np.arange(len(w), 0, -1.0)
+    half = dim % 2
+    if half:
+        shapes[0] -= 1.0                     # W + Gamma(k)
+        log_tail = _sp.log_ndtr(-math.sqrt(2.0 * t))
+    ends = np.cumsum(counts)
     chunk_rows = max(1, _CHUNK_SCALARS // dim)
-    while trials > 0:
-        m = min(chunk_rows, trials)
-        r2 = radii.standard_gamma(dim / 2.0, size=m)
-        r2 *= 2.0 * s * s
-        r2 = np.compress(r2 >= rho2, r2)
-        z = dirs.standard_normal((r2.size, dim))
-        z *= np.sqrt(r2 / np.einsum("ij,ij->i", z, z))[:, None]
+    for lo in range(0, int(ends[-1]), chunk_rows):
+        per = np.diff(np.clip(ends, lo, lo + chunk_rows), prepend=lo)
+        g = gammas.standard_gamma(np.repeat(shapes, per))
+        if half:
+            u = np.log1p(-tails.random(per[0]))
+            g[:per[0]] += 0.5 * _sp.ndtri_exp(u + log_tail) ** 2
+            g[per[0]:] += t
+        else:
+            g += t
+        g *= two_s2
+        z = dirs.standard_normal((g.size, dim))
+        z *= np.sqrt(g / np.einsum("ij,ij->i", z, z))[:, None]
         yield z
-        trials -= m
 
 
 def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
@@ -361,9 +425,12 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
     zero point.  Work splits across ``streams`` independent substreams
     spawned deterministically from ``seed``; identical (seed, streams)
     reproduce the error count exactly regardless of chunking.  Each
-    substream draws the noise norms first, and directions from a second
-    generator only outside the packing ball (``_outside_noise``), so seeded
-    counts differ from releases that drew every coordinate directly.
+    substream draws only the rows outside the packing ball, as many as a
+    Binomial(trials, q) draw says, with norms from the conditional
+    chi-square mixture and directions from four generators in all
+    (``_outside_noise``).  The error count has the distribution of a plain
+    draw's, but seeded counts differ from releases that drew a norm for
+    every row, or every coordinate.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

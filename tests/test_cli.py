@@ -62,6 +62,20 @@ class TestRangeParsing:
         assert "x1.0000000001" in capsys.readouterr().err
         assert _parse_n_range("1:10:x1.00001") == list(range(1, 11))   # 2.3e5 steps
 
+    @pytest.mark.parametrize("text", ["1:10000000000", "1:1000001", "5:3000005:3"])
+    def test_linear_range_is_bounded(self, text, capsys):
+        # 10^10 values would be about 400 GB of list: rejected before any.
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", text, "--nld", "-1.5"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+
+    def test_linear_range_of_a_million_values_is_kept(self):
+        assert len(_parse_n_range("1:1000000")) == 10**6
+        assert _parse_n_range("5:3000002:3")[-1] == 3000002
+
     @pytest.mark.parametrize("text", ["2:64:x2", "10:1000:x10", "8:64:x2", "2:1000:x2",
                                       "2:16:x2", "16:256:x4", "100:1000:x10", "10:5000:x5",
                                       "4:8:x2", "3:3:x2", "1:10:x1.0001", "1:100000:x1.01",

@@ -67,6 +67,18 @@ def test_numpy_integer_gives_the_int_value(name, n):
     np.testing.assert_equal(call(n), call(5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda ns: bound_curves(ns, -1.5, 1.0, ["sphere"]),
+    lambda ns: asym_curves(ns, -1.5, 1.0),
+    lambda ns: nld_eps_achievable_curve(ns, 0.01, 1.0),
+], ids=["bound_curves", "asym_curves", "nld_eps_achievable_curve"])
+@pytest.mark.parametrize("ns", [[4, True], (4, np.True_), [True, 4], [4, 5, False]], ids=repr)
+def test_a_bool_inside_a_sequence_is_a_value_error(call, ns):
+    # np.asarray would make these int64, as if True were n = 1.
+    with pytest.raises(ValueError, match="dimension"):
+        call(ns)
+
+
 @pytest.mark.parametrize("exponent", [exponent_sp, exponent_r, exponent_t])
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_exponents_reject_a_non_finite_nld(exponent, delta):

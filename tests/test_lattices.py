@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -16,6 +17,7 @@ from icawgn.lattices import (
     _count_errors,
     _family,
     _outside_noise,
+    _tail_weights,
     builtin,
     clopper_pearson,
     decode,
@@ -310,7 +312,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("streams", [1, 3])
     @pytest.mark.parametrize("name,sigma2", [
-        ("Z1", 0.0377), ("A2", 0.03), ("E8", 0.032), ("Z6", 0.0961)])
+        ("Z1", 0.0377), ("A2", 0.03), ("E8", 0.032), ("Z6", 0.0961), ("D4", 0.05),
+        ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0)])
     def test_counts_do_not_depend_on_chunking(self, monkeypatch, name, sigma2, streams):
         # 64 scalars per chunk splits each substream into hundreds of chunks,
         # most of them ragged against the stream boundaries.
@@ -337,7 +340,10 @@ class TestSimulate:
         assert abs(est.errors - ref) / trials <= 5.0 * math.sqrt(2.0 * p * (1.0 - p) / trials)
 
     @pytest.mark.parametrize("name,sigma2", [
-        ("Z1", 0.0377), ("A2", 0.03), ("D4", 0.05), ("E8", 0.032)])
+        ("Z1", 0.0377), ("A2", 0.03), ("D4", 0.05), ("E8", 0.032),
+        # Odd n draws the Gamma(1/2) tail by inversion; at large noise the
+        # Q(a0, t) component, not the shifted Gammas, holds most rows.
+        ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0)])
     def test_outside_rows_follow_truncated_chi2(self, name, sigma2):
         # ||z||^2 / sigma2 ~ chi^2_n, so the rows outside the ball number
         # Binomial(N, q0) with q0 = Q(n/2, rho^2 / 2 sigma2), and their
@@ -356,6 +362,39 @@ class TestSimulate:
             return 1.0 - special.gammaincc(n / 2.0, r2 / (2.0 * sigma2)) / q0
 
         assert stats.kstest(norms2, truncated_cdf).pvalue > 1e-6
+
+    def test_mixture_weights_sum_to_the_upper_gamma(self):
+        # The recurrence the outside draw rests on: Q(a0, t) plus the terms
+        # e^-t t^(a0+j) / Gamma(a0+j+1) is Q(n/2, t).  The oracle is mpmath:
+        # scipy's gammaincc is itself 1.07e-13 off at n = 41, t = 700.  Below
+        # t = 1 the oracle is 1 - P, which mpmath sums fast at tiny t.
+        ts = [0.0, *np.geomspace(1e-300, 700.0, 31)]
+        worst = 0.0
+        with mpmath.workdps(30):
+            for n in range(1, 65):
+                a = mpmath.mpf(n) / 2
+                for t in ts:
+                    q = (1 - mpmath.gammainc(a, 0, t, regularized=True) if t < 1.0
+                         else mpmath.gammainc(a, t, mpmath.inf, regularized=True))
+                    weights = _tail_weights(n, t)
+                    assert weights.shape == ((n + 1) // 2,)
+                    worst = max(worst, float(abs(weights.sum() / q - 1)))
+            assert worst <= 1e-13
+            # Past t = 708, where e^-t leaves the normal doubles, the terms
+            # come from summed logs and lose digits with t (2.7e-11 at 1e4).
+            for n, t in [(1500, 760.0), (1999, 1100.0), (2000, 833.0), (3000, 1500.0),
+                         (3001, 1500.0), (20001, 1e4)]:
+                q = mpmath.gammainc(mpmath.mpf(n) / 2, t, mpmath.inf, regularized=True)
+                assert float(abs(_tail_weights(n, t).sum() / q - 1)) <= 1e-10, (n, t)
+
+    @pytest.mark.parametrize("name,sigma2,errors", [
+        ("Z3", 1e308, 10000),   # 2 s^2 overflows: t = 0, every row is outside
+        ("E8", 1e-4, 0),        # q underflows to 0
+        ("Z3", 1e-6, 0)])
+    def test_ends_of_the_noise_range(self, name, sigma2, errors):
+        # Under the suite's error::RuntimeWarning filter, so no step may
+        # warn either.
+        assert simulate_error_prob(builtin(name), sigma2, 10 ** 4, seed=1).errors == errors
 
     def test_record_schema(self):
         spec = builtin("Z1")
