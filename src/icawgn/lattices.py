@@ -1,12 +1,15 @@
 """Classic lattices with exact nearest-point decoders and a seeded Monte Carlo
 harness for their error probability over unconstrained AWGN.
 
-Decoders follow the classic constructions (Conway & Sloane): coordinate-wise
-rounding for the integer lattice, the even-sum rounding correction for D_n,
-the two-coset D_8 decomposition for E_8, and the two rectangular sublattices
-of the hexagonal lattice.  By the geometric uniformity of lattices every
-Voronoi cell is congruent, so the simulation transmits the zero point only
-and still estimates the average error probability exactly.  Noise shorter
+``decode`` follows the classic constructions (Conway & Sloane):
+coordinate-wise rounding for the integer lattice, the even-sum rounding
+correction for D_n, the two-coset D_8 decomposition for E_8, and the two
+rectangular sublattices of the hexagonal lattice.  By the geometric
+uniformity of lattices every Voronoi cell is congruent, so the simulation
+transmits the zero point only and still estimates the average error
+probability exactly.  It decodes nothing: a row is an error iff it leaves
+the zero point's Voronoi cell, which it tests against the cell's relevant
+vectors, here the minimal vectors, in closed form.  Noise shorter
 than the lattice's packing radius lies strictly inside the zero point's
 Voronoi cell, so the simulation draws only the noise rows outside that
 ball: their number is binomial with the exact chance q of leaving it, and
@@ -267,57 +270,43 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
 
 # ---------------------------------------------------------------------------
 # Vectorized error counting (zero point transmitted; ties have probability 0).
-# Rows inside the packing ball are never errors, so only the rest are decoded.
+# Rows inside the packing ball are never errors, so only the rest are tested.
+# For Z^n, A2, D4 and E8 the Voronoi-relevant vectors are the minimal vectors
+# v, so the zero point is nearest to z iff <z, v> <= |v|^2 / 2 for every one
+# of them (Conway & Sloane, SPLAG ch. 21).  The batch path tests that, in
+# closed form per family; ``decode`` keeps the constructions.
 
 # Squared packing radius rho^2 of each family at scale 1: a quarter of the
 # minimum squared norm (1 for Z^n and A2, 2 for D4 and E8).
 _PACKING_RADIUS2 = {"zn": 0.25, "a2": 0.25, "d4": 0.5, "e8": 0.5}
 
 
-def _dn_nearest_batch(y: np.ndarray) -> np.ndarray:
-    f = np.rint(y)
-    odd = (f.sum(axis=1).astype(np.int64) & 1).astype(bool)
-    if np.any(odd):
-        g = f[odd]
-        d = y[odd] - g
-        k = np.argmax(np.abs(d), axis=1)
-        rows = np.arange(g.shape[0])
-        g[rows, k] += np.where(d[rows, k] >= 0.0, 1.0, -1.0)
-        f[odd] = g
-    return f
-
-
 def _count_errors(family: str, z: np.ndarray) -> int:
     """Decoding errors among any noise rows: rows inside the packing ball
-    are never errors (see ``_outside_noise``), the rest are decoded."""
+    are never errors (see ``_outside_noise``), the rest are tested."""
     outside = np.einsum("ij,ij->i", z, z) >= _PACKING_RADIUS2[family]
     return _decoded_errors(family, np.compress(outside, z, axis=0))
 
 
 def _decoded_errors(family: str, z: np.ndarray) -> int:
-    if family == "zn":
-        return int(np.count_nonzero(np.any(np.rint(z) != 0.0, axis=1)))
-    if family == "d4":
-        f = _dn_nearest_batch(z)
-        return int(np.count_nonzero(np.any(f != 0.0, axis=1)))
-    if family == "e8":
-        a = _dn_nearest_batch(z)
-        b = _dn_nearest_batch(z - 0.5) + 0.5
-        da = ((z - a) ** 2).sum(axis=1)
-        db = ((z - b) ** 2).sum(axis=1)
-        # Only the integer coset contains the zero point.
-        correct = (da <= db) & np.all(a == 0.0, axis=1)
-        return int(np.count_nonzero(~correct))
-    if family == "a2":
-        i0 = np.rint(z[:, 0])
-        j0 = np.rint(z[:, 1] / _SQRT3)
-        d0 = (z[:, 0] - i0) ** 2 + (z[:, 1] - j0 * _SQRT3) ** 2
-        i1 = np.rint(z[:, 0] - 0.5) + 0.5
-        j1 = np.rint((z[:, 1] - _SQRT3 / 2.0) / _SQRT3) * _SQRT3 + _SQRT3 / 2.0
-        d1 = (z[:, 0] - i1) ** 2 + (z[:, 1] - j1) ** 2
-        correct = (d0 <= d1) & (i0 == 0.0) & (j0 == 0.0)
-        return int(np.count_nonzero(~correct))
-    raise AssertionError(family)
+    """Rows of z outside the zero point's Voronoi cell: some minimal vector v
+    has <z, v> > |v|^2 / 2.  With a = |z| sorted per row, the largest <z, v>
+    over each family's v is taken in closed form.  No step subtracts, so
+    infinite rows stay errors without an inf - inf."""
+    a = np.abs(z)
+    if family == "zn":                            # +-e_i
+        err = np.any(a > 0.5, axis=1)
+    elif family == "a2":                          # (+-1, 0), (+-1/2, +-sqrt(3)/2)
+        err = (a[:, 0] > 0.5) | (0.5 * a[:, 0] + 0.5 * _SQRT3 * a[:, 1] > 0.5)
+    else:
+        a.sort(axis=1)
+        err = a[:, -1] + a[:, -2] > 1.0           # +-e_i +- e_j
+        if family == "e8":
+            # (+-1/2)^8 with an even number of minus signs: with an odd number
+            # of negative z_i the best one flips the sign of the smallest.
+            odd = np.count_nonzero(z < 0.0, axis=1) & 1
+            err |= 0.5 * a.sum(axis=1) > 1.0 + np.where(odd, a[:, 0], 0.0)
+    return int(np.count_nonzero(err))
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
@@ -421,10 +410,11 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
                         streams: int = 1) -> SimEstimate:
     """Estimate the lattice error probability over AWGN with variance sigma2.
 
-    Draws Z ~ N(0, sigma2 I) and counts decodes away from the transmitted
-    zero point.  Work splits across ``streams`` independent substreams
-    spawned deterministically from ``seed``; identical (seed, streams)
-    reproduce the error count exactly regardless of chunking.  Each
+    Draws Z ~ N(0, sigma2 I) and counts the rows outside the transmitted
+    zero point's Voronoi cell (``_decoded_errors``).  Work splits across
+    ``streams`` independent substreams spawned deterministically from
+    ``seed``; identical (seed, streams) reproduce the error count exactly
+    regardless of chunking.  Each
     substream draws only the rows outside the packing ball, as many as a
     Binomial(trials, q) draw says, with norms from the conditional
     chi-square mixture and directions from four generators in all

@@ -326,6 +326,14 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_readme_example_count(self, capsys):
+        # The README's example; its count moves only with the noise draw.
+        code, out, _ = run_cli(capsys, "simulate", "--lattice", "E8", "--sigma2", "0.0342",
+                               "--trials", "1000000", "--seed", "7", "--streams", "8")
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert (rows[0]["errors"], rows[0]["trials"]) == ("11077", "1000000")
+
     def test_z1_closed_form_within_ci(self, capsys):
         from icawgn.specfn import q_func
         sigma2 = 0.25

@@ -187,6 +187,33 @@ def _box_vectors(spec: LatticeSpec, reach: int) -> np.ndarray:
     return (coeffs[np.any(coeffs != 0, axis=1)] @ spec.generator) * spec.scale
 
 
+def _minimal_box_vectors(spec: LatticeSpec, reach: int) -> np.ndarray:
+    vecs = _box_vectors(spec, reach)
+    norms2 = (vecs ** 2).sum(axis=1)
+    return vecs[norms2 <= norms2.min() + 1e-9]
+
+
+def _e8_minimal_vectors() -> np.ndarray:
+    """E8's 240 minimal vectors: the 112 roots +-e_i +- e_j and the 128
+    vectors (+-1/2)^8 with an even number of minus signs.  The reach-1
+    coefficient box holds only 68 of them."""
+    box = _coeff_box(8, 1)
+    roots = box[np.count_nonzero(box, axis=1) == 2]
+    halves = 0.5 - _CORNERS8[_CORNERS8.sum(axis=1) % 2 == 0]
+    return np.concatenate([roots, halves]).astype(float)
+
+
+def _assert_counted_as_decoded(spec: LatticeSpec, rows: np.ndarray) -> np.ndarray:
+    """The batch counter flags exactly the rows that decode() maps away from
+    zero, row by row; returns that mask."""
+    fam = _family(spec)
+    counted = np.array([_count_errors(fam, row[None, :]) for row in rows])
+    decoded = np.array([np.any(decode(spec, row).point != 0.0) for row in rows])
+    assert np.array_equal(counted, decoded), rows[counted != decoded][:5].tolist()
+    assert _count_errors(fam, rows) == np.count_nonzero(decoded)
+    return decoded
+
+
 class TestErrorCounter:
     # Noise variances of the benchmark's simulate workload (Z4 borrows Z8's).
     CASES = [("Z4", 0.024, 1), ("Z8", 0.024, 1), ("A2", 0.03, 2), ("D4", 0.05, 2),
@@ -209,20 +236,47 @@ class TestErrorCounter:
         rho = math.sqrt(_PACKING_RADIUS2[_family(spec)])
         dirs = rng.standard_normal((200, spec.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        vecs = _box_vectors(spec, reach)
-        norms2 = (vecs ** 2).sum(axis=1)
-        minimal = vecs[norms2 <= norms2.min() + 1e-9]
+        minimal = _minimal_box_vectors(spec, reach)
         rows = np.concatenate(
             [rng.standard_normal((2000, spec.dim)) * math.sqrt(sigma2)]
             + [rho * (1.0 + s) * dirs for s in (-1e-9, 1e-9)]
             + [0.5 * (1.0 + s) * minimal for s in (-1e-9, 1e-9)])
-        fam = _family(spec)
-        counted = np.array([_count_errors(fam, row[None, :]) for row in rows])
-        decoded = np.array([np.any(decode(spec, row).point != 0.0) for row in rows])
-        assert np.array_equal(counted, decoded), rows[counted != decoded][:5].tolist()
-        assert _count_errors(fam, rows) == np.count_nonzero(decoded)
+        decoded = _assert_counted_as_decoded(spec, rows)
         # Every midpoint pushed outward decodes to its minimal vector.
         assert np.all(decoded[-len(minimal):])
+
+    @pytest.mark.parametrize("name,sigma2,reach", CASES)
+    def test_matches_decode_on_every_facet(self, name, sigma2, reach):
+        # The zero point's Voronoi cell is cut out by <z, v> <= |v|^2 / 2 over
+        # the minimal vectors v.  Noise rows projected onto each of those
+        # hyperplanes, and pushed 1e-9 v either way, are counted as decode()
+        # decodes them.  Most projections land on the facet itself, away from
+        # its midpoint, and the inward push is correct; the rest lie past its
+        # edges.
+        spec = builtin(name)
+        minimal = _e8_minimal_vectors() if name == "E8" else _minimal_box_vectors(spec, reach)
+        assert len(minimal) == {"Z4": 8, "Z8": 16, "A2": 6, "D4": 24, "E8": 240}[name]
+        coeffs = minimal @ np.linalg.inv(spec.generator)
+        assert np.allclose(coeffs, np.rint(coeffs), atol=1e-12)     # lattice vectors
+        v = np.repeat(minimal, 3, axis=0)
+        z = 0.15 * np.random.default_rng(43).standard_normal(v.shape)
+        on = z + (0.5 - np.einsum("ij,ij->i", z, v) / np.einsum("ij,ij->i", v, v))[:, None] * v
+        if name == "E8":
+            # Points on the facet of each (+-1/2)^8 vector v with the sign of
+            # one coordinate k flipped, so an odd number of them is negative:
+            # 5v/8 - v_k e_k has |coordinate k| = 3/16, the others 5/16, and
+            # v alone reaches <z, v> = 1.
+            halves = minimal[112:]
+            flipped = halves * (0.625 - np.eye(8)[np.arange(len(halves)) % 8])
+            assert np.all(np.count_nonzero(flipped < 0.0, axis=1) % 2 == 1)
+            on = np.concatenate([on, flipped])
+            v = np.concatenate([v, halves])
+        inward = _assert_counted_as_decoded(spec, on - 1e-9 * v)
+        outward = _assert_counted_as_decoded(spec, on + 1e-9 * v)
+        assert np.all(outward)
+        assert np.count_nonzero(~inward) >= len(v) // 2
+        if name == "E8":
+            assert not np.any(inward[-128:])
 
 
 class TestClopperPearson:
@@ -339,21 +393,24 @@ class TestSimulate:
         p = (ref + est.errors) / (2 * trials)
         assert abs(est.errors - ref) / trials <= 5.0 * math.sqrt(2.0 * p * (1.0 - p) / trials)
 
-    @pytest.mark.parametrize("name,sigma2", [
+    TRUNCATED_CASES = [
         ("Z1", 0.0377), ("A2", 0.03), ("D4", 0.05), ("E8", 0.032),
         # Odd n draws the Gamma(1/2) tail by inversion; at large noise the
         # Q(a0, t) component, not the shifted Gammas, holds most rows.
-        ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0)])
+        ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0)]
+
+    @pytest.mark.parametrize("name,sigma2", TRUNCATED_CASES)
     def test_outside_rows_follow_truncated_chi2(self, name, sigma2):
         # ||z||^2 / sigma2 ~ chi^2_n, so the rows outside the ball number
         # Binomial(N, q0) with q0 = Q(n/2, rho^2 / 2 sigma2), and their
-        # squared norms follow chi^2_n truncated to [rho^2, inf).
+        # squared norms follow chi^2_n truncated to [rho^2, inf).  Each point
+        # draws from its own seed, so the eight checks are independent.
         spec = builtin(name)
         n, rho2, trials = spec.dim, _PACKING_RADIUS2[_family(spec)], 10 ** 6
+        seed = np.random.SeedSequence([3, self.TRUNCATED_CASES.index((name, sigma2))])
         norms2 = np.concatenate([
             np.einsum("ij,ij->i", z, z)
-            for z in _outside_noise(np.random.SeedSequence(3), trials, n,
-                                    math.sqrt(sigma2), rho2)])
+            for z in _outside_noise(seed, trials, n, math.sqrt(sigma2), rho2)])
         q0 = special.gammaincc(n / 2.0, rho2 / (2.0 * sigma2))
         assert abs(norms2.size - trials * q0) <= 5.0 * math.sqrt(trials * q0 * (1.0 - q0))
         assert norms2.min() >= rho2 * (1.0 - 1e-15)
@@ -389,6 +446,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name,sigma2,errors", [
         ("Z3", 1e308, 10000),   # 2 s^2 overflows: t = 0, every row is outside
+        ("A2", 1e308, 10000),   # and every coordinate is infinite
+        ("D4", 1e308, 10000),
+        ("E8", 1e308, 10000),
         ("E8", 1e-4, 0),        # q underflows to 0
         ("Z3", 1e-6, 0)])
     def test_ends_of_the_noise_range(self, name, sigma2, errors):
