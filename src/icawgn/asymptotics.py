@@ -33,8 +33,6 @@ from .bounds import (
     _DELTA_STAR_1,
     ChannelPoint,
     _check_dims,
-    _check_nld,
-    _check_sigma2,
     _gamma_arg,
     _log_vn_curve,
     _math_map,
@@ -42,7 +40,7 @@ from .bounds import (
     delta_cr,
     delta_star,
 )
-from .specfn import _LOG_DBL_MAX, LogProb, _check_dim, _exp_or_inf, log_add
+from .specfn import _LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_sigma2, _exp_or_inf, log_add
 
 __all__ = [
     "AsymptoticTerms",
@@ -148,7 +146,7 @@ def exponent_t(delta: float, sigma2: float) -> float:
 
 def terms(point: ChannelPoint) -> AsymptoticTerms:
     """The derived quantities rho*, Upsilon, Psi, mu at an evaluation point."""
-    _check_dim(point.n, 3)
+    _check_int(point.n, 3)
     rho, upsilon, psi, mu = _terms(np.array([float(point.n)]), _unit_nld(point))
     return AsymptoticTerms(rho_star=float(rho[0]), upsilon=float(upsilon[0]),
                            psi=float(psi[0]), mu=mu)
@@ -430,7 +428,7 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     The loose lower form carries a (1 - Upsilon^-2) factor and degrades to
     the trivial zero bound when that factor is nonpositive.
     """
-    _check_dim(n, 3)
+    _check_int(n, 3)
     if not math.isfinite(x):
         raise ValueError(f"tail integral bounds require a finite x, got x={x}")
     if not (x > 1.0 - 2.0 / n):
@@ -457,7 +455,7 @@ class HeadIntegralBounds(NamedTuple):
 def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
     """Closed forms enclosing int_0^x e^(-n rho/2) rho^(n-1) d rho
     for 0 < x < 2 - 2/n."""
-    _check_dim(n)
+    _check_int(n)
     if not (0.0 < x < 2.0 - 2.0 / n):
         raise ValueError(f"head integral bounds require 0 < x < 2 - 2/n, got x={x}")
     psi = math.sqrt(n) * (2.0 - x + 2.0 / n) / (2.0 * math.sqrt(x))
@@ -476,7 +474,7 @@ def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
 def laplace_head_integral(n: int, x: float) -> float:
     """Laplace-method leading term of int_0^x e^(-n rho/2) rho^(n-1) d rho for x > 2:
     sqrt(2 pi / n) e^(-n) 2^n, independent of x (the peak sits at rho = 2)."""
-    _check_dim(n)
+    _check_int(n)
     if not (x > 2.0):
         raise ValueError(f"Laplace form requires x > 2, got {x}")
     return math.exp(0.5 * math.log(2.0 * math.pi / n) + n * (math.log(2.0) - 1.0))

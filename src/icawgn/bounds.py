@@ -53,8 +53,12 @@ from scipy.special import gammainc
 
 from .specfn import (
     _LOG_DBL_MAX,
+    _BOOLS,
     LogProb,
-    _check_dim,
+    _check_int,
+    _check_nld,
+    _check_positive,
+    _check_sigma2,
     _exp_or_inf,
     log_add,
     log_reg_gamma_lower,
@@ -89,16 +93,6 @@ __all__ = [
 ]
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not (0.0 < sigma2 < math.inf):
-        raise ValueError(f"noise variance must be finite and > 0, got {sigma2}")
-
-
-def _check_nld(delta: float) -> None:
-    if not math.isfinite(delta):
-        raise ValueError(f"NLD must be finite, got {delta}")
-
-
 _DELTA_STAR_1 = -0.5 * math.log(2.0 * math.pi * math.e)   # delta* at sigma2 = 1
 
 
@@ -111,7 +105,7 @@ class ChannelPoint:
     sigma2: float
 
     def __post_init__(self):
-        _check_dim(self.n)
+        _check_int(self.n)
         _check_sigma2(self.sigma2)
         _check_nld(self.nld)
 
@@ -176,12 +170,12 @@ def effective_radius(point: ChannelPoint) -> float:
 
     r_eff = e^(-delta) V_n^(-1/n), computed through the exact log ball volume.
     """
-    return _unit_radius(point.n, point.nld)
+    return _unit_radius(point.n, point.nld, log_vn(point.n))
 
 
-def _unit_radius(n: int, d: float) -> float:
-    # r_eff / sigma at the NLD d in units of sigma.
-    return _exp_or_inf(-d - log_vn(n) / n)
+def _unit_radius(n: int, d: float, lv: float) -> float:
+    # r_eff / sigma at the NLD d in units of sigma, with lv = ln V_n.
+    return _exp_or_inf(-d - lv / n)
 
 
 def poltyrev_radius(point: ChannelPoint) -> float:
@@ -202,7 +196,7 @@ def _log_norm_tail(n: int, s: float) -> LogProb:
 def sphere_bound(point: ChannelPoint) -> BoundValue:
     """Converse: Pr{||Z|| > r_eff}, a lower bound on the error probability of
     any constellation at this (n, delta, sigma2)."""
-    s = _unit_radius(point.n, _unit_nld(point))
+    s = _unit_radius(point.n, _unit_nld(point), log_vn(point.n))
     return BoundValue(kind="sphere", log_value=_log_norm_tail(point.n, s),
                       radius_used=math.sqrt(point.sigma2) * s, clamped=False)
 
@@ -213,7 +207,7 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     Equals Q(n/2, (v/V_n)^(2/n) / (2 sigma2)); convex in v, which is what
     lets the converse extend to unequal Voronoi cell volumes.
     """
-    _check_dim(n)
+    _check_int(n)
     if not (v > 0.0):
         raise ValueError(f"volume must be > 0, got {v}")
     _check_sigma2(sigma2)
@@ -222,10 +216,10 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     return reg_gamma_upper(0.5 * n, 0.5 * _exp_or_inf(log_s2))
 
 
-def _ml_first_term(n: int, d: float, s: float) -> LogProb:
-    # gamma V_n int_0^r f_R(t) t^n dt in units of sigma
+def _ml_first_term(n: int, d: float, s: float, lv: float) -> LogProb:
+    # gamma V_n int_0^r f_R(t) t^n dt in units of sigma, with lv = ln V_n,
     #   = exp[n d + ln V_n + (n/2) ln 2 + ln Gamma(n) - ln Gamma(n/2)] * P(n, s^2/2)
-    lg = (n * d + log_vn(n) + 0.5 * n * math.log(2.0)
+    lg = (n * d + lv + 0.5 * n * math.log(2.0)
           + math.lgamma(float(n)) - math.lgamma(0.5 * n))
     tail = log_reg_gamma_lower(float(n), _gamma_arg(s))
     if tail.is_zero:
@@ -243,8 +237,9 @@ def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
     if r is not None and not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
-    s = _unit_radius(n, d) if r is None else r / sigma
-    total = log_add(_ml_first_term(n, d, s), _log_norm_tail(n, s))
+    lv = log_vn(n)
+    s = _unit_radius(n, d, lv) if r is None else r / sigma
+    total = log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s))
     return BoundValue(kind="ml", log_value=total, radius_used=sigma * s if r is None else r,
                       clamped=total.log_value > 0.0)
 
@@ -276,7 +271,7 @@ def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
     """The ML bound evaluated at the classical radius sqrt(n) sigma e^(delta*-delta)."""
     n, d = point.n, _unit_nld(point)
     s = math.sqrt(n) * _exp_or_inf(_DELTA_STAR_1 - d)
-    total = log_add(_ml_first_term(n, d, s), _log_norm_tail(n, s))
+    total = log_add(_ml_first_term(n, d, s, log_vn(n)), _log_norm_tail(n, s))
     return BoundValue(kind="poltyrev_r", log_value=total,
                       radius_used=math.sqrt(point.sigma2) * s, clamped=total.log_value > 0.0)
 
@@ -296,11 +291,8 @@ class BoundCurve(NamedTuple):
         return np.minimum(np.exp(self.log_value), 1.0)
 
 
-_BOOLS = frozenset({bool, np.bool_})
-
-
 def _check_dims(n) -> np.ndarray:
-    # A 1-d sequence of dimensions, each valid for _check_dim, as floats.
+    # A 1-d sequence of dimensions, each valid for _check_int, as floats.
     # np.asarray makes [4, True] int64, so a bool element is caught first.
     has_bool = isinstance(n, (list, tuple)) and not _BOOLS.isdisjoint(map(type, n))
     given, n = n, np.asarray(n)
@@ -309,10 +301,10 @@ def _check_dims(n) -> np.ndarray:
     # Integers past int64 arrive as uint64 or as Python ints in an object array.
     if n.ndim == 1 and n.dtype.kind in "uO":
         for v in n.tolist():
-            _check_dim(v)
+            _check_int(v)
     if has_bool or n.ndim != 1 or n.dtype.kind not in "iu":
         raise ValueError(f"dimensions must be a 1-d integer array, got {given!r}")
-    _check_dim(n.min())
+    _check_int(n.min())
     return n.astype(float)
 
 
@@ -469,8 +461,7 @@ _MAX_SECTION_SNR = 100.0
 def _check_section_radius(r: float, sigma2: float) -> float:
     # Checks sigma2 and a section radius; returns the radius in units of sigma.
     _check_sigma2(sigma2)
-    if not (0.0 < r < math.inf):
-        raise ValueError(f"radius must be finite and > 0, got {r}")
+    _check_positive(r, "radius")
     s = r / math.sqrt(sigma2)
     if s > _MAX_SECTION_SNR:
         raise ValueError(f"r/sigma must be <= {_MAX_SECTION_SNR:g}, got {s:g}")
@@ -500,7 +491,7 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     where the value is half the chi CDF, it is within 1e-12 relative for
     n up to 1000 and r/sigma up to 100 (1.1e-13 measured against mpmath).
     """
-    _check_dim(n, 2)
+    _check_int(n, 2)
     s = _check_section_radius(r, sigma2)
     if not (0.0 <= w <= 2.0 * r):
         raise ValueError(f"chord offset must lie in [0, 2r], got w={w}, r={r}")
@@ -540,7 +531,7 @@ def equivalence_sides(n: int, r: float, sigma2: float):
     change below the smallest normal double.  That last limit binds from
     about n = 80 at small r/sigma; at n = 400 it leaves about [4.6, 67].
     """
-    _check_dim(n, 2, _MAX_EQUIV_DIM)
+    _check_int(n, 2, _MAX_EQUIV_DIM)
     s = _check_section_radius(r, sigma2)
     log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
                - math.lgamma(0.5 * n) + log_reg_gamma_lower(float(n), _gamma_arg(s)).log_value)

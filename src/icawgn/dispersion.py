@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import cython_special as _cs
 
-from .bounds import (ChannelPoint, _check_dims, _check_nld, _check_sigma2, _dim_terms,
+from .bounds import (ChannelPoint, _check_dims, _dim_terms,
                      _sphere_ml_curves, _unit_nld, _unit_radius, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
-from .specfn import LogProb, _check_dim, _exp_or_inf, log_vn, q_func, q_func_inv
+from .specfn import (LogProb, _check_int, _check_nld, _check_prob, _check_sigma2, _exp_or_inf,
+                     log_vn, q_func, q_func_inv)
 
 __all__ = [
     "InversionResult",
@@ -69,18 +70,13 @@ class InversionResult:
     bracket_width: float
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"error probability must be in (0, 1), got {eps}")
-
-
 def norm_tail_normal_approx(n: int, r: float, sigma2: float):
     """Normal approximation of Pr{||Z|| > r} with its Berry-Esseen guarantee.
 
     Returns (approx, guarantee) with approx = Q((r^2 - n sigma2)/(sigma2 sqrt(2n)))
     and |Pr{||Z|| > r} - approx| <= guarantee = 6 T / sqrt(n).
     """
-    _check_dim(n)
+    _check_int(n)
     if not (r > 0.0):
         raise ValueError(f"radius must be > 0, got {r}")
     _check_sigma2(sigma2)
@@ -100,8 +96,8 @@ def berry_esseen_T() -> float:
 def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
     """Closed-form dispersion expansion of the optimal NLD at error
     probability eps:  delta* - sqrt(1/(2n)) Qinv(eps) + ln(n)/(2n)."""
-    _check_eps(eps)
-    _check_dim(n)
+    _check_prob(eps)
+    _check_int(n)
     return (delta_star(sigma2) - math.sqrt(0.5 / n) * q_func_inv(eps)
             + 0.5 * math.log(n) / n)
 
@@ -210,8 +206,8 @@ def nld_eps_converse(n: int, eps: float, sigma2: float,
     which moves delta by about 1e-8, past tol; the walk then takes a few
     more evaluations.
     """
-    _check_eps(eps)
-    _check_dim(n)
+    _check_prob(eps)
+    _check_int(n)
     x = _cs.gammainccinv(0.5 * n, eps)
     seed = -0.5 * math.log(2.0 * x) - log_vn(n) / n
     return _invert_bound(sphere_bound, n, eps, sigma2, tol, "sphere", seed, 0.5 * tol)
@@ -262,8 +258,8 @@ def vnr_from_nld(delta: float, sigma2: float) -> float:
 
 def vnr_opt_approx(n: int, eps: float) -> float:
     """Dispersion expansion of the optimal VNR: 1 + sqrt(2/n) Qinv(eps) - ln(n)/n."""
-    _check_eps(eps)
-    _check_dim(n)
+    _check_prob(eps)
+    _check_int(n)
     return 1.0 + math.sqrt(2.0 / n) * q_func_inv(eps) - math.log(n) / n
 
 
@@ -276,13 +272,13 @@ def gap_db(delta: float, sigma2: float) -> float:
 def lattice_snr_rho(point: ChannelPoint) -> float:
     """Squared effective-radius-to-noise ratio r_eff^2 / (n sigma2); converges
     to the VNR as n grows.  inf past double range."""
-    s = _unit_radius(point.n, _unit_nld(point))
+    s = _unit_radius(point.n, _unit_nld(point), log_vn(point.n))
     return s * s / point.n if s < 1e154 else s * (s / point.n)   # s^2 alone overflows past 1.3e154
 
 
 def normalized_error_prob(eps1: float, n: int) -> float:
     """Per-block error target 1 - (1 - eps1)^n matching a per-dimension-1
     target eps1, computed through log1p/expm1 so tiny eps1 survive."""
-    _check_eps(eps1)
-    _check_dim(n)
+    _check_prob(eps1)
+    _check_int(n)
     return -math.expm1(n * math.log1p(-eps1))

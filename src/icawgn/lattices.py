@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .bounds import _check_sigma2, delta_star
-from .dispersion import DB_PER_NAT, _check_eps
-from .specfn import _check_dim
+from .bounds import delta_star
+from .dispersion import DB_PER_NAT
+from .specfn import _check_int, _check_positive, _check_prob, _check_seed, _check_sigma2
 
 __all__ = [
     "LatticeSpec",
@@ -71,7 +71,8 @@ class LatticeSpec:
     """A named lattice: row-basis generator, positive scale multiplier.
 
     The constellation is {scale * (c @ generator) : c integer row vector};
-    its NLD is -(1/n) ln|det generator| - ln scale.
+    its NLD is -(1/n) ln|det generator| - ln scale.  ``dim`` must be an
+    integer, ``generator`` finite and nonsingular, and ``scale`` finite and > 0.
     """
 
     name: str
@@ -80,14 +81,14 @@ class LatticeSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_int(self.dim)
         gen = np.asarray(self.generator, dtype=float)
         object.__setattr__(self, "generator", gen)
         if gen.shape != (self.dim, self.dim):
             raise ValueError(f"generator must be {self.dim}x{self.dim}, got {gen.shape}")
-        if abs(np.linalg.det(gen)) <= 0.0:
-            raise ValueError("generator must be nonsingular")
-        if not (self.scale > 0.0):
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not (np.isfinite(gen).all() and abs(np.linalg.det(gen)) > 0.0):
+            raise ValueError("generator must be finite and nonsingular")
+        _check_positive(self.scale, "scale")
 
     @property
     def log_det(self) -> float:
@@ -165,7 +166,7 @@ def builtin(name: str) -> LatticeSpec:
     m = _ZN_RE.match(name)
     if m:
         k = int(m.group(1) or m.group(2))
-        _check_dim(k)
+        _check_int(k)
         return LatticeSpec(name=f"Z{k}", dim=k, generator=np.eye(k))
     if name == "A2":
         return LatticeSpec(name="A2", dim=2,
@@ -310,11 +311,12 @@ def _decoded_errors(family: str, z: np.ndarray) -> int:
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
-    """Two-sided exact binomial (Clopper-Pearson) confidence interval."""
-    if trials < 1 or not (0 <= errors <= trials):
-        raise ValueError(f"invalid counts: {errors}/{trials}")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    """Two-sided exact binomial (Clopper-Pearson) confidence interval.  The
+    counts must be integers with 0 <= errors <= trials and 1 <= trials, and
+    ``confidence`` must lie in (0, 1)."""
+    _check_int(trials, name="trials")
+    _check_int(errors, 0, trials, name="errors")
+    _check_prob(confidence, "confidence")
     alpha = 1.0 - confidence
     lo = 0.0 if errors == 0 else float(_sp.betaincinv(errors, trials - errors + 1, alpha / 2.0))
     hi = 1.0 if errors == trials else float(_sp.betaincinv(errors + 1, trials - errors, 1.0 - alpha / 2.0))
@@ -420,17 +422,17 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
     chi-square mixture and directions from four generators in all
     (``_outside_noise``).  The error count has the distribution of a plain
     draw's, but seeded counts differ from releases that drew a norm for
-    every row, or every coordinate.
+    every row, or every coordinate.  ``trials`` and ``streams`` must be
+    integers with 1 <= streams <= trials, and ``seed`` what
+    ``np.random.SeedSequence`` takes, except a bool.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if streams < 1:
-        raise ValueError(f"streams must be >= 1, got {streams}")
+    _check_int(trials, name="trials")
+    _check_int(streams, 1, trials, name="streams")
     _check_sigma2(sigma2)
     fam = _family(spec)
     s = math.sqrt(sigma2) / spec.scale
     rho2 = _PACKING_RADIUS2[fam]
-    children = np.random.SeedSequence(seed).spawn(streams)
+    children = _check_seed(seed).spawn(streams)
     per = trials // streams
     extra = trials % streams
     errors = 0
@@ -455,18 +457,23 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     rejected probe moves one end of the bracket [s_lo, s_hi], which starts
     at [0, inf): the next probe doubles s_lo while s_hi is infinite, halves
     s_hi while s_lo is zero, and bisects geometrically once both are set.
+
+    ``trials_per_probe`` and ``max_probes`` must be integers >= 1, and
+    ``streams`` one in 1..trials_per_probe.  Probe k is seeded with [seed, k],
+    where a None seed stands for entropy drawn once for all the probes.
     """
-    _check_eps(eps)
-    if trials_per_probe < 1:
-        raise ValueError(f"trials_per_probe must be >= 1, got {trials_per_probe}")
+    _check_prob(eps)
+    _check_int(trials_per_probe, name="trials_per_probe")
+    _check_int(max_probes, name="max_probes")
     _check_sigma2(sigma2)
+    entropy = _check_seed(seed).entropy
     probes = 0
 
     def probe(s: float, trials: int) -> SimEstimate:
         nonlocal probes
         probes += 1
         return simulate_error_prob(dataclasses.replace(spec, scale=s), sigma2,
-                                   trials, seed=[seed, probes], streams=streams)
+                                   trials, seed=[entropy, probes], streams=streams)
 
     def finish(s: float) -> ScaleSearchResult:
         scaled = dataclasses.replace(spec, scale=s)

@@ -67,8 +67,9 @@ _LARGE_A_LOWER_MIN = 1e-2
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
-# The largest dimension: the array paths hold n in numpy's int64.
-_MAX_DIM = 2**63 - 1
+# The largest dimension or count: the array paths and numpy's generators use int64.
+_MAX_INT = 2**63 - 1
+_BOOLS = frozenset({bool, np.bool_})
 
 
 def _exp_or_inf(v: float) -> float:
@@ -136,21 +137,54 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _check_dim(n, least: int = 1, most: int = _MAX_DIM) -> None:
-    # The one rule for a dimension: an integer, not a bool, in least..most.
-    # Plain ints pass at the first test, without the costlier isinstance:
-    # log_vn and ChannelPoint check n at every scalar bound.
-    if type(n) is int and least <= n <= most:
+def _check_int(v, least: int = 1, most: int = _MAX_INT, name: str = "dimension") -> None:
+    # The one rule for a dimension or a count: an integer, not a bool, in
+    # least..most.  Plain ints pass at the first test, without the costlier
+    # isinstance: log_vn and ChannelPoint check n at every scalar bound.
+    if type(v) is int and least <= v <= most:
         return
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    if not least <= n <= most:
-        raise ValueError(f"dimension must be an integer n in {least}..{most}, got {n}")
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if not least <= v <= most:
+        symbol = " n" if name == "dimension" else ""
+        raise ValueError(f"{name} must be an integer{symbol} in {least}..{most}, got {v}")
+
+
+def _check_prob(p, name: str = "error probability") -> None:
+    # The one rule for a probability: in (0, 1), which NaN and bools are not.
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"{name} must be in (0, 1), got {p}")
+
+
+def _check_positive(v, name: str) -> None:
+    # The one rule for a positive real: finite and > 0, which NaN is not.
+    if not (0.0 < v < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
+def _check_sigma2(sigma2: float) -> None:
+    _check_positive(sigma2, "noise variance")
+
+
+def _check_nld(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise ValueError(f"NLD must be finite, got {delta}")
+
+
+def _check_seed(seed) -> np.random.SeedSequence:
+    # The one rule for a seed, returned as its SeedSequence: what SeedSequence
+    # takes (None, a nonnegative integer or a sequence of them) but bools.
+    try:
+        if _BOOLS.isdisjoint(map(type, seed if isinstance(seed, (list, tuple)) else [seed])):
+            return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"seed must be None, a nonnegative integer or a sequence of them, got {seed!r}")
 
 
 def log_vn(n: int) -> float:
     """ln of the volume of the n-dimensional unit ball: (n/2) ln pi - ln Gamma(n/2 + 1)."""
-    _check_dim(n)
+    _check_int(n)
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
@@ -160,13 +194,12 @@ def log_vn_asymptotic(n: int) -> float:
     Error is O(1/n) (about -1/(6n)); intended for asymptotic cross-checks
     only, never as a substitute for :func:`log_vn`.
     """
-    _check_dim(n)
+    _check_int(n)
     return 0.5 * n * math.log(2.0 * math.pi * math.e / n) - 0.5 * math.log(n * math.pi)
 
 
 def _check_gamma_args(a: float, x: float) -> None:
-    if not (0.0 < a < math.inf):
-        raise ValueError(f"shape parameter must be finite and > 0, got {a}")
+    _check_positive(a, "shape parameter")
     if not (x >= 0.0):
         raise ValueError(f"argument must be >= 0, got {x}")
 
@@ -403,7 +436,7 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
         a, x = np.broadcast_arrays(a, x)
     ok = (0.0 < a) & (a < math.inf)
     if not _every(ok):
-        raise ValueError(f"shape parameter must be finite and > 0, got {a[~ok][0]}")
+        _check_positive(a[~ok][0], "shape parameter")
     inner = (x > 0.0) & (x < math.inf)
     if _every(inner):
         return _log_tail_inner(a.reshape(-1), x.reshape(-1), upper).reshape(a.shape)
@@ -452,6 +485,5 @@ def log_q_func(x: float) -> float:
 def q_func_inv(p: float) -> float:
     """Inverse of :func:`q_func` on (0, 1), computed as scipy's ``-ndtri(p)``.
     Within 4e-16 max(1, |x|) of the exact root from p = 1e-300 to 1 - 1e-12."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"q_func_inv requires p in (0, 1), got {p}")
+    _check_prob(p, "p")
     return -_cs.ndtri(p)

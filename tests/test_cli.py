@@ -427,6 +427,20 @@ def test_dimension_past_int64_is_usage_error_naming_the_limit(argv, capsys):
     assert "9223372036854775807" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["--trials", "1000000000000000000000"], "trials"),
+    (["--streams", "2000000000000000000000"], "streams"),
+    (["--target-eps", "0.1", "--trials", "1000000000000000000000"], "trials_per_probe"),
+], ids=["trials", "streams", "trials_per_probe"])
+def test_count_past_int64_is_usage_error_naming_the_count(argv, count, capsys):
+    # These were "error: numerical: Python int too large to convert to C long".
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--lattice", "Z2", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("icawgn: usage error: ") and f"{count} must be an integer in 1.." in err
+
+
 def test_import_leaves_out_scipy_optimize_and_integrate():
     # Each adds 0.22-0.29 s of import on a 2-core x86-64 box; the root finder
     # and the Gauss-Legendre rule are written out to avoid that.

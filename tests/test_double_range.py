@@ -1,5 +1,6 @@
 """Every public bound, curve, asymptotic form, exponent, radius and inversion
-at the ends of double range: each call returns a value or raises ValueError
+at the ends of double range, and the simulation layer over any count, seed,
+noise variance and scale: each call returns a value or raises ValueError
 (AsymptoticSingularity included), never OverflowError or another error."""
 
 import math
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from icawgn import asymptotics, bounds, dispersion
+from icawgn import asymptotics, bounds, dispersion, lattices
 from icawgn.bounds import CURVE_KINDS, ChannelPoint
 
 _BOUNDS = (bounds.sphere_bound, bounds.ml_bound, bounds.typicality_bound,
@@ -71,3 +72,45 @@ def test_every_entry_point_returns_a_value_or_raises_value_error(n, nld, sigma2,
         res = _value(invert, n, eps, sigma2)
         assert res is None or math.isfinite(res.delta), (invert.__name__, res)
     assert math.isfinite(dispersion.nld_eps_approx(n, eps, sigma2))
+
+
+# Counts of every size and type, seeds of every kind, and every double.  Each
+# leads with a branch of valid values, so that some draws get past every check.
+_COUNTS = st.one_of(st.integers(min_value=1, max_value=40),
+                    st.integers(min_value=-2, max_value=2**70), st.floats(), st.booleans())
+_SEEDS = st.one_of(st.integers(min_value=0), st.integers(), st.floats(), st.text(max_size=3),
+                   st.lists(st.integers(min_value=-2, max_value=2**70), max_size=3))
+_DOUBLES = st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.floats())
+
+
+def _runs(count, most) -> bool:
+    # Whether a simulation may run with this count: it is rejected, or at most `most`.
+    return not (type(count) is int and most < count < 2**63)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(trials=_COUNTS, streams=st.one_of(st.just(1), _COUNTS), probes=_COUNTS, seed_=_SEEDS,
+       sigma2=_DOUBLES, scale=_DOUBLES,
+       confidence=st.one_of(st.floats(min_value=0.01, max_value=0.99), st.floats()))
+def test_simulation_layer_returns_a_value_or_raises_value_error(trials, streams, probes, seed_,
+                                                                sigma2, scale, confidence):
+    spec = _value(lattices.LatticeSpec, "Z2", 2, np.eye(2), scale)
+    assert (spec is not None) == (0.0 < scale < math.inf)
+    assert _value(lattices.LatticeSpec, "Z2", trials, np.eye(2)) is None or (
+        type(trials) is int and trials == 2)
+    spec = spec or lattices.builtin("Z2")
+    # No numpy integers are drawn, so every accepted count is a plain int.
+    ci = _value(lattices.clopper_pearson, streams, trials, confidence)
+    assert ci is None or (type(trials) is type(streams) is int and 0.0 <= ci[0] <= ci[1] <= 1.0), ci
+    if _runs(trials, 10**4) and _runs(streams, 64):
+        est = _value(lattices.simulate_error_prob, spec, sigma2, trials, seed_, streams)
+        assert est is None or (type(trials) is int and 0 <= est.errors <= est.trials == trials), est
+    if _runs(trials, 10**3) and _runs(streams, 8) and _runs(probes, 4):
+        try:
+            res = lattices.find_scale_for_error(spec, 0.1, sigma2, trials, seed_, streams, probes)
+            assert type(trials) is int and res.estimate.trials == 4 * trials, res
+        except ValueError:
+            pass
+        except ArithmeticError as exc:   # too few probes; OverflowError is not this
+            assert type(exc) is ArithmeticError and "did not converge" in str(exc), exc

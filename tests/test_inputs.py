@@ -1,6 +1,15 @@
-"""The input contract of the public entry points: a dimension is an integer
-(not a bool) from the function's own floor to 2^63 - 1, checked by
-``specfn._check_dim`` alone, and an NLD is finite."""
+"""The input contract of the public entry points, one validator in ``specfn``
+per kind of input:
+
+- a dimension or a count is an integer (not a bool) from the function's own
+  floor to 2^63 - 1, or to the count it splits (``_check_int``);
+- a probability lies in (0, 1) (``_check_prob``);
+- a noise variance, shape, section radius or lattice scale is finite and
+  > 0 (``_check_positive``);
+- a seed is what ``np.random.SeedSequence`` takes, except a bool
+  (``_check_seed``);
+- an NLD is finite (``_check_nld``).
+"""
 
 import ast
 import math
@@ -18,7 +27,10 @@ from icawgn.bounds import (CURVE_KINDS, ChannelPoint, bound_curves, d_section_pr
 from icawgn.dispersion import (nld_eps_achievable, nld_eps_achievable_curve, nld_eps_approx,
                                nld_eps_converse, norm_tail_normal_approx,
                                normalized_error_prob, vnr_opt_approx)
-from icawgn.specfn import log_vn, log_vn_asymptotic
+from icawgn.lattices import (LatticeSpec, builtin, clopper_pearson, find_scale_for_error,
+                             simulate_error_prob)
+from icawgn.specfn import (log_reg_gamma_lower, log_reg_gamma_tail, log_reg_gamma_upper, log_vn,
+                           log_vn_asymptotic, q_func_inv, reg_gamma_lower, reg_gamma_upper)
 
 # Every public entry point that takes a dimension: (its floor, a call at n).
 ENTRY_POINTS = {
@@ -97,9 +109,156 @@ def test_empty_dimensions_give_empty_curves(empty):
     assert nld_eps_achievable_curve(empty, 0.01, 1.0) == []
 
 
-def _dimension_checks(tree):
-    """(function, text) of every raise whose message mentions a dimension, and
-    (function, test) of every ``if`` that compares n or dim with an integer literal."""
+# Every public entry point that takes a count: (its floor, a call at count c).
+# The counts that bound another (streams, errors) sit below their ceiling at 4.
+COUNTS = {
+    "simulate_error_prob.trials": (1, lambda c: simulate_error_prob(builtin("Z2"), 0.1, c, seed=1)),
+    "simulate_error_prob.streams": (1, lambda c: simulate_error_prob(builtin("Z2"), 0.1, 8, seed=1,
+                                                                     streams=c)),
+    "clopper_pearson.trials": (1, lambda c: clopper_pearson(0, c)),
+    "clopper_pearson.errors": (0, lambda c: clopper_pearson(c, 8)),
+    "find_scale_for_error.trials_per_probe": (
+        1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, c, seed=1)),
+    "find_scale_for_error.streams": (
+        1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 8, seed=1, streams=c)),
+    "find_scale_for_error.max_probes": (
+        1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=1, max_probes=c)),
+}
+
+BAD_COUNTS = [2.5, 4.0, True, False, 0, -1, "4", 2**63, np.uint64(2**63)]
+
+
+@pytest.mark.parametrize("name, c", [(name, c) for name, (least, _) in COUNTS.items()
+                                     for c in BAD_COUNTS
+                                     if not (type(c) is int and least <= c <= 4)], ids=repr)
+def test_bad_count_is_a_value_error(name, c):
+    # Valid counts are left out (0 errors); every huge count is rejected
+    # before it runs.
+    with pytest.raises(ValueError, match=name.split(".")[1]):
+        COUNTS[name][1](c)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_count_below_its_floor_is_a_value_error(name):
+    least, call = COUNTS[name]
+    with pytest.raises(ValueError, match=f"{name.split('.')[1]} must be an integer in {least}\\.\\."):
+        call(least - 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate_error_prob(builtin("Z2"), 0.1, 8, seed=1, streams=9), "streams"),
+    (lambda: clopper_pearson(9, 8), "errors"),
+    (lambda: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 8, seed=1, streams=9), "streams"),
+], ids=["simulate_error_prob", "clopper_pearson", "find_scale_for_error"])
+def test_count_past_the_count_it_splits_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"{message} must be an integer in .*\\.\\.8, got 9"):
+        call()
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("c", [np.int64(4), np.int32(4), np.uint64(4)], ids=repr)
+def test_numpy_integer_count_gives_the_int_value(name, c):
+    call = COUNTS[name][1]
+    np.testing.assert_equal(call(c), call(4))
+
+
+# Every public entry point that takes a probability, as a call at p.
+PROBABILITIES = {
+    "nld_eps_approx": lambda p: nld_eps_approx(4, p, 1.0),
+    "nld_eps_converse": lambda p: nld_eps_converse(4, p, 1.0),
+    "nld_eps_achievable": lambda p: nld_eps_achievable(4, p, 1.0),
+    "nld_eps_achievable_curve": lambda p: nld_eps_achievable_curve([4], p, 1.0),
+    "vnr_opt_approx": lambda p: vnr_opt_approx(4, p),
+    "normalized_error_prob": lambda p: normalized_error_prob(p, 4),
+    "q_func_inv": q_func_inv,
+    "clopper_pearson": lambda p: clopper_pearson(3, 10, p),
+    "find_scale_for_error": lambda p: find_scale_for_error(builtin("Z1"), p, 1.0, 10, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", PROBABILITIES)
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan, math.inf, True], ids=repr)
+def test_bad_probability_is_a_value_error(name, p):
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
+        PROBABILITIES[name](p)
+
+
+# Every public entry point that takes a positive real: noise variances,
+# incomplete-gamma shapes, section radii and lattice scales.
+POSITIVE_REALS = {
+    "ChannelPoint": lambda v: ChannelPoint(4, -1.5, v),
+    "bound_curves": lambda v: bound_curves([4], -1.5, v),
+    "asym_curves": lambda v: asym_curves([4], -1.5, v),
+    "nld_eps_converse": lambda v: nld_eps_converse(4, 0.01, v),
+    "nld_eps_achievable_curve": lambda v: nld_eps_achievable_curve([4], 0.01, v),
+    "simulate_error_prob": lambda v: simulate_error_prob(builtin("Z2"), v, 10, seed=1),
+    "find_scale_for_error": lambda v: find_scale_for_error(builtin("Z1"), 0.1, v, 10, seed=1),
+    "log_reg_gamma_upper": lambda v: log_reg_gamma_upper(v, 1.0),
+    "log_reg_gamma_lower": lambda v: log_reg_gamma_lower(v, 1.0),
+    "reg_gamma_upper": lambda v: reg_gamma_upper(v, 1.0),
+    "reg_gamma_lower": lambda v: reg_gamma_lower(v, 1.0),
+    "log_reg_gamma_tail": lambda v: log_reg_gamma_tail([2.0, v], [1.0, 1.0], upper=True),
+    "d_section_prob": lambda v: d_section_prob(3, v, 0.0, 1.0),
+    "equivalence_sides": lambda v: equivalence_sides(3, v, 1.0),
+    "LatticeSpec": lambda v: LatticeSpec("Z2", 2, np.eye(2), scale=v),
+}
+
+
+@pytest.mark.parametrize("name", POSITIVE_REALS)
+@pytest.mark.parametrize("v", [0.0, -1.0, math.nan, math.inf], ids=repr)
+def test_bad_positive_real_is_a_value_error(name, v):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        POSITIVE_REALS[name](v)
+
+
+# Every public entry point that takes a seed, as a call at seed s.
+SEEDED = {
+    "simulate_error_prob": lambda s: simulate_error_prob(builtin("Z2"), 0.1, 10, seed=s),
+    "find_scale_for_error": lambda s: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 10, seed=s),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("s", [1.5, "x", [1.5], True, -1, np.True_, [4, True]], ids=repr)
+def test_bad_seed_is_a_value_error(name, s):
+    with pytest.raises(ValueError, match="seed"):
+        SEEDED[name](s)
+
+
+def test_scale_search_probes_draw_from_the_seed_and_the_probe_number():
+    res = find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=7)
+    assert res.estimate.seed == [7, res.probes]
+    # Without a seed the entropy is drawn once, and every probe uses it.
+    fresh = find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=None)
+    entropy, probe = fresh.estimate.seed
+    assert probe == fresh.probes and type(entropy) is int
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"generator": np.array([[1.0, math.nan], [0.0, 1.0]])}, "generator must be finite"),
+    ({"generator": np.array([[1.0, 0.0], [math.inf, 1.0]])}, "generator must be finite"),
+    ({"generator": np.ones((2, 2))}, "nonsingular"),
+    ({"scale": math.inf}, "scale"), ({"scale": math.nan}, "scale"), ({"scale": 0.0}, "scale"),
+    ({"dim": 2.0}, "dimension"), ({"dim": True}, "dimension"),
+], ids=repr)
+def test_bad_lattice_spec_is_a_value_error(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LatticeSpec(**{"name": "x", "dim": 2, "generator": np.eye(2), **kwargs})
+
+
+# Each rule's message, by a phrase that no other message has, and the one
+# validator allowed to raise it.
+RULE_PHRASES = ("dimension", "integer", "(0, 1)", "finite and > 0", "NLD", "seed")
+VALIDATORS = ("_check_int", "_check_prob", "_check_positive", "_check_nld", "_check_seed")
+# The inputs that only a validator may compare with a literal.
+CHECKED_NAMES = ("n", "dim", "trials", "streams", "errors", "eps", "p", "confidence",
+                 "sigma2", "scale")
+
+
+def _input_checks(tree):
+    """(function, text) of every raise whose message has a rule's phrase, and
+    (function, test) of every ``if`` outside a validator that compares a
+    checked input with a number literal."""
     raises, compares = [], []
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
@@ -108,33 +267,37 @@ def _dimension_checks(tree):
             if isinstance(node, ast.Raise):
                 text = "".join(c.value for c in ast.walk(node)
                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
-                if "dimension" in text:
+                if any(phrase in text for phrase in RULE_PHRASES):
                     raises.append((fn.name, text))
-            elif isinstance(node, ast.If):
+            elif isinstance(node, ast.If) and fn.name not in VALIDATORS:
                 for c in ast.walk(node.test):
                     if not isinstance(c, ast.Compare):
                         continue
                     sides = [c.left, *c.comparators]
-                    dim = any(getattr(s, "id", getattr(s, "attr", None)) in ("n", "dim")
-                              for s in sides)
-                    literal = any(isinstance(s, ast.Constant) and type(s.value) is int
+                    checked = any(getattr(s, "id", getattr(s, "attr", None)) in CHECKED_NAMES
                                   for s in sides)
-                    if dim and literal:
+                    literal = any(isinstance(s, ast.Constant) and type(s.value) in (int, float)
+                                  for s in sides)
+                    if checked and literal:
                         compares.append((fn.name, ast.unparse(c)))
     return raises, compares
 
 
-def test_dimension_errors_come_from_one_validator():
-    # The scalar "dimension must be" errors are raised by specfn._check_dim
-    # only; _check_dims adds just its array dtype error, and no function
-    # tests a dimension against a literal bound of its own.
+def test_input_errors_come_from_their_validators():
+    # Each rule's errors are raised by its validator in specfn only;
+    # _check_dims adds just its array dtype error, and no function outside
+    # the validators tests a checked input against a literal bound of its own.
     found = {}
     for path in sorted(pathlib.Path(icawgn.__file__).parent.glob("*.py")):
-        raises, compares = _dimension_checks(ast.parse(path.read_text()))
+        raises, compares = _input_checks(ast.parse(path.read_text()))
         for fn, text in raises:
-            found.setdefault((path.stem, fn), []).append(text.split(",")[0])
+            found.setdefault((path.stem, fn), []).append(text.split(", got")[0])
         assert not compares, (path.name, compares)
     assert found == {
-        ("specfn", "_check_dim"): ["dimension must be an integer", "dimension must be an integer n in .."],
+        ("specfn", "_check_int"): [" must be an integer", " must be an integer in .."],
+        ("specfn", "_check_prob"): [" must be in (0, 1)"],
+        ("specfn", "_check_positive"): [" must be finite and > 0"],
+        ("specfn", "_check_nld"): ["NLD must be finite"],
+        ("specfn", "_check_seed"): ["seed must be None, a nonnegative integer or a sequence of them"],
         ("bounds", "_check_dims"): ["dimensions must be a 1-d integer array"],
     }
