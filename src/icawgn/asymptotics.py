@@ -12,8 +12,9 @@ on logs; no quadrature.
 
 :func:`asym_curves` evaluates the sandwiches and the asymptotic forms over
 a vector of dimensions at one (delta, sigma2), with NaN where a form is
-undefined; the scalar functions take one :class:`ChannelPoint` through
-the same code and raise a typed error there instead.
+undefined; all six scalar forms, the ML form at the Poltyrev radius
+included, take one :class:`ChannelPoint` through the same code (one
+element, with ``_at``) and raise a typed error there instead.
 
 The achievability exponent below the critical NLD is a straight line of
 slope -1.  Its additive constant is (1/2) ln(e/4): that value is forced
@@ -40,7 +41,7 @@ from .bounds import (
     delta_cr,
     delta_star,
 )
-from .specfn import _LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_sigma2, _exp_or_inf, log_add
+from .specfn import _LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_sigma2, _exp_or_inf
 
 __all__ = [
     "AsymptoticTerms",
@@ -136,12 +137,17 @@ def exponent_r(delta: float, sigma2: float) -> float:
 
 
 def exponent_t(delta: float, sigma2: float) -> float:
-    """Typicality exponent D - (1/2) ln(1 + 2 D), D = delta* - delta."""
+    """Typicality exponent D - (1/2) ln(1 + 2 D), D = delta* - delta.
+
+    Where 2 D passes double range, ln(1 + 2 D) is ln 2 + ln D to double
+    precision, so D up to the largest double gives a finite exponent.
+    """
     _check_nld(delta)
     d = delta_star(sigma2) - delta
-    if 1.0 + 2.0 * d <= 0.0:
+    two_d = 2.0 * d
+    if 1.0 + two_d <= 0.0:
         raise ValueError(f"typicality exponent undefined: 1 + 2(delta*-delta) = {1 + 2 * d} <= 0")
-    return d - 0.5 * math.log1p(2.0 * d)
+    return d - 0.5 * (math.log1p(two_d) if two_d < math.inf else math.log(2.0) + math.log(d))
 
 
 def terms(point: ChannelPoint) -> AsymptoticTerms:
@@ -161,6 +167,7 @@ def _terms(n: np.ndarray, d: float):
     rho = 2.0 * _gamma_arg(s) / n
     upsilon = n * (rho - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
     psi = np.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * np.sqrt(rho))
+    psi[rho == math.inf] = -math.inf   # the limit of -sqrt(n rho) / 2, not inf / inf
     mu = _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
     return rho, upsilon, psi, mu
 
@@ -219,10 +226,9 @@ def _ml_sandwich(n, d):
 
 
 def _mu_checked(d: float) -> float:
-    gap = _DELTA_STAR_1 - d
-    if gap <= 0.0:
-        raise ValueError("asymptotic form requires delta < delta*")
-    mu = _exp_or_inf(2.0 * gap)
+    # Above the critical window mu <= 2 e^(-2e-9), so 2 - mu >= 4e-9 there.
+    _require_below_capacity(d, "asymptotic form")
+    mu = _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
     if mu - 1.0 < 1e-15:
         raise AsymptoticSingularity(
             f"mu = {mu!r} is at the mu -> 1 singularity (delta at capacity)")
@@ -250,21 +256,30 @@ def _ml_asymptotic(n, d):
                                  + (np.log(n * math.pi) + 2.0) / n) / (2.0 * math.pi))
     if branch == "above":
         mu = _mu_checked(d)
-        if 2.0 - mu < 1e-15:
-            raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
         return (-n * er - 0.5 * mu * np.log(n * math.pi)
                 - math.log(2.0 - mu) - math.log(mu - 1.0))
     return -n * er - 0.5 * np.log(2.0 * math.pi * n)
 
 
 def _typicality_asymptotic(n, d):
+    _require_below_capacity(d, "asymptotic form")
     gap = _DELTA_STAR_1 - d
-    if gap <= 0.0:
-        raise ValueError("asymptotic form requires delta < delta*")
     if 2.0 * gap < 1e-15:
         raise AsymptoticSingularity("typicality prefactor singular as delta -> delta*")
     return (-n * exponent_t(d, 1.0) - 0.5 * np.log(n * math.pi)
             + math.log1p(2.0 * gap) - math.log(2.0 * gap))
+
+
+def _poltyrev_r_asymptotic(n, d):
+    branch = _ml_branch(d)
+    if branch == "below":
+        return _ml_asymptotic(n, d)
+    er = exponent_r(d, 1.0)
+    if branch == "critical":
+        return -n * er - 0.5 * np.log(math.pi * n) + math.log1p(1.0 / math.sqrt(8.0))
+    mu = _mu_checked(d)
+    lnpi = np.log(n * math.pi)
+    return -n * er + np.logaddexp(-lnpi - math.log(2.0 - mu), -0.5 * lnpi - math.log(mu - 1.0))
 
 
 # Keys of asym_curves, by the form that computes them.
@@ -292,7 +307,7 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
     element is NaN exactly where the scalar function raises ``ValueError``
     or :class:`AsymptoticSingularity`: n <= 2 and delta >= delta* for the
     sandwiches, outside the window for the ML sandwich, and at the mu -> 1
-    and mu -> 2 singularities.  Inputs :func:`~icawgn.bounds.bound_curves`
+    singularity.  Inputs :func:`~icawgn.bounds.bound_curves`
     rejects raise the same errors here.  So far below capacity that
     e^(2(delta*-delta)) or r_eff passes double range, a form whose log is
     -inf there is NaN, and the scalar form raises ``ValueError``.
@@ -389,21 +404,7 @@ def poltyrev_r_asymptotic(point: ChannelPoint) -> LogProb:
         below critical:  e^(-n E_r) / sqrt(2 pi n), the ML form itself
         at critical:     e^(-n E_r) (1/sqrt(pi n)) (1 + 1/sqrt 8)
     """
-    branch = ml_asymptotic_branch(point)
-    if branch == "below":
-        return ml_asymptotic(point)
-    n, d = point.n, _unit_nld(point)
-    er = exponent_r(d, 1.0)
-    if branch == "critical":
-        return LogProb(-n * er - 0.5 * math.log(math.pi * n)
-                       + math.log1p(1.0 / math.sqrt(8.0)))
-    mu = _mu_checked(d)
-    if 2.0 - mu < 1e-15:
-        raise AsymptoticSingularity(f"mu = {mu!r} is at the mu -> 2 singularity")
-    lnpi = math.log(n * math.pi)
-    first = -lnpi - math.log(2.0 - mu)
-    second = -0.5 * lnpi - math.log(mu - 1.0)
-    return LogProb(-n * er + log_add(LogProb(first), LogProb(second)).log_value)
+    return _at(_poltyrev_r_asymptotic, point)[0]
 
 
 def ub_lb_ratio_limit(delta: float, sigma2: float) -> float:

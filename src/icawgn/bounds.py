@@ -58,6 +58,7 @@ from .specfn import (
     _check_int,
     _check_nld,
     _check_positive,
+    _check_positive_or_inf,
     _check_sigma2,
     _exp_or_inf,
     log_add,
@@ -180,8 +181,11 @@ def _unit_radius(n: int, d: float, lv: float) -> float:
 
 def poltyrev_radius(point: ChannelPoint) -> float:
     """The classical suboptimal decoding radius sqrt(n) sigma e^(delta* - delta)."""
-    s = math.sqrt(point.n) * _exp_or_inf(_DELTA_STAR_1 - _unit_nld(point))
-    return math.sqrt(point.sigma2) * s
+    return math.sqrt(point.sigma2) * _poltyrev_unit_radius(point.n, _unit_nld(point))
+
+
+def _poltyrev_unit_radius(n: int, d: float) -> float:
+    return math.sqrt(n) * _exp_or_inf(_DELTA_STAR_1 - d)
 
 
 def _gamma_arg(s):
@@ -208,8 +212,7 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     lets the converse extend to unequal Voronoi cell volumes.
     """
     _check_int(n)
-    if not (v > 0.0):
-        raise ValueError(f"volume must be > 0, got {v}")
+    _check_positive_or_inf(v, "volume")
     _check_sigma2(sigma2)
     # ln s^2 of the ball's radius in units of sigma.
     log_s2 = 2.0 * (math.log(v) - log_vn(n)) / n - math.log(sigma2)
@@ -227,6 +230,12 @@ def _ml_first_term(n: int, d: float, s: float, lv: float) -> LogProb:
     return LogProb(lg + tail.log_value)
 
 
+def _ml_bound_at(kind: str, n: int, d: float, s: float, lv: float, radius_used: float) -> BoundValue:
+    # The ML bound at s = r/sigma, with lv = ln V_n.
+    total = log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s))
+    return BoundValue(kind, total, radius_used, clamped=total.log_value > 0.0)
+
+
 def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     """Achievability via the ML decoder: there exist constellations with
 
@@ -235,13 +244,11 @@ def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     f_R being the noise-norm pdf.  Defaults to the optimizing radius r_eff.
     """
     n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
-    if r is not None and not (r > 0.0):
-        raise ValueError(f"radius must be > 0, got {r}")
+    if r is not None:
+        _check_positive_or_inf(r, "radius")
     lv = log_vn(n)
     s = _unit_radius(n, d, lv) if r is None else r / sigma
-    total = log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s))
-    return BoundValue(kind="ml", log_value=total, radius_used=sigma * s if r is None else r,
-                      clamped=total.log_value > 0.0)
+    return _ml_bound_at("ml", n, d, s, lv, sigma * s if r is None else r)
 
 
 def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
@@ -252,8 +259,8 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     defaulting to the optimizing radius sigma sqrt(n (1 + 2 delta* - 2 delta)).
     """
     n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
-    if r is not None and not (r > 0.0):
-        raise ValueError(f"radius must be > 0, got {r}")
+    if r is not None:
+        _check_positive_or_inf(r, "radius")
     radicand = 1.0 + 2.0 * (_DELTA_STAR_1 - d)
     if r is None and radicand <= 0.0:
         raise ValueError(
@@ -270,10 +277,8 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
 def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
     """The ML bound evaluated at the classical radius sqrt(n) sigma e^(delta*-delta)."""
     n, d = point.n, _unit_nld(point)
-    s = math.sqrt(n) * _exp_or_inf(_DELTA_STAR_1 - d)
-    total = log_add(_ml_first_term(n, d, s, log_vn(n)), _log_norm_tail(n, s))
-    return BoundValue(kind="poltyrev_r", log_value=total,
-                      radius_used=math.sqrt(point.sigma2) * s, clamped=total.log_value > 0.0)
+    s = _poltyrev_unit_radius(n, d)
+    return _ml_bound_at("poltyrev_r", n, d, s, log_vn(n), math.sqrt(point.sigma2) * s)
 
 
 CURVE_KINDS = ("sphere", "ml", "typicality", "poltyrev")

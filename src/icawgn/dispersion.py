@@ -27,8 +27,8 @@ from .bounds import (ChannelPoint, _check_dims, _dim_terms,
                      _sphere_ml_curves, _unit_nld, _unit_radius, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
-from .specfn import (LogProb, _check_int, _check_nld, _check_prob, _check_sigma2, _exp_or_inf,
-                     log_vn, q_func, q_func_inv)
+from .specfn import (LogProb, _check_int, _check_nld, _check_positive_or_inf, _check_prob,
+                     _check_sigma2, _exp_or_inf, log_vn, q_func, q_func_inv)
 
 __all__ = [
     "InversionResult",
@@ -77,8 +77,7 @@ def norm_tail_normal_approx(n: int, r: float, sigma2: float):
     and |Pr{||Z|| > r} - approx| <= guarantee = 6 T / sqrt(n).
     """
     _check_int(n)
-    if not (r > 0.0):
-        raise ValueError(f"radius must be > 0, got {r}")
+    _check_positive_or_inf(r, "radius")
     _check_sigma2(sigma2)
     s = r / math.sqrt(sigma2)
     approx = q_func((s * s - n) / math.sqrt(2.0 * n))

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .bounds import delta_star
-from .dispersion import DB_PER_NAT
+from .dispersion import gap_db
 from .specfn import _check_int, _check_positive, _check_prob, _check_seed, _check_sigma2
 
 __all__ = [
@@ -57,6 +57,9 @@ RESERVED_NAMES = frozenset({"BW16", "Leech24", "S127", "LDLC"})
 
 _CHUNK_SCALARS = 1 << 18  # 2 MB of noise per chunk
 
+# decode's largest coordinate: every candidate's coordinate sum is then exact.
+_DECODE_MAX = 2.0 ** 50
+
 # Below this t, e^-t is a normal double and the mixture weights of
 # _outside_noise are running products; above it they are summed as logs.
 _T_LINEAR = -math.log(sys.float_info.min)
@@ -71,8 +74,9 @@ class LatticeSpec:
     """A named lattice: row-basis generator, positive scale multiplier.
 
     The constellation is {scale * (c @ generator) : c integer row vector};
-    its NLD is -(1/n) ln|det generator| - ln scale.  ``dim`` must be an
-    integer, ``generator`` finite and nonsingular, and ``scale`` finite and > 0.
+    its NLD is -(1/n) ln|det generator| - ln scale.  ``name`` must be a
+    str, ``dim`` an integer, ``generator`` finite and nonsingular, and
+    ``scale`` finite and > 0.
     """
 
     name: str
@@ -81,6 +85,8 @@ class LatticeSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"lattice name must be a str, got {self.name!r}")
         _check_int(self.dim)
         gen = np.asarray(self.generator, dtype=float)
         object.__setattr__(self, "generator", gen)
@@ -236,28 +242,31 @@ def _candidate_points(family: str, y: np.ndarray) -> np.ndarray:
         ints = _dn_candidates(y)
         halves = [c + 0.5 for c in _dn_candidates(y - 0.5)]
         return np.array(ints + halves)
-    if family == "a2":
-        out = []
-        for di in (0.0, 0.5):
-            dj = di * _SQRT3
-            for i in (math.floor(y[0] - di), math.ceil(y[0] - di)):
-                for j in (math.floor((y[1] - dj) / _SQRT3), math.ceil((y[1] - dj) / _SQRT3)):
-                    out.append(np.array([i + di, j * _SQRT3 + dj]))
-        return np.array(out)
-    raise AssertionError(family)
+    out = []                                    # a2, the last family
+    for di in (0.0, 0.5):
+        dj = di * _SQRT3
+        for i in (math.floor(y[0] - di), math.ceil(y[0] - di)):
+            for j in (math.floor((y[1] - dj) / _SQRT3), math.ceil((y[1] - dj) / _SQRT3)):
+                out.append(np.array([i + di, j * _SQRT3 + dj]))
+    return np.array(out)
 
 
 def decode(spec: LatticeSpec, y) -> DecodedPoint:
     """Exact nearest lattice point to y, with its integer coefficient vector.
 
     Equidistant candidates are resolved toward the lexicographically
-    smallest coefficient vector.
+    smallest coefficient vector.  Every coordinate of y / scale must be
+    finite and below 2^50 in magnitude, where sums of candidate coordinates
+    are still exact integers.
     """
     fam = _family(spec)
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.dim,):
         raise ValueError(f"input must have shape ({spec.dim},), got {y.shape}")
     base = y / spec.scale
+    if not np.all(np.abs(base) < _DECODE_MAX):
+        raise ValueError(f"input / scale must be finite and below 2^50 in magnitude, "
+                         f"got {y.tolist()}")
     cands = _candidate_points(fam, base)
     d2 = ((cands - base) ** 2).sum(axis=1)
     tied = cands[d2 <= d2.min() + 1e-12]
@@ -282,18 +291,13 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
 _PACKING_RADIUS2 = {"zn": 0.25, "a2": 0.25, "d4": 0.5, "e8": 0.5}
 
 
-def _count_errors(family: str, z: np.ndarray) -> int:
-    """Decoding errors among any noise rows: rows inside the packing ball
-    are never errors (see ``_outside_noise``), the rest are tested."""
-    outside = np.einsum("ij,ij->i", z, z) >= _PACKING_RADIUS2[family]
-    return _decoded_errors(family, np.compress(outside, z, axis=0))
-
-
 def _decoded_errors(family: str, z: np.ndarray) -> int:
     """Rows of z outside the zero point's Voronoi cell: some minimal vector v
     has <z, v> > |v|^2 / 2.  With a = |z| sorted per row, the largest <z, v>
     over each family's v is taken in closed form.  No step subtracts, so
-    infinite rows stay errors without an inf - inf."""
+    infinite rows stay errors without an inf - inf.  Any rows may be
+    passed: one inside the packing ball has <z, v> <= |z| |v| < |v|^2 / 2
+    and is never flagged."""
     a = np.abs(z)
     if family == "zn":                            # +-e_i
         err = np.any(a > 0.5, axis=1)
@@ -478,8 +482,7 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     def finish(s: float) -> ScaleSearchResult:
         scaled = dataclasses.replace(spec, scale=s)
         est = probe(s, 4 * trials_per_probe)
-        return ScaleSearchResult(scale=s, delta=scaled.nld,
-                                 gap_db=DB_PER_NAT * (delta_star(sigma2) - scaled.nld),
+        return ScaleSearchResult(scale=s, delta=scaled.nld, gap_db=gap_db(scaled.nld, sigma2),
                                  estimate=est, probes=probes)
 
     # Start at the capacity-matched scale (NLD = delta*), where errors are

@@ -131,8 +131,8 @@ def log_add(a: LogProb, b: LogProb) -> LogProb:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
+    """ln Gamma(x) for x > 0, inf at x = inf."""
+    if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -160,6 +160,18 @@ def _check_positive(v, name: str) -> None:
     # The one rule for a positive real: finite and > 0, which NaN is not.
     if not (0.0 < v < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
+def _check_positive_or_inf(v, name: str) -> None:
+    # The one rule for a bound's own radius or volume: > 0, inf its exact limit.
+    if not (v > 0.0):
+        raise ValueError(f"{name} must be > 0, got {v}")
+
+
+def _check_not_nan(x, name: str) -> None:
+    # The one rule for a real that may be infinite: anything but NaN.
+    if x != x:
+        raise ValueError(f"{name} must not be NaN")
 
 
 def _check_sigma2(sigma2: float) -> None:
@@ -471,7 +483,8 @@ def reg_gamma_lower(a: float, x: float) -> float:
 
 
 def q_func(x: float) -> float:
-    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2."""
+    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2; Q(-inf) = 1, Q(inf) = 0."""
+    _check_not_nan(x, "Q-function argument")
     return 0.5 * math.erfc(x / _SQRT2)
 
 
@@ -479,6 +492,7 @@ def log_q_func(x: float) -> float:
     """ln Q(x), computed as scipy's ``log_ndtr(-x)``.  Accurate to 1e-13
     relative, also far past the underflow of Q itself (checked against mpmath
     up to x = 1e5)."""
+    _check_not_nan(x, "Q-function argument")
     return _cs.log_ndtr(-float(x))
 
 

@@ -254,6 +254,13 @@ class TestTypicalityAsymptotic:
         expected = -n * exponent_t(DS - 0.5, 1.0) + math.log(2.0 / math.sqrt(n * math.pi))
         assert lg == pytest.approx(expected, rel=1e-12)
 
+    def test_singularity_near_capacity(self):
+        # One ulp below capacity the prefactor (1 + 2 D) / (2 D) has D = 2.2e-16.
+        with pytest.raises(AsymptoticSingularity, match="typicality prefactor"):
+            typicality_asymptotic(ChannelPoint(100, math.nextafter(DS, -math.inf), 1.0))
+        with pytest.raises(ValueError, match="asymptotic form requires delta < delta"):
+            typicality_asymptotic(ChannelPoint(100, DS, 1.0))
+
 
 class TestPoltyrevAsymptotic:
     def test_ratio_above_critical(self):

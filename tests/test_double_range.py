@@ -1,7 +1,9 @@
 """Every public bound, curve, asymptotic form, exponent, radius and inversion
 at the ends of double range, and the simulation layer over any count, seed,
 noise variance and scale: each call returns a value or raises ValueError
-(AsymptoticSingularity included), never OverflowError or another error."""
+(AsymptoticSingularity included), never OverflowError or another error.
+The point values and the functions of an NLD, at any finite NLD, are never
+NaN, and the exponents are never negative."""
 
 import math
 
@@ -19,8 +21,9 @@ _FORMS = (asymptotics.sphere_sandwich, asymptotics.ml_sandwich, asymptotics.sphe
           asymptotics.poltyrev_r_asymptotic)
 _POINT_VALUES = (bounds.effective_radius, bounds.poltyrev_radius, asymptotics.terms,
                  asymptotics.ml_asymptotic_branch, dispersion.lattice_snr_rho)
-_NLD_VALUES = (asymptotics.exponent_sp, asymptotics.exponent_r, asymptotics.exponent_t,
-               asymptotics.ub_lb_ratio_limit, dispersion.vnr_from_nld, dispersion.gap_db)
+_EXPONENTS = (asymptotics.exponent_sp, asymptotics.exponent_r, asymptotics.exponent_t)
+_NLD_VALUES = _EXPONENTS + (asymptotics.ub_lb_ratio_limit, dispersion.vnr_from_nld,
+                            dispersion.gap_db)
 _INVERSIONS = (dispersion.nld_eps_converse, dispersion.nld_eps_achievable)
 
 
@@ -32,6 +35,12 @@ def _value(fn, *args):
         return None
 
 
+def _not_nan(value) -> bool:
+    # A float, or each field of AsymptoticTerms, is a number; a branch name passes.
+    fields = vars(value).values() if isinstance(value, asymptotics.AsymptoticTerms) else [value]
+    return not any(isinstance(v, float) and math.isnan(v) for v in fields)
+
+
 def _finite_or_zero(log_value) -> bool:
     # A bound's log is finite, or -inf for an exact zero.
     return bool(np.all(np.isfinite(log_value) | (log_value == -math.inf)))
@@ -41,9 +50,10 @@ def _finite_or_zero(log_value) -> bool:
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(min_value=1, max_value=10**7),
        nld=st.floats(min_value=-1e4, max_value=1e4),
+       any_nld=st.floats(allow_nan=False, allow_infinity=False),
        sigma2=st.floats(min_value=5e-324, max_value=1.7e308),
        eps=st.floats(min_value=5e-324, max_value=0.5))
-def test_every_entry_point_returns_a_value_or_raises_value_error(n, nld, sigma2, eps):
+def test_every_entry_point_returns_a_value_or_raises_value_error(n, nld, any_nld, sigma2, eps):
     point = ChannelPoint(n, nld, sigma2)
     for bound in _BOUNDS:
         bv = _value(bound, point)
@@ -63,10 +73,11 @@ def test_every_entry_point_returns_a_value_or_raises_value_error(n, nld, sigma2,
             assert log_prob is None or _finite_or_zero(log_prob.log_value), form.__name__
     for key, curve in asymptotics.asym_curves([n], nld, sigma2).items():
         assert not np.isinf(curve).any(), key   # a log value, or NaN where undefined
-    for fn in _POINT_VALUES:
-        _value(fn, point)
-    for fn in _NLD_VALUES:
-        _value(fn, nld, sigma2)
+    for fn in _POINT_VALUES + _NLD_VALUES:
+        value = (_value(fn, ChannelPoint(n, any_nld, sigma2)) if fn in _POINT_VALUES
+                 else _value(fn, any_nld, sigma2))
+        assert _not_nan(value), (fn.__name__, value)
+        assert fn not in _EXPONENTS or value is None or value >= 0.0, (fn.__name__, value)
     _value(bounds.sphere_bound_by_volume, n, point.density, sigma2)
     for invert in _INVERSIONS:
         res = _value(invert, n, eps, sigma2)

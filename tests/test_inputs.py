@@ -6,9 +6,13 @@ per kind of input:
 - a probability lies in (0, 1) (``_check_prob``);
 - a noise variance, shape, section radius or lattice scale is finite and
   > 0 (``_check_positive``);
+- a bound's own radius, or a ball's volume, is > 0, with inf its exact limit
+  (``_check_positive_or_inf``);
+- a real whose infinite values are exact limits is not NaN (``_check_not_nan``);
 - a seed is what ``np.random.SeedSequence`` takes, except a bool
   (``_check_seed``);
-- an NLD is finite (``_check_nld``).
+- an NLD is finite (``_check_nld``), and below capacity for an asymptotic
+  form (``asymptotics._require_below_capacity``).
 """
 
 import ast
@@ -23,14 +27,16 @@ from icawgn.asymptotics import (asym_curves, exponent_r, exponent_sp, exponent_t
                                 head_integral_bounds, laplace_head_integral,
                                 tail_integral_bounds, terms)
 from icawgn.bounds import (CURVE_KINDS, ChannelPoint, bound_curves, d_section_prob,
-                           equivalence_sides, sphere_bound, sphere_bound_by_volume)
+                           equivalence_sides, ml_bound, sphere_bound, sphere_bound_by_volume,
+                           typicality_bound)
 from icawgn.dispersion import (nld_eps_achievable, nld_eps_achievable_curve, nld_eps_approx,
                                nld_eps_converse, norm_tail_normal_approx,
                                normalized_error_prob, vnr_opt_approx)
-from icawgn.lattices import (LatticeSpec, builtin, clopper_pearson, find_scale_for_error,
+from icawgn.lattices import (LatticeSpec, builtin, clopper_pearson, decode, find_scale_for_error,
                              simulate_error_prob)
-from icawgn.specfn import (log_reg_gamma_lower, log_reg_gamma_tail, log_reg_gamma_upper, log_vn,
-                           log_vn_asymptotic, q_func_inv, reg_gamma_lower, reg_gamma_upper)
+from icawgn.specfn import (log_gamma, log_q_func, log_reg_gamma_lower, log_reg_gamma_tail,
+                           log_reg_gamma_upper, log_vn, log_vn_asymptotic, q_func, q_func_inv,
+                           reg_gamma_lower, reg_gamma_upper)
 
 # Every public entry point that takes a dimension: (its floor, a call at n).
 ENTRY_POINTS = {
@@ -211,6 +217,61 @@ def test_bad_positive_real_is_a_value_error(name, v):
         POSITIVE_REALS[name](v)
 
 
+# Every public entry point that takes a bound's own radius or a ball's volume,
+# as a call at v, and whether v = inf gives a value (typicality's volume term
+# gamma V_n r^n overflows there instead).
+RADII = {
+    "ml_bound": (True, lambda v: ml_bound(ChannelPoint(4, -1.5, 1.0), r=v)),
+    "typicality_bound": (False, lambda v: typicality_bound(ChannelPoint(4, -1.5, 1.0), r=v)),
+    "norm_tail_normal_approx": (True, lambda v: norm_tail_normal_approx(4, v, 1.0)),
+    "sphere_bound_by_volume": (True, lambda v: sphere_bound_by_volume(4, v, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", RADII)
+@pytest.mark.parametrize("v", [0.0, -1.0, -math.inf, math.nan], ids=repr)
+def test_bad_radius_is_a_value_error(name, v):
+    with pytest.raises(ValueError, match=r"(radius|volume) must be > 0, got"):
+        RADII[name][1](v)
+
+
+@pytest.mark.parametrize("name", RADII)
+def test_infinite_radius_is_the_exact_limit(name):
+    finite_at_inf, call = RADII[name]
+    if finite_at_inf:
+        call(math.inf)
+    else:
+        with pytest.raises(ValueError, match="overflows"):
+            call(math.inf)
+
+
+# Every public function of a real whose infinite values are exact limits:
+# NaN is rejected, and (argument, value) at the infinities.
+NAN_REJECTED = {
+    "log_gamma": (log_gamma, [(math.inf, math.inf)]),
+    "q_func": (q_func, [(math.inf, 0.0), (-math.inf, 1.0)]),
+    "log_q_func": (log_q_func, [(math.inf, -math.inf), (-math.inf, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", NAN_REJECTED)
+def test_nan_is_a_value_error_and_infinity_the_limit(name):
+    fn, limits = NAN_REJECTED[name]
+    with pytest.raises(ValueError, match="nan|NaN"):
+        fn(math.nan)
+    for x, value in limits:
+        assert fn(x) == value
+
+
+@pytest.mark.parametrize("name, y", [
+    ("Z2", [math.nan, 0.0]), ("Z2", [0.0, math.inf]), ("A2", [math.nan, 0.0]),
+    ("D4", [0.0, 0.0, -math.inf, 0.0]), ("E8", [math.inf] + [0.0] * 7),
+    ("E8", [1e300] + [0.0] * 7), ("D4", [2.0 ** 50, 0.0, 0.0, 0.0])], ids=repr)
+def test_decode_rejects_a_non_finite_or_huge_input(name, y):
+    with pytest.raises(ValueError, match=r"input / scale must be finite and below 2\^50"):
+        decode(builtin(name), y)
+
+
 # Every public entry point that takes a seed, as a call at seed s.
 SEEDED = {
     "simulate_error_prob": lambda s: simulate_error_prob(builtin("Z2"), 0.1, 10, seed=s),
@@ -240,6 +301,8 @@ def test_scale_search_probes_draw_from_the_seed_and_the_probe_number():
     ({"generator": np.ones((2, 2))}, "nonsingular"),
     ({"scale": math.inf}, "scale"), ({"scale": math.nan}, "scale"), ({"scale": 0.0}, "scale"),
     ({"dim": 2.0}, "dimension"), ({"dim": True}, "dimension"),
+    ({"name": ["x"]}, "name must be a str"), ({"name": 5}, "name must be a str"),
+    ({"name": None}, "name must be a str"),
 ], ids=repr)
 def test_bad_lattice_spec_is_a_value_error(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -248,11 +311,13 @@ def test_bad_lattice_spec_is_a_value_error(kwargs, message):
 
 # Each rule's message, by a phrase that no other message has, and the one
 # validator allowed to raise it.
-RULE_PHRASES = ("dimension", "integer", "(0, 1)", "finite and > 0", "NLD", "seed")
-VALIDATORS = ("_check_int", "_check_prob", "_check_positive", "_check_nld", "_check_seed")
+RULE_PHRASES = ("dimension", "integer", "(0, 1)", "finite and > 0", " must be > 0",
+                "must not be NaN", "NLD", "requires delta < delta*", "seed")
+VALIDATORS = ("_check_int", "_check_prob", "_check_positive", "_check_positive_or_inf",
+              "_check_not_nan", "_check_nld", "_check_seed")
 # The inputs that only a validator may compare with a literal.
 CHECKED_NAMES = ("n", "dim", "trials", "streams", "errors", "eps", "p", "confidence",
-                 "sigma2", "scale")
+                 "sigma2", "scale", "r", "v")
 
 
 def _input_checks(tree):
@@ -284,7 +349,8 @@ def _input_checks(tree):
 
 
 def test_input_errors_come_from_their_validators():
-    # Each rule's errors are raised by its validator in specfn only;
+    # Each rule's errors are raised by its validator in specfn only, and the
+    # capacity rule of the asymptotic forms by _require_below_capacity only;
     # _check_dims adds just its array dtype error, and no function outside
     # the validators tests a checked input against a literal bound of its own.
     found = {}
@@ -297,7 +363,10 @@ def test_input_errors_come_from_their_validators():
         ("specfn", "_check_int"): [" must be an integer", " must be an integer in .."],
         ("specfn", "_check_prob"): [" must be in (0, 1)"],
         ("specfn", "_check_positive"): [" must be finite and > 0"],
+        ("specfn", "_check_positive_or_inf"): [" must be > 0"],
+        ("specfn", "_check_not_nan"): [" must not be NaN"],
         ("specfn", "_check_nld"): ["NLD must be finite"],
         ("specfn", "_check_seed"): ["seed must be None, a nonnegative integer or a sequence of them"],
         ("bounds", "_check_dims"): ["dimensions must be a 1-d integer array"],
+        ("asymptotics", "_require_below_capacity"): [" requires delta < delta*"],
     }

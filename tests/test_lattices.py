@@ -14,7 +14,7 @@ from icawgn.lattices import (
     _PACKING_RADIUS2,
     LatticeSpec,
     UnsupportedLatticeError,
-    _count_errors,
+    _decoded_errors,
     _family,
     _outside_noise,
     _tail_weights,
@@ -204,13 +204,13 @@ def _e8_minimal_vectors() -> np.ndarray:
 
 
 def _assert_counted_as_decoded(spec: LatticeSpec, rows: np.ndarray) -> np.ndarray:
-    """The batch counter flags exactly the rows that decode() maps away from
-    zero, row by row; returns that mask."""
+    """The batch error test flags exactly the rows that decode() maps away
+    from zero, row by row; returns that mask."""
     fam = _family(spec)
-    counted = np.array([_count_errors(fam, row[None, :]) for row in rows])
+    counted = np.array([_decoded_errors(fam, row[None, :]) for row in rows])
     decoded = np.array([np.any(decode(spec, row).point != 0.0) for row in rows])
     assert np.array_equal(counted, decoded), rows[counted != decoded][:5].tolist()
-    assert _count_errors(fam, rows) == np.count_nonzero(decoded)
+    assert _decoded_errors(fam, rows) == np.count_nonzero(decoded)
     return decoded
 
 
@@ -227,10 +227,10 @@ class TestErrorCounter:
 
     @pytest.mark.parametrize("name,sigma2,reach", CASES)
     def test_matches_decode(self, name, sigma2, reach):
-        # The batch counter, which skips rows inside the packing ball, flags
-        # exactly the rows that decode() maps away from zero: on noise, just
-        # inside and outside the ball, and either side of the midpoint of
-        # every minimal vector in the box.
+        # The batch error test flags exactly the rows that decode() maps
+        # away from zero: on plain noise, whose rows inside the packing ball
+        # it must pass, just inside and outside the ball, and either side of
+        # the midpoint of every minimal vector in the box.
         spec = builtin(name)
         rng = np.random.default_rng(41)
         rho = math.sqrt(_PACKING_RADIUS2[_family(spec)])
@@ -386,8 +386,8 @@ class TestSimulate:
         spec = builtin(name)
         trials = 10 ** 6
         rng = np.random.default_rng(2024)
-        ref = sum(_count_errors(_family(spec),
-                                rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2))
+        ref = sum(_decoded_errors(_family(spec),
+                                  rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2))
                   for _ in range(4))
         est = simulate_error_prob(spec, sigma2, trials, seed=2025)
         p = (ref + est.errors) / (2 * trials)
@@ -450,7 +450,8 @@ class TestSimulate:
         ("D4", 1e308, 10000),
         ("E8", 1e308, 10000),
         ("E8", 1e-4, 0),        # q underflows to 0
-        ("Z3", 1e-6, 0)])
+        ("Z3", 1e-6, 0),
+        ("D4", 5e-324, 0)])     # t = rho^2 / 2 s^2 overflows: no row can leave the ball
     def test_ends_of_the_noise_range(self, name, sigma2, errors):
         # Under the suite's error::RuntimeWarning filter, so no step may
         # warn either.
@@ -523,6 +524,12 @@ class TestFindScale:
         gap_conv = gap_db(nld_eps_converse(8, eps8, 1.0).delta, 1.0)
         gap_ach = gap_db(nld_eps_achievable(8, eps8, 1.0).delta, 1.0)
         assert gap_conv - 0.3 <= res.gap_db <= gap_ach + 0.3
+
+    def test_too_few_probes_is_an_arithmetic_error(self):
+        # The capacity-scale probe of Z1 has p near 0.3, far from 1e-6.
+        with pytest.raises(ArithmeticError, match="did not converge after 1 probes"):
+            find_scale_for_error(builtin("Z1"), 1e-6, 1.0, trials_per_probe=100, seed=0,
+                                 max_probes=1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
