@@ -10,6 +10,11 @@ typicality forms are off by 12.4%, 10.4% and 6.2% at n = 1000, and about
 eight times less per decade of n beyond.  Everything is exact arithmetic
 on logs; no quadrature.
 
+The sandwiches are e^C times the integral lemmas' closed forms at x = rho*:
+the sphere sandwich those of :func:`tail_integral_bounds`, the ML sandwich
+their sums with those of :func:`head_integral_bounds`; the two uppers, whose
+denominators add to 1, sum to e^C / ((2 - rho* - 2/n)(rho* - 1 + 2/n)).
+
 :func:`asym_curves` evaluates the sandwiches and the asymptotic forms over
 a vector of dimensions at one (delta, sigma2), with NaN where a form is
 undefined; all six scalar forms, the ML form at the Poltyrev radius
@@ -35,13 +40,15 @@ from .bounds import (
     ChannelPoint,
     _check_dims,
     _gamma_arg,
+    _log1p_2x,
     _log_vn_curve,
     _math_map,
     _unit_nld,
     delta_cr,
     delta_star,
 )
-from .specfn import _LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_sigma2, _exp_or_inf
+from .specfn import (_LOG_DBL_MAX, _SQRT2, LogProb, _check_int, _check_nld, _check_sigma2,
+                     _exp_or_inf)
 
 __all__ = [
     "AsymptoticTerms",
@@ -75,9 +82,6 @@ CRITICAL_NLD_TOL = 1e-9
 
 # Straight-line constant of the achievability exponent below critical.
 ER_LINE_CONSTANT = 0.5 * (1.0 - math.log(4.0))
-
-_SQRT2 = math.sqrt(2.0)
-
 
 class AsymptoticSingularity(ValueError):
     """An asymptotic form was requested at (or within float resolution of) one
@@ -137,39 +141,42 @@ def exponent_r(delta: float, sigma2: float) -> float:
 
 
 def exponent_t(delta: float, sigma2: float) -> float:
-    """Typicality exponent D - (1/2) ln(1 + 2 D), D = delta* - delta.
-
-    Where 2 D passes double range, ln(1 + 2 D) is ln 2 + ln D to double
-    precision, so D up to the largest double gives a finite exponent.
-    """
+    """Typicality exponent D - (1/2) ln(1 + 2 D), D = delta* - delta, finite
+    for D up to the largest double."""
     _check_nld(delta)
     d = delta_star(sigma2) - delta
-    two_d = 2.0 * d
-    if 1.0 + two_d <= 0.0:
+    if 1.0 + 2.0 * d <= 0.0:
         raise ValueError(f"typicality exponent undefined: 1 + 2(delta*-delta) = {1 + 2 * d} <= 0")
-    return d - 0.5 * (math.log1p(two_d) if two_d < math.inf else math.log(2.0) + math.log(d))
-
-
-def terms(point: ChannelPoint) -> AsymptoticTerms:
-    """The derived quantities rho*, Upsilon, Psi, mu at an evaluation point."""
-    _check_int(point.n, 3)
-    rho, upsilon, psi, mu = _terms(np.array([float(point.n)]), _unit_nld(point))
-    return AsymptoticTerms(rho_star=float(rho[0]), upsilon=float(upsilon[0]),
-                           psi=float(psi[0]), mu=mu)
+    return d - 0.5 * _log1p_2x(d)
 
 
 @np.errstate(all="ignore")
-def _terms(n: np.ndarray, d: float):
-    # rho*, Upsilon and Psi over a float array of n (meaningful where n > 2), and
-    # the scalar mu, at the NLD d.  s is rounded exactly as the sphere bound
-    # rounds it: the sandwiches' logs move by n/2 times any relative change in rho*.
+def terms(point: ChannelPoint) -> AsymptoticTerms:
+    """The derived quantities rho*, Upsilon, Psi, mu at an evaluation point."""
+    _check_int(point.n, 3)
+    n, d = np.array([float(point.n)]), _unit_nld(point)
+    rho = _rho_star(n, d)
+    return AsymptoticTerms(*(float(v[0]) for v in (rho, _upsilon(n, rho), _psi(n, rho))), _mu(d))
+
+
+def _rho_star(n: np.ndarray, d: float) -> np.ndarray:
+    # rho* over a float array of n at the NLD d.  s is rounded exactly as the sphere
+    # bound rounds it: the sandwiches' logs move by n/2 times any change in rho*.
     s = _math_map(_exp_or_inf, -d - _log_vn_curve(n) / n)
-    rho = 2.0 * _gamma_arg(s) / n
-    upsilon = n * (rho - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
-    psi = np.sqrt(n) * (2.0 - rho + 2.0 / n) / (2.0 * np.sqrt(rho))
-    psi[rho == math.inf] = -math.inf   # the limit of -sqrt(n rho) / 2, not inf / inf
-    mu = _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
-    return rho, upsilon, psi, mu
+    return 2.0 * _gamma_arg(s) / n
+
+
+def _mu(d: float) -> float:
+    return _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
+
+
+def _upsilon(n, x):
+    return n * (x - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
+
+
+def _psi(n, x):
+    # At x = inf, the limit -sqrt(n x) / 2, not inf / inf.
+    return np.where(x == math.inf, -math.inf, np.sqrt(n) * (2.0 - x + 2.0 / n) / (2.0 * np.sqrt(x)))
 
 
 def _log_scaled_q(x):
@@ -177,14 +184,25 @@ def _log_scaled_q(x):
     return np.log(0.5 * erfcx(x / _SQRT2))
 
 
-def _log_tail_q(n, upsilon):
-    # The Q-function lower form of the chi-square tail integral, less the
-    # common exponent.
-    return 0.5 * np.log(n * n * math.pi / (n - 2.0)) + _log_scaled_q(upsilon)
+# The closed forms that tail_integral_bounds and head_integral_bounds list,
+# the head's upper before its truncation factor, at x for an array of n or
+# one n: the logs of e^base times each, lower_q, lower_analytic, upper.
+def _tail_forms(n, x, base):
+    upsilon = _upsilon(n, x)
+    upper = base - np.log(x - 1.0 + 2.0 / n)
+    lower_q = base + (0.5 * np.log(n * n * math.pi / (n - 2.0)) + _log_scaled_q(upsilon))
+    return lower_q, upper - np.log1p(upsilon ** -2), upper
+
+
+def _head_forms(n, x, base):
+    psi = _psi(n, x)
+    lower_q = base + (0.5 * np.log(n * math.pi / (2.0 * x)) + _log_scaled_q(psi))
+    lower = base - np.log(2.0 - x + 2.0 / n) - np.log1p(psi ** -2)
+    return lower_q, lower, base - np.log(2.0 - x - 2.0 / n)
 
 
 def _common_exponent(n, d: float, rho):
-    # ln of e^{n(delta*-delta)} e^{n/2} e^{-n rho*/2}
+    # C = n(delta* - delta) + n/2 - n rho*/2
     return n * (_DELTA_STAR_1 - d) + 0.5 * n - 0.5 * n * rho
 
 
@@ -203,32 +221,24 @@ def _in_ml_window(n, rho):
 
 def _sphere_sandwich(n, d):
     _require_below_capacity(d, "sphere sandwich")
-    rho, upsilon, _, _ = _terms(n, d)
-    common = _common_exponent(n, d, rho)
-    upper = common - np.log(rho - 1.0 + 2.0 / n)
-    lower = upper - np.log1p(upsilon ** -2)
-    lower_q = common + _log_tail_q(n, upsilon)
-    return [np.where(n > 2, v, math.nan) for v in (lower_q, lower, upper)]
+    rho = _rho_star(n, d)
+    forms = _tail_forms(n, rho, _common_exponent(n, d, rho))
+    return [np.where(n > 2, v, math.nan) for v in forms]
 
 
 def _ml_sandwich(n, d):
     _require_below_capacity(d, "ML sandwich")
-    rho, upsilon, psi, _ = _terms(n, d)
+    rho = _rho_star(n, d)
     common = _common_exponent(n, d, rho)
-    upper = common - np.log(2.0 - rho - 2.0 / n) - np.log(rho - 1.0 + 2.0 / n)
-    lower = common + np.log(
-        1.0 / ((2.0 - rho + 2.0 / n) * (1.0 + psi ** -2))
-        + 1.0 / ((rho - 1.0 + 2.0 / n) * (1.0 + upsilon ** -2)))
-    head = 0.5 * np.log(n * math.pi / (2.0 * rho)) + _log_scaled_q(psi)
-    lower_q = common + np.logaddexp(head, _log_tail_q(n, upsilon))
+    forms = map(np.logaddexp, _head_forms(n, rho, common), _tail_forms(n, rho, common))
     inside = (n > 2) & _in_ml_window(n, rho)
-    return [np.where(inside, v, math.nan) for v in (lower_q, lower, upper)]
+    return [np.where(inside, v, math.nan) for v in forms]
 
 
 def _mu_checked(d: float) -> float:
     # Above the critical window mu <= 2 e^(-2e-9), so 2 - mu >= 4e-9 there.
     _require_below_capacity(d, "asymptotic form")
-    mu = _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
+    mu = _mu(d)
     if mu - 1.0 < 1e-15:
         raise AsymptoticSingularity(
             f"mu = {mu!r} is at the mu -> 1 singularity (delta at capacity)")
@@ -335,16 +345,12 @@ def _at(form, point: ChannelPoint) -> list[LogProb]:
 
 def sphere_sandwich(point: ChannelPoint) -> SandwichBounds:
     """Closed forms enclosing the sphere bound (requires n > 2, delta < delta*):
-
-        upper          e^C / (rho* - 1 + 2/n)
-        lower_analytic upper / (1 + Upsilon^-2)
-        lower_q        e^C sqrt(n^2 pi / (n - 2)) e^(Upsilon^2/2) Q(Upsilon)
-
-    with C = n(delta* - delta) + n/2 - n rho*/2 and rho*, Upsilon from
-    :func:`terms`.  Evaluated by :func:`asym_curves`.
+    e^C times those of :func:`tail_integral_bounds` at x = rho*, with
+    C = n(delta* - delta) + n/2 - n rho*/2 and rho* from :func:`terms`.
+    Evaluated by :func:`asym_curves`.
     """
     _require_below_capacity(_unit_nld(point), "sphere sandwich")
-    terms(point)   # rejects n <= 2
+    _check_int(point.n, 3)
     return SandwichBounds(*_at(_sphere_sandwich, point))
 
 
@@ -354,8 +360,7 @@ def ml_sandwich(point: ChannelPoint) -> SandwichBounds:
     Valid for NLD strictly below capacity on the window
     1 - 2/n < rho* < 2 - 2/n (asymptotically, NLD strictly between critical
     and capacity); outside it the caller must branch to the below-critical
-    asymptotics instead.  Each member adds a head term in Psi to the
-    sphere sandwich's tail term in Upsilon.
+    asymptotics instead.  Each member is e^C times a head plus a tail form.
     """
     _require_below_capacity(_unit_nld(point), "ML sandwich")
     n, rho = point.n, terms(point).rho_star
@@ -422,29 +427,25 @@ class TailIntegralBounds(NamedTuple):
     upper: LogProb
 
 
+@np.errstate(all="ignore")
 def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
-    """Closed forms enclosing int_x^inf rho^(n/2-1) e^(-n rho/2) d rho
-    for n > 2 and x > 1 - 2/n.
-
-    The loose lower form carries a (1 - Upsilon^-2) factor and degrades to
-    the trivial zero bound when that factor is nonpositive.
+    """Closed forms enclosing int_x^inf t^(n/2-1) e^(-nt/2) dt for n > 2 and
+    x > 1 - 2/n, over (2/n) x^(n/2) e^(-nx/2): upper 1/(x - 1 + 2/n),
+    lower_analytic upper/(1 + Upsilon^-2), lower_q sqrt(n^2 pi/(n - 2))
+    e^(Upsilon^2/2) Q(Upsilon) and lower_loose upper (1 - Upsilon^-2), the
+    trivial zero bound where that factor is nonpositive; Upsilon is
+    n (x - 1 + 2/n) / sqrt(2 (n - 2)).
     """
     _check_int(n, 3)
     if not math.isfinite(x):
         raise ValueError(f"tail integral bounds require a finite x, got x={x}")
     if not (x > 1.0 - 2.0 / n):
         raise ValueError(f"tail integral bounds require x > 1 - 2/n, got x={x}")
-    ups = n * (x - 1.0 + 2.0 / n) / math.sqrt(2.0 * (n - 2.0))
-    base = math.log(2.0) + 0.5 * n * math.log(x) - 0.5 * n * x
-    upper = base - math.log(n * (x - 1.0 + 2.0 / n))
-    lower_q = base + 0.5 * math.log(math.pi / (n - 2.0)) + float(_log_scaled_q(ups))
-    lower_analytic = upper - math.log1p(ups ** -2)
-    loose_factor = 1.0 - 1.0 / (ups * ups)
+    base = math.log(2.0 / n) + 0.5 * n * math.log(x) - 0.5 * n * x
+    lower_q, lower_analytic, upper = map(float, _tail_forms(n, x, base))
+    loose_factor = 1.0 - _upsilon(n, x) ** -2
     lower_loose = LogProb.zero() if loose_factor <= 0.0 else LogProb(upper + math.log(loose_factor))
-    return TailIntegralBounds(lower_q=LogProb(lower_q),
-                              lower_analytic=LogProb(lower_analytic),
-                              lower_loose=lower_loose,
-                              upper=LogProb(upper))
+    return TailIntegralBounds(LogProb(lower_q), LogProb(lower_analytic), lower_loose, LogProb(upper))
 
 
 class HeadIntegralBounds(NamedTuple):
@@ -453,23 +454,22 @@ class HeadIntegralBounds(NamedTuple):
     upper: LogProb
 
 
+@np.errstate(all="ignore")
 def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
-    """Closed forms enclosing int_0^x e^(-n rho/2) rho^(n-1) d rho
-    for 0 < x < 2 - 2/n."""
+    """Closed forms enclosing int_0^x t^(n-1) e^(-nt/2) dt for
+    0 < x < 2 - 2/n, over (2/n) x^n e^(-nx/2): upper
+    (1 - e^(-(n - 1 - nx/2))) / (2 - x - 2/n), lower_analytic
+    1/((2 - x + 2/n)(1 + Psi^-2)) and lower_q sqrt(n pi/(2x)) e^(Psi^2/2) Q(Psi),
+    with Psi = sqrt(n) (2 - x + 2/n) / (2 sqrt x).
+    """
     _check_int(n)
     if not (0.0 < x < 2.0 - 2.0 / n):
         raise ValueError(f"head integral bounds require 0 < x < 2 - 2/n, got x={x}")
-    psi = math.sqrt(n) * (2.0 - x + 2.0 / n) / (2.0 * math.sqrt(x))
-    base = n * math.log(x) - 0.5 * n * x
+    lower_q, lower_analytic, upper = map(
+        float, _head_forms(n, x, math.log(2.0 / n) + n * math.log(x) - 0.5 * n * x))
     # 1 - e^{-n(1 - 1/n - x/2)} is in (0, 1) throughout the window.
     trunc = math.log1p(-math.exp(-(n - 1.0 - 0.5 * n * x)))
-    upper = base + math.log(2.0) - math.log(n * (2.0 - x - 2.0 / n)) + trunc
-    lower_q = base + 0.5 * math.log(2.0 * math.pi / (n * x)) + float(_log_scaled_q(psi))
-    lower_analytic = (base + math.log(2.0) - math.log(n * (2.0 - x + 2.0 / n))
-                      - math.log1p(psi ** -2))
-    return HeadIntegralBounds(lower_q=LogProb(lower_q),
-                              lower_analytic=LogProb(lower_analytic),
-                              upper=LogProb(upper))
+    return HeadIntegralBounds(LogProb(lower_q), LogProb(lower_analytic), LogProb(upper + trunc))
 
 
 def laplace_head_integral(n: int, x: float) -> float:

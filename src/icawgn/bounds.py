@@ -251,25 +251,45 @@ def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     return _ml_bound_at("ml", n, d, s, lv, sigma * s if r is None else r)
 
 
+def _log1p_2x(gap: float) -> float:
+    # ln(1 + 2 gap), gap = delta* - delta > -1/2.  Where 2 gap passes double
+    # range it is ln 2 + ln gap to double precision, so gap up to the largest
+    # double gives a finite log.
+    two_gap = 2.0 * gap
+    return math.log1p(two_gap) if two_gap < math.inf else math.log(2.0) + math.log(gap)
+
+
+def _log_typicality_radius(n: float, gap: float) -> float:
+    # ln s of the default typicality radius s = sqrt(n (1 + 2 gap)) in units of
+    # sigma; where n (1 + 2 gap) overflows, (1/2)(ln n + ln(1 + 2 gap)).
+    s = math.sqrt(n * (1.0 + 2.0 * gap))
+    return math.log(s) if s < math.inf else 0.5 * (math.log(n) + _log1p_2x(gap))
+
+
 def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     """Achievability via a single-ball typicality decoder:
 
         P_e <= gamma V_n r^n + Pr{||Z|| > r},
 
     defaulting to the optimizing radius sigma sqrt(n (1 + 2 delta* - 2 delta)).
+    Where that radius passes double range the bound is its volume term.  An
+    explicit r = inf raises ValueError, as gamma V_n r^n is then inf.
     """
     n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
     if r is not None:
         _check_positive_or_inf(r, "radius")
-    radicand = 1.0 + 2.0 * (_DELTA_STAR_1 - d)
+    gap = _DELTA_STAR_1 - d
+    radicand = 1.0 + 2.0 * gap
     if r is None and radicand <= 0.0:
         raise ValueError(
             f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
     s = math.sqrt(n * radicand) if r is None else r / sigma
-    first = n * d + log_vn(n) + n * math.log(s)
+    log_s = _log_typicality_radius(n, gap) if r is None else math.log(s)
+    first = n * d + log_vn(n) + n * log_s
     if first == math.inf:
         raise ValueError(f"volume term gamma V_n r^n overflows at r = {r}, r/sigma = {s}")
-    total = log_add(LogProb(first), _log_norm_tail(n, s))
+    volume = LogProb.zero() if first == -math.inf else LogProb(first)   # e^(n d) underflows
+    total = log_add(volume, _log_norm_tail(n, s))
     return BoundValue(kind="typicality", log_value=total, radius_used=sigma * s if r is None else r,
                       clamped=total.log_value > 0.0)
 
@@ -362,9 +382,11 @@ def _reject_first(bad, values, n, message: str) -> None:
 
 def _ml_log(t: _DimTerms, d, x, log_norm_tail):
     # ln of the ML bound at x = s^2/2: _ml_first_term plus the chi-square
-    # tail, summed in the log domain.
+    # tail, summed in the log domain.  As in _ml_first_term, an exact-zero
+    # lower tail is a zero first term, without forming inf - inf.
     ml_terms = t.n * d + t.log_vn + t.half_n_ln2 + t.lgamma_n - t.lgamma_a
-    return np.logaddexp(ml_terms + log_reg_gamma_tail(t.n, x, upper=False), log_norm_tail)
+    lower = log_reg_gamma_tail(t.n, x, upper=False)
+    return np.logaddexp(np.where(lower > -math.inf, ml_terms, 0.0) + lower, log_norm_tail)
 
 
 @np.errstate(over="ignore")
@@ -407,13 +429,15 @@ def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCur
     if "sphere" in kinds or "ml" in kinds:
         logs["sphere"], logs["ml"] = _sphere_ml_curves(t, d, "ml" in kinds)
     if "typicality" in kinds:
-        radicand = 1.0 + 2.0 * (_DELTA_STAR_1 - d)
+        gap = _DELTA_STAR_1 - d
+        radicand = 1.0 + 2.0 * gap
         _reject_first(radicand <= 0.0, radicand, n,
                       "default typicality radius undefined: 1 + 2(delta* - delta) = {} <= 0")
-        s = np.sqrt(n * radicand)
+        gaps = np.broadcast_to(gap, n.shape).tolist()
+        log_s = np.fromiter(map(_log_typicality_radius, n.tolist(), gaps), float, n.size)
         logs["typicality"] = np.logaddexp(
-            n * d + t.log_vn + n * _math_map(math.log, s),
-            log_reg_gamma_tail(a, _gamma_arg(s), upper=True))
+            n * d + t.log_vn + n * log_s,
+            log_reg_gamma_tail(a, _gamma_arg(np.sqrt(n * radicand)), upper=True))
     if "poltyrev" in kinds:
         s = np.sqrt(n) * _math_map(_exp_or_inf, np.atleast_1d(_DELTA_STAR_1 - d))
         x = _gamma_arg(s)

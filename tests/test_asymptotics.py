@@ -471,6 +471,18 @@ class TestTailIntegralBounds:
         assert tb.lower_analytic.linear <= ref <= tb.upper.linear
         assert tb.lower_q.linear <= ref
 
+    @pytest.mark.parametrize("n", [5, 10, 50, 200, 1000, 5000])
+    @pytest.mark.parametrize("nld", [-1.45, -1.5, -1.6, -1.7])
+    def test_sphere_sandwich_is_the_lemma_at_rho_star(self, n, nld):
+        # Q(n/2, n x/2) is (n/2)^(n/2) / Gamma(n/2) times the tail integral at
+        # x = rho*, and so is each member of the sandwich.
+        p = ChannelPoint(n, nld, 1.0)
+        factor = 0.5 * n * math.log(0.5 * n) - math.lgamma(0.5 * n)
+        tb, sw = tail_integral_bounds(n, terms(p).rho_star), sphere_sandwich(p)
+        for member in ("lower_q", "lower_analytic", "upper"):
+            want = factor + getattr(tb, member).log_value
+            assert getattr(sw, member).log_value == pytest.approx(want, rel=1e-12), member
+
     def test_ordering_of_lower_forms(self):
         tb = tail_integral_bounds(50, 1.2)
         assert (tb.lower_loose.log_value <= tb.lower_analytic.log_value

@@ -30,7 +30,7 @@ from icawgn.bounds import (
     typicality_bound,
 )
 from icawgn.dispersion import lattice_snr_rho, norm_tail_normal_approx
-from icawgn.specfn import q_func
+from icawgn.specfn import log_vn, q_func
 from helpers import log_ml_first_term_quad
 
 
@@ -564,6 +564,26 @@ class TestBoundCurves:
         else:
             assert ref == pytest.approx(_exact_limit(4, nld, kind), rel=1e-14)
             assert bound_curves([4], nld, 1.0, [kind])[kind].log_value[0] == ref
+
+    @pytest.mark.parametrize("kind", ["ml", "poltyrev"])
+    def test_zero_lower_tail_is_a_zero_first_term(self, kind):
+        # So far above capacity that n delta overflows, the radius is 0 and
+        # P(n, 0) = 0: the first term is an exact zero, not inf - inf, and the
+        # bound is its tail Q(n/2, 0) = 1, as the scalar bound has it.
+        nld = 2.8534811664481203e306
+        ref = _SCALAR_BOUNDS[kind](ChannelPoint(63, nld, 1.0)).log_raw
+        assert bound_curves([63], nld, 1.0, [kind])[kind].log_value[0] == ref == 0.0
+
+    @pytest.mark.parametrize("n, nld", [(1, -8.99e307), (63, -2.85e306)])
+    def test_typicality_past_double_range_is_its_volume_term(self, n, nld):
+        # n (1 + 2 D) overflows, so the default radius is inf and n ln s is
+        # (n/2)(ln n + ln(1 + 2 D)), with ln(1 + 2 D) = ln 2 + ln D to double
+        # precision; the noise tail is an exact zero.
+        d = delta_star(1.0) - nld
+        want = n * nld + log_vn(n) + 0.5 * n * (math.log(n) + math.log(2.0) + math.log(d))
+        ref = typicality_bound(ChannelPoint(n, nld, 1.0)).log_raw
+        assert ref == pytest.approx(want, rel=1e-15)
+        assert bound_curves([n], nld, 1.0, ["typicality"])["typicality"].log_value[0] == ref
 
     @pytest.mark.parametrize("evaluate", [
         pytest.param(lambda: poltyrev_ml_bound(ChannelPoint(4, 800.0, 1.0)).log_raw, id="scalar"),

@@ -370,3 +370,11 @@ def test_input_errors_come_from_their_validators():
         ("bounds", "_check_dims"): ["dimensions must be a 1-d integer array"],
         ("asymptotics", "_require_below_capacity"): [" requires delta < delta*"],
     }
+
+
+def test_package_exports_every_module_name():
+    # The package's public API is each module's __all__, all of it.
+    for module in (icawgn.specfn, icawgn.bounds, icawgn.asymptotics, icawgn.dispersion,
+                   icawgn.lattices):
+        for name in module.__all__:
+            assert getattr(icawgn, name) is getattr(module, name), (module.__name__, name)
