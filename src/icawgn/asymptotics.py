@@ -196,7 +196,10 @@ def _tail_forms(n, x, base):
 
 def _head_forms(n, x, base):
     psi = _psi(n, x)
-    lower_q = base + (0.5 * np.log(n * math.pi / (2.0 * x)) + _log_scaled_q(psi))
+    # ln(n pi / 2x), a difference of logs where the ratio overflows (x below about n 1e-308).
+    log_ratio = np.log(n * math.pi / (2.0 * x))
+    log_ratio = np.where(log_ratio < math.inf, log_ratio, np.log(0.5 * math.pi * n) - np.log(x))
+    lower_q = base + (0.5 * log_ratio + _log_scaled_q(psi))
     lower = base - np.log(2.0 - x + 2.0 / n) - np.log1p(psi ** -2)
     return lower_q, lower, base - np.log(2.0 - x - 2.0 / n)
 
@@ -463,12 +466,17 @@ def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
     with Psi = sqrt(n) (2 - x + 2/n) / (2 sqrt x).
     """
     _check_int(n)
-    if not (0.0 < x < 2.0 - 2.0 / n):
+    # The window is tested on the upper form's denominator as it is computed:
+    # at n = 2, 2 - x - 2/n rounds to 0 one ulp below x = 2 - 2/n.
+    gap = 2.0 - x - 2.0 / n
+    if not (0.0 < x and gap > 0.0):
         raise ValueError(f"head integral bounds require 0 < x < 2 - 2/n, got x={x}")
     lower_q, lower_analytic, upper = map(
         float, _head_forms(n, x, math.log(2.0 / n) + n * math.log(x) - 0.5 * n * x))
-    # 1 - e^{-n(1 - 1/n - x/2)} is in (0, 1) throughout the window.
-    trunc = math.log1p(-math.exp(-(n - 1.0 - 0.5 * n * x)))
+    # ln(1 - e^(-m)) with m = n - 1 - nx/2 = (n/2) gap > 0 in the window, through
+    # expm1 where e^(-m) is near 1 (Maechler's log1mexp).
+    m = 0.5 * n * gap
+    trunc = math.log(-math.expm1(-m)) if m < math.log(2.0) else math.log1p(-math.exp(-m))
     return HeadIntegralBounds(LogProb(lower_q), LogProb(lower_analytic), LogProb(upper + trunc))
 
 

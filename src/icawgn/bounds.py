@@ -21,7 +21,9 @@ inversion and the asymptotic comparisons use it.  The array one,
 :func:`bound_curves`, takes a vector of dimensions at one sigma2 and one
 delta or one per dimension, and returns a :class:`BoundCurve` per kind; it
 agrees with the scalar path to 1e-12 relative in the log (bit for bit at
-almost every n) and is more than ten times faster per evaluation.
+almost every n) and is about ten times faster per dimension: about 2 us for
+all four bounds at n up to 1e4, against about 22 us one point at a time
+(Python 3.11, one core of a 2-core x86-64 box).
 
 The section probabilities and the section-integral identity are the one
 place that integrates numerically, by a Gauss-Legendre rule over an angle.
@@ -44,7 +46,6 @@ Every finite value keeps its bits.
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,13 +56,14 @@ from .specfn import (
     _LOG_DBL_MAX,
     _BOOLS,
     LogProb,
+    _ValidatedTuple,
     _check_int,
     _check_nld,
     _check_positive,
     _check_positive_or_inf,
     _check_sigma2,
     _exp_or_inf,
-    log_add,
+    _log_add,
     log_reg_gamma_lower,
     log_reg_gamma_tail,
     log_reg_gamma_upper,
@@ -97,18 +99,23 @@ __all__ = [
 _DELTA_STAR_1 = -0.5 * math.log(2.0 * math.pi * math.e)   # delta* at sigma2 = 1
 
 
-@dataclass(frozen=True)
-class ChannelPoint:
-    """An evaluation point: dimension n, NLD delta (nats/dim), noise variance sigma2."""
-
+class _ChannelPointFields(NamedTuple):
     n: int
     nld: float
     sigma2: float
 
-    def __post_init__(self):
-        _check_int(self.n)
-        _check_sigma2(self.sigma2)
-        _check_nld(self.nld)
+
+class ChannelPoint(_ValidatedTuple, _ChannelPointFields):
+    """An evaluation point, an immutable tuple (n, nld, sigma2): dimension n,
+    NLD delta (nats/dim), noise variance sigma2."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, nld: float, sigma2: float):
+        _check_int(n)
+        _check_sigma2(sigma2)
+        _check_nld(nld)
+        return tuple.__new__(cls, (n, nld, sigma2))
 
     @property
     def density(self) -> float:
@@ -120,9 +127,9 @@ def _unit_nld(point: ChannelPoint) -> float:
     return point.nld + 0.5 * math.log(point.sigma2)
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """A bound evaluation: kind, raw log-domain value, radius applied, clamp flag.
+class BoundValue(NamedTuple):
+    """A bound evaluation, an immutable tuple: kind, raw log-domain value,
+    radius applied, clamp flag.
 
     ``log_value`` holds the bound exactly as computed (it may exceed 1 when
     the bound is vacuous); ``clamped`` reports that, and ``value`` yields
@@ -197,12 +204,18 @@ def _log_norm_tail(n: int, s: float) -> LogProb:
     return log_reg_gamma_upper(0.5 * n, _gamma_arg(s))
 
 
+def _bound_value(kind: str, log: float, radius_used: float) -> BoundValue:
+    # The BoundValue of a bound's log, -inf for an exact zero.
+    value = LogProb.zero() if log == -math.inf else LogProb(log)
+    return BoundValue(kind, value, radius_used, log > 0.0)
+
+
 def sphere_bound(point: ChannelPoint) -> BoundValue:
     """Converse: Pr{||Z|| > r_eff}, a lower bound on the error probability of
     any constellation at this (n, delta, sigma2)."""
-    s = _unit_radius(point.n, _unit_nld(point), log_vn(point.n))
-    return BoundValue(kind="sphere", log_value=_log_norm_tail(point.n, s),
-                      radius_used=math.sqrt(point.sigma2) * s, clamped=False)
+    n, _, sigma2 = point
+    s = _unit_radius(n, _unit_nld(point), log_vn(n))
+    return BoundValue("sphere", _log_norm_tail(n, s), math.sqrt(sigma2) * s, False)
 
 
 def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
@@ -219,21 +232,21 @@ def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
     return reg_gamma_upper(0.5 * n, 0.5 * _exp_or_inf(log_s2))
 
 
-def _ml_first_term(n: int, d: float, s: float, lv: float) -> LogProb:
-    # gamma V_n int_0^r f_R(t) t^n dt in units of sigma, with lv = ln V_n,
-    #   = exp[n d + ln V_n + (n/2) ln 2 + ln Gamma(n) - ln Gamma(n/2)] * P(n, s^2/2)
-    lg = (n * d + lv + 0.5 * n * math.log(2.0)
-          + math.lgamma(float(n)) - math.lgamma(0.5 * n))
-    tail = log_reg_gamma_lower(float(n), _gamma_arg(s))
-    if tail.is_zero:
-        return LogProb.zero()
-    return LogProb(lg + tail.log_value)
+def _ml_first_term(n: int, d: float, s: float, lv: float) -> float:
+    # ln of gamma V_n int_0^r f_R(t) t^n dt in units of sigma, with lv = ln V_n,
+    #   = n d + ln V_n + (n/2) ln 2 + ln Gamma(n) - ln Gamma(n/2) + ln P(n, s^2/2),
+    # -inf where P or e^(n d) is an exact zero.
+    tail = log_reg_gamma_lower(float(n), _gamma_arg(s)).log_value
+    if tail == -math.inf:
+        return tail
+    return (n * d + lv + 0.5 * n * math.log(2.0)
+            + math.lgamma(float(n)) - math.lgamma(0.5 * n)) + tail
 
 
 def _ml_bound_at(kind: str, n: int, d: float, s: float, lv: float, radius_used: float) -> BoundValue:
     # The ML bound at s = r/sigma, with lv = ln V_n.
-    total = log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s))
-    return BoundValue(kind, total, radius_used, clamped=total.log_value > 0.0)
+    return _bound_value(kind, _log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s).log_value),
+                        radius_used)
 
 
 def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
@@ -288,10 +301,9 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     first = n * d + log_vn(n) + n * log_s
     if first == math.inf:
         raise ValueError(f"volume term gamma V_n r^n overflows at r = {r}, r/sigma = {s}")
-    volume = LogProb.zero() if first == -math.inf else LogProb(first)   # e^(n d) underflows
-    total = log_add(volume, _log_norm_tail(n, s))
-    return BoundValue(kind="typicality", log_value=total, radius_used=sigma * s if r is None else r,
-                      clamped=total.log_value > 0.0)
+    # first = -inf where e^(n d) underflows: the volume term is an exact zero.
+    return _bound_value("typicality", _log_add(first, _log_norm_tail(n, s).log_value),
+                        sigma * s if r is None else r)
 
 
 def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:

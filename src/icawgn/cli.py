@@ -111,13 +111,10 @@ def _cmd_asym(args) -> dict[str, list]:
     # the tracer can classify array arguments.
     exact = {"sphere": bounds.sphere_bound, "ml": bounds.ml_bound,
              "typicality": bounds.typicality_bound}
-    cells = {f"{k}_log": [] for k in exact}
-    for n in ns:
-        point = bounds.ChannelPoint(n=n, nld=args.nld, sigma2=args.sigma2)
-        for k, bound in exact.items():
-            cells[f"{k}_log"].append(bound(point).log_raw)
+    points = [bounds.ChannelPoint(n, args.nld, args.sigma2) for n in ns]
+    cells = {f"{k}_log": [bound(p).log_raw for p in points] for k, bound in exact.items()}
     cells["n"] = ns
-    cells["ml_branch"] = [asymptotics.ml_asymptotic_branch(point)] * len(ns)
+    cells["ml_branch"] = [asymptotics.ml_asymptotic_branch(points[-1])] * len(ns)
     for key, curve in asymptotics.asym_curves(ns, args.nld, args.sigma2).items():
         cells[f"{key}_log"] = curve.tolist()
     for k in exact:

@@ -18,7 +18,7 @@ per call.
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import cython_special as _cs
@@ -60,9 +60,9 @@ _BERRY_ESSEEN_T = (48.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
                    + 32.0 * q_func(1.0) - 8.0) / 2.0 ** 1.5
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    """A solved NLD: the bound at ``delta`` meets the target within tolerance."""
+class InversionResult(NamedTuple):
+    """A solved NLD, an immutable tuple: the bound at ``delta`` meets the
+    target within tolerance."""
 
     delta: float
     bound_value: LogProb

@@ -17,7 +17,7 @@ relative accuracy in the log domain.
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, hyp1f1
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LN_PI = math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Iteration budget for the upper-tail continued fraction, which converges in
@@ -79,25 +80,45 @@ def _exp_or_inf(v: float) -> float:
     return math.inf if v > _LOG_DBL_MAX else math.exp(v)
 
 
-@dataclass(frozen=True)
-class LogProb:
-    """A nonnegative real carried as its natural log.
+class _ValidatedTuple:
+    # Base of the immutable tuple types whose __new__ validates.  namedtuple's
+    # _make (and so _replace) and pickle's protocols 0 and 1 build with
+    # tuple.__new__ directly; these send every way of building one, copies
+    # included, through __new__.
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _LogProbFields(NamedTuple):
+    log_value: float
+    is_zero: bool = False
+
+
+class LogProb(_ValidatedTuple, _LogProbFields):
+    """A nonnegative real carried as its natural log: an immutable tuple
+    (log_value, is_zero).
 
     ``is_zero`` marks an exact zero (log would be -inf).  When the value
     represents a probability, exp(log_value) lies in [0, 1]; intermediate
     bound values may exceed 1 before clamping.
     """
 
-    log_value: float
-    is_zero: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.is_zero and not math.isfinite(self.log_value):
-            raise ValueError(f"non-finite log value {self.log_value!r}")
+    def __new__(cls, log_value: float, is_zero: bool = False):
+        if not is_zero and not math.isfinite(log_value):
+            raise ValueError(f"non-finite log value {log_value!r}")
+        return tuple.__new__(cls, (log_value, is_zero))
 
     @classmethod
     def zero(cls) -> "LogProb":
-        return cls(log_value=-math.inf, is_zero=True)
+        return cls(-math.inf, True)
 
     @classmethod
     def from_linear(cls, value: float) -> "LogProb":
@@ -105,7 +126,7 @@ class LogProb:
             raise ValueError(f"negative value {value!r}")
         if value == 0.0:
             return cls.zero()
-        return cls(log_value=math.log(value))
+        return cls(math.log(value))
 
     @property
     def linear(self) -> float:
@@ -120,14 +141,19 @@ class LogProb:
         return min(self.linear, 1.0)
 
 
+def _log_add(a: float, b: float) -> float:
+    # ln(e^a + e^b) of two logs, -inf an exact zero.
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
 def log_add(a: LogProb, b: LogProb) -> LogProb:
     """Sum of two log-domain values, computed without leaving the log domain."""
     if a.is_zero:
         return b
     if b.is_zero:
         return a
-    hi, lo = (a.log_value, b.log_value) if a.log_value >= b.log_value else (b.log_value, a.log_value)
-    return LogProb(hi + math.log1p(math.exp(lo - hi)))
+    return LogProb(_log_add(a.log_value, b.log_value))
 
 
 def log_gamma(x: float) -> float:
@@ -197,7 +223,7 @@ def _check_seed(seed) -> np.random.SeedSequence:
 def log_vn(n: int) -> float:
     """ln of the volume of the n-dimensional unit ball: (n/2) ln pi - ln Gamma(n/2 + 1)."""
     _check_int(n)
-    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+    return 0.5 * n * _LN_PI - math.lgamma(0.5 * n + 1.0)
 
 
 def log_vn_asymptotic(n: int) -> float:

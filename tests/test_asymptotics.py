@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -530,6 +531,33 @@ class TestHeadIntegralBounds:
             head_integral_bounds(30, 2.0)
         with pytest.raises(ValueError):
             head_integral_bounds(30, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 100, 1000, 10**6, 10**9, 2**63 - 1])
+    def test_one_ulp_inside_each_window_edge(self, n):
+        # Every member is a finite log one ulp above 0 and one ulp below
+        # 2 - 2/n, except at n = 2, where the upper form's denominator
+        # 2 - x - 2/n rounds to 0 there and the window check rejects x.
+        for x in (5e-324, math.nextafter(2.0 - 2.0 / n, 0.0)):
+            if n == 2 and x > 0.5:
+                with pytest.raises(ValueError, match=r"require 0 < x < 2 - 2/n, got x=0\.9999999999999999"):
+                    head_integral_bounds(n, x)
+            else:
+                assert all(math.isfinite(v.log_value) for v in head_integral_bounds(n, x)), (n, x)
+
+    @pytest.mark.parametrize("n", [3, 5, 100, 1000, 10**6])
+    def test_upper_near_the_edge_against_mpmath(self, n):
+        # The upper form at the double x, 60-digit oracle: its truncation factor
+        # and its denominator share the computed 2 - x - 2/n, so it stays
+        # accurate up to the edge (before, 2.6e-5 relative off one ulp inside).
+        edge = 2.0 - 2.0 / n
+        for x in [edge * (1.0 - 10.0 ** -k) for k in range(1, 13)] + [math.nextafter(edge, 0.0)]:
+            with mpmath.workdps(60):
+                m, y = mpmath.mpf(n), mpmath.mpf(x)
+                gap = 2 - y - 2 / m
+                ref = (mpmath.log(2 / m) + m * mpmath.log(y) - m * y / 2
+                       + mpmath.log(-mpmath.expm1(-m * gap / 2)) - mpmath.log(gap))
+            got = head_integral_bounds(n, x).upper.log_value
+            assert abs(got - float(ref)) <= 1e-14 * max(1.0, abs(float(ref))), (n, x)
 
 
 class TestLaplaceHeadIntegral:

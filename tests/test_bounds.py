@@ -30,7 +30,7 @@ from icawgn.bounds import (
     typicality_bound,
 )
 from icawgn.dispersion import lattice_snr_rho, norm_tail_normal_approx
-from icawgn.specfn import log_vn, q_func
+from icawgn.specfn import LogProb, log_vn, q_func
 from helpers import log_ml_first_term_quad
 
 
@@ -573,6 +573,16 @@ class TestBoundCurves:
         nld = 2.8534811664481203e306
         ref = _SCALAR_BOUNDS[kind](ChannelPoint(63, nld, 1.0)).log_raw
         assert bound_curves([63], nld, 1.0, [kind])[kind].log_value[0] == ref == 0.0
+
+    @pytest.mark.parametrize("kind", ["ml", "poltyrev"])
+    @pytest.mark.parametrize("n, nld", [(2, -1.7e308), (4681, -8.938803994605981e307)])
+    def test_density_underflow_is_a_zero_first_term(self, kind, n, nld):
+        # So far below capacity that n delta is -inf, the density and the
+        # radius's noise tail are exact zeros, and so is the bound, on both
+        # paths (the scalar bound raised "non-finite log value -inf").
+        bv = _SCALAR_BOUNDS[kind](ChannelPoint(n, nld, 1.0))
+        assert bv.log_value == LogProb.zero() and bv.value == 0.0 and not bv.clamped
+        assert bound_curves([n], nld, 1.0, [kind])[kind].log_value[0] == -math.inf
 
     @pytest.mark.parametrize("n, nld", [(1, -8.99e307), (63, -2.85e306)])
     def test_typicality_past_double_range_is_its_volume_term(self, n, nld):
