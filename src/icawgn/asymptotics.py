@@ -447,8 +447,10 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     base = math.log(2.0 / n) + 0.5 * n * math.log(x) - 0.5 * n * x
     lower_q, lower_analytic, upper = map(float, _tail_forms(n, x, base))
     loose_factor = 1.0 - _upsilon(n, x) ** -2
-    lower_loose = LogProb.zero() if loose_factor <= 0.0 else LogProb(upper + math.log(loose_factor))
-    return TailIntegralBounds(LogProb(lower_q), LogProb(lower_analytic), lower_loose, LogProb(upper))
+    lower_loose = upper + math.log(loose_factor) if loose_factor > 0.0 else -math.inf
+    # A log of -inf, where n x / 2 passes double range, is an exact zero.
+    return TailIntegralBounds(*(LogProb.zero() if v == -math.inf else LogProb(v)
+                                for v in (lower_q, lower_analytic, lower_loose, upper)))
 
 
 class HeadIntegralBounds(NamedTuple):

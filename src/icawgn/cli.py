@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -137,23 +138,16 @@ def _cmd_invert(args) -> dict[str, list]:
 
 def _cmd_simulate(args) -> dict[str, list]:
     spec = lattices.builtin(args.lattice)
-    if args.target_eps is not None:
-        res = lattices.find_scale_for_error(spec, args.target_eps, args.sigma2,
-                                            trials_per_probe=args.trials,
-                                            seed=args.seed, streams=args.streams)
-        est = res.estimate
-        record = {
-            "lattice": spec.name, "n": spec.dim, "scale": res.scale,
-            "delta": res.delta, "gap_db": res.gap_db,
-            "eps_target": args.target_eps, "trials": est.trials,
-            "errors": est.errors, "p_hat": est.p_hat,
-            "ci_low": est.ci_low, "ci_high": est.ci_high,
-            "seed": args.seed, "streams": args.streams, "probes": res.probes,
-        }
+    if args.target_eps is None:
+        record = lattices.simulate_error_prob(spec, args.sigma2, args.trials,
+                                              seed=args.seed).to_record(spec, args.sigma2)
     else:
-        est = lattices.simulate_error_prob(spec, args.sigma2, args.trials,
-                                           seed=args.seed, streams=args.streams)
-        record = est.to_record(spec, args.sigma2)
+        res = lattices.find_scale_for_error(spec, args.target_eps, args.sigma2,
+                                            trials_per_probe=args.trials, seed=args.seed)
+        # The estimate's own seed is its probe's; the record names the search's.
+        record = {"lattice": spec.name, "n": spec.dim, "scale": res.scale, "delta": res.delta,
+                  "gap_db": res.gap_db, "eps_target": args.target_eps,
+                  **res.estimate._replace(seed=args.seed)._asdict(), "probes": res.probes}
     return {k: [v] for k, v in record.items()}
 
 
@@ -206,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100000,
                    help="trials (per probe when --target-eps is given)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1)
     p.add_argument("--target-eps", type=float, default=None,
                    help="search the scale reaching this error probability")
     common(p)
@@ -220,9 +213,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An option without its value, and the start of a negative number, which no
+# option shares.  argparse's own negative-number pattern has no exponent, so
+# it would take a value such as -1e3 for an option.
+_OPTION = re.compile(r"--[^=]+")
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number after an option joined to it, as in
+    --nld=-1e3, which argparse reads as the option's value."""
+    out = []
+    for tok in argv:
+        if out and _OPTION.fullmatch(out[-1]) and _NEGATIVE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _emit(args.func(args), args.format, args.out)
     except (ArithmeticError, asymptotics.AsymptoticSingularity) as exc:

@@ -10,10 +10,10 @@ derivative-free iteration avoids underflow-driven derivative noise.  The
 converse is seeded at its closed form through scipy's inverse of the
 chi-square tail, so the walk only certifies it; the achievable bound is
 seeded from the dispersion expansion.  One coroutine holds the method:
-:func:`_invert_bound` drives it on a scalar bound (the converse), and the
-achievable inversions run one per n in lockstep: each round evaluates the
-ML bound once over every unfinished n, on terms in n alone computed once
-per call.
+:func:`nld_eps_converse` drives it on the scalar sphere bound, and
+:func:`nld_eps_achievable_curve` runs the achievable inversions one per n in
+lockstep: each round evaluates the ML bound once over every unfinished n, on
+terms in n alone computed once per call.
 """
 
 import math
@@ -50,7 +50,8 @@ __all__ = [
 DB_PER_NAT = 20.0 / math.log(10.0)
 
 _MAX_ITER = 200
-_VALUE_TOL = 1e-10
+_TOL = 1e-10          # width of the final bracket, in nats
+_VALUE_TOL = 1e-10    # largest |bound - eps| at the root
 # Widest bracket searched for the root before giving up, in nats.
 _MAX_BRACKET = 8192.0
 
@@ -101,7 +102,7 @@ def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
             + 0.5 * math.log(n) / n)
 
 
-def _chandrupatla(n, eps, tol, kind, seed, step, shift):
+def _chandrupatla(n, eps, kind, seed, step, shift):
     """Chandrupatla root of ln bound(n, delta, 1) = ln eps in delta, as a coroutine:
     yields each delta, is sent ln bound there, and returns the result at delta - ``shift``.
 
@@ -112,13 +113,14 @@ def _chandrupatla(n, eps, tol, kind, seed, step, shift):
     of the root is itself one end of it.  Chandrupatla's method then
     shrinks it, by a secant step first, then by inverse quadratic steps
     where the interpolant is monotone over the bracket and by bisection
-    otherwise, until it is at most ``tol`` wide and the bound matches eps
-    to 1e-10 (or the bracket hits float resolution).
+    otherwise, until it is at most ``_TOL`` wide and the bound matches eps
+    to ``_VALUE_TOL`` (or the bracket hits float resolution).
     ``iterations`` counts the bound evaluations after the bracket is found;
     ``bracket_width`` is the width of the final sign-change bracket.
     """
     log_eps = math.log(eps)
-    # At least float resolution, so that the walk moves even at tol = 0.
+    # At least float resolution, which the ML walk's 1/n step is below for
+    # n above about 1.6e15.
     step = max(2.0 * sys.float_info.epsilon * max(abs(seed), 1.0), step)
     lo = hi = seed
     f_lo = f_hi = (yield seed) - log_eps
@@ -148,11 +150,11 @@ def _chandrupatla(n, eps, tol, kind, seed, step, shift):
         value_ok = abs(math.expm1(f_cur)) * eps <= _VALUE_TOL
         width = abs(b - a)
         if (f_cur == 0.0 or width <= 2.0 * resolution
-                or (value_ok and width <= tol) or iterations >= _MAX_ITER):
+                or (value_ok and width <= _TOL) or iterations >= _MAX_ITER):
             break
         # Smallest step: half the tolerance, or float resolution while the
         # value still misses eps.
-        min_step = max(0.5 * tol, resolution) if value_ok else resolution
+        min_step = max(0.5 * _TOL, resolution) if value_ok else resolution
         if iterations == 0:
             t = f_a / (f_a - f_b)   # secant
         else:
@@ -176,61 +178,48 @@ def _chandrupatla(n, eps, tol, kind, seed, step, shift):
                            iterations=iterations, bracket_width=0.0 if f_cur == 0.0 else width)
 
 
-def _invert_bound(bound_fn, n: int, eps: float, sigma2: float, tol: float,
-                  kind: str, seed: float, step: float) -> InversionResult:
-    """One :func:`_chandrupatla` solve on the scalar ``bound_fn``, seeded at sigma2 = 1."""
-    _check_sigma2(sigma2)
-    solver = _chandrupatla(n, eps, tol, kind, seed, step, 0.5 * math.log(sigma2))
-    delta = next(solver)
-    try:
-        while True:
-            delta = solver.send(bound_fn(ChannelPoint(n=n, nld=delta, sigma2=1.0)).log_raw)
-    except StopIteration as done:
-        return done.value
-
-
-def nld_eps_converse(n: int, eps: float, sigma2: float,
-                     tol: float = 1e-10) -> InversionResult:
+def nld_eps_converse(n: int, eps: float, sigma2: float) -> InversionResult:
     """The NLD at which the sphere bound equals eps: an upper bound on the
     best NLD of any constellation with error probability eps.
 
     The root has a closed form: Q(n/2, r_eff^2 / 2 sigma2) = eps at
     r_eff^2 = 2 sigma2 x with x = Q^-1(n/2, eps) (scipy's ``gammainccinv``),
     so delta = -(ln 2x + ln sigma2)/2 - ln V_n / n.  The search starts
-    there with a first step of tol/2 and usually ends after two bound
-    evaluations and no Chandrupatla iteration.  The sign change still
-    certifies the root because scipy's inverse is not accurate everywhere:
-    in the deep lower tail at large shape (a = 5e6, n = 1e7) it is 2.1e-8
-    relative off at eps = 1 - 2^-53 and 6.8e-8 off at eps = 1 - 2^-40,
-    which moves delta by about 1e-8, past tol; the walk then takes a few
-    more evaluations.
+    there, at sigma2 = 1, with a first step of half the tolerance and
+    usually ends after two bound evaluations and no Chandrupatla iteration.
+    The sign change still certifies the root because scipy's inverse is not
+    accurate everywhere: in the deep lower tail at large shape (a = 5e6,
+    n = 1e7) it is 2.1e-8 relative off at eps = 1 - 2^-53 and 6.8e-8 off at
+    eps = 1 - 2^-40, which moves delta by about 1e-8, past the tolerance;
+    the walk then takes a few more evaluations.
     """
     _check_prob(eps)
     _check_int(n)
-    x = _cs.gammainccinv(0.5 * n, eps)
-    seed = -0.5 * math.log(2.0 * x) - log_vn(n) / n
-    return _invert_bound(sphere_bound, n, eps, sigma2, tol, "sphere", seed, 0.5 * tol)
+    _check_sigma2(sigma2)
+    seed = -0.5 * math.log(2.0 * _cs.gammainccinv(0.5 * n, eps)) - log_vn(n) / n
+    solver = _chandrupatla(n, eps, "sphere", seed, 0.5 * _TOL, 0.5 * math.log(sigma2))
+    delta = next(solver)
+    try:
+        while True:
+            delta = solver.send(sphere_bound(ChannelPoint(n=n, nld=delta, sigma2=1.0)).log_raw)
+    except StopIteration as done:
+        return done.value
 
 
-def nld_eps_achievable(n: int, eps: float, sigma2: float,
-                       tol: float = 1e-10) -> InversionResult:
+def nld_eps_achievable(n: int, eps: float, sigma2: float) -> InversionResult:
     """The NLD at which the ML bound (at its optimizing radius) equals eps:
     a constellation with this NLD and error probability <= eps exists.
     The search starts at :func:`nld_eps_approx` with a first step of 1/n."""
-    return _achievable_solves([n], eps, sigma2, tol)[0]
+    return nld_eps_achievable_curve([n], eps, sigma2)[0]
 
 
 def nld_eps_achievable_curve(ns, eps: float, sigma2: float) -> list[InversionResult]:
     """What ``[nld_eps_achievable(n, eps, sigma2) for n in ns]`` returns, solved in lockstep."""
-    return _achievable_solves(ns, eps, sigma2, 1e-10)
-
-
-def _achievable_solves(ns, eps: float, sigma2: float, tol: float) -> list[InversionResult]:
     # One solver per n; each round, one _sphere_ml_curves call feeds every
     # unfinished one, on the n-only terms computed once here.
     _check_sigma2(sigma2)
     ns, shift = list(ns), 0.5 * math.log(sigma2)
-    solvers = [_chandrupatla(n, eps, tol, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n, shift)
+    solvers = [_chandrupatla(n, eps, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n, shift)
                for n in ns]
     if not ns:
         return []

@@ -16,10 +16,10 @@ ball: their number is binomial with the exact chance q of leaving it, and
 their squared norms come from the chi-square conditioned on exceeding the
 packing radius, an exact finite mixture of shifted Gamma draws.  At
 typical simulation noise levels q is a few percent.  Counts, Gammas, tail
-uniforms and directions come from four generators per substream, so seeded
-counts repeat exactly for any chunk size; they differ from those of
-releases that drew a norm for every row, or every noise coordinate, while
-their distribution is the same.
+uniforms and directions come from four generators, so seeded counts repeat
+exactly for any chunk size; they differ from those of releases that drew a
+norm for every row, or every noise coordinate, while their distribution is
+the same.
 """
 
 import dataclasses
@@ -111,8 +111,7 @@ class DecodedPoint(NamedTuple):
     point: np.ndarray
 
 
-@dataclass(frozen=True)
-class SimEstimate:
+class SimEstimate(NamedTuple):
     """Monte Carlo error-probability estimate with a two-sided 95%
     Clopper-Pearson interval and full reproducibility metadata."""
 
@@ -122,30 +121,17 @@ class SimEstimate:
     ci_low: float
     ci_high: float
     seed: object
-    streams: int
 
     @property
     def stderr(self) -> float:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
 
     def to_record(self, spec: LatticeSpec, sigma2: float) -> dict:
-        return {
-            "lattice": spec.name,
-            "n": spec.dim,
-            "delta": spec.nld,
-            "sigma2": sigma2,
-            "trials": self.trials,
-            "errors": self.errors,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-            "streams": self.streams,
-        }
+        return {"lattice": spec.name, "n": spec.dim, "delta": spec.nld, "sigma2": sigma2,
+                **self._asdict()}
 
 
-@dataclass(frozen=True)
-class ScaleSearchResult:
+class ScaleSearchResult(NamedTuple):
     """Outcome of the stochastic scale search: the accepted scale, the NLD and
     dB gap it implies, and the refined estimate at that scale."""
 
@@ -412,46 +398,33 @@ def _outside_noise(seq: np.random.SeedSequence, trials: int, dim: int, s: float,
         yield z
 
 
-def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed,
-                        streams: int = 1) -> SimEstimate:
+def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed) -> SimEstimate:
     """Estimate the lattice error probability over AWGN with variance sigma2.
 
     Draws Z ~ N(0, sigma2 I) and counts the rows outside the transmitted
-    zero point's Voronoi cell (``_decoded_errors``).  Work splits across
-    ``streams`` independent substreams spawned deterministically from
-    ``seed``; identical (seed, streams) reproduce the error count exactly
-    regardless of chunking.  Each
-    substream draws only the rows outside the packing ball, as many as a
-    Binomial(trials, q) draw says, with norms from the conditional
-    chi-square mixture and directions from four generators in all
-    (``_outside_noise``).  The error count has the distribution of a plain
+    zero point's Voronoi cell (``_decoded_errors``).  Only the rows outside
+    the packing ball are drawn, as many as a Binomial(trials, q) draw says,
+    with norms from the conditional chi-square mixture and directions from
+    four generators in all (``_outside_noise``), spawned from the first
+    child of ``seed``; an identical seed reproduces the error count exactly
+    regardless of chunking.  The error count has the distribution of a plain
     draw's, but seeded counts differ from releases that drew a norm for
-    every row, or every coordinate.  ``trials`` and ``streams`` must be
-    integers with 1 <= streams <= trials, and ``seed`` what
-    ``np.random.SeedSequence`` takes, except a bool.
+    every row, or every coordinate.  ``trials`` must be an integer >= 1, and
+    ``seed`` what ``np.random.SeedSequence`` takes, except a bool.
     """
     _check_int(trials, name="trials")
-    _check_int(streams, 1, trials, name="streams")
     _check_sigma2(sigma2)
     fam = _family(spec)
     s = math.sqrt(sigma2) / spec.scale
-    rho2 = _PACKING_RADIUS2[fam]
-    children = _check_seed(seed).spawn(streams)
-    per = trials // streams
-    extra = trials % streams
-    errors = 0
-    for i, child in enumerate(children):
-        todo = per + (1 if i < extra else 0)
-        for z in _outside_noise(child, todo, spec.dim, s, rho2):
-            errors += _decoded_errors(fam, z)
+    errors = sum(_decoded_errors(fam, z) for z in _outside_noise(
+        _check_seed(seed).spawn(1)[0], trials, spec.dim, s, _PACKING_RADIUS2[fam]))
     lo, hi = clopper_pearson(errors, trials)
     return SimEstimate(trials=trials, errors=errors, p_hat=errors / trials,
-                       ci_low=lo, ci_high=hi, seed=seed, streams=streams)
+                       ci_low=lo, ci_high=hi, seed=seed)
 
 
 def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
-                         trials_per_probe: int, seed, streams: int = 1,
-                         max_probes: int = 60) -> ScaleSearchResult:
+                         trials_per_probe: int, seed, max_probes: int = 60) -> ScaleSearchResult:
     """Stochastic bisection for the scale at which the lattice hits error
     probability eps over noise variance sigma2.
 
@@ -462,9 +435,9 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     at [0, inf): the next probe doubles s_lo while s_hi is infinite, halves
     s_hi while s_lo is zero, and bisects geometrically once both are set.
 
-    ``trials_per_probe`` and ``max_probes`` must be integers >= 1, and
-    ``streams`` one in 1..trials_per_probe.  Probe k is seeded with [seed, k],
-    where a None seed stands for entropy drawn once for all the probes.
+    ``trials_per_probe`` and ``max_probes`` must be integers >= 1.  Probe k
+    is seeded with [seed, k], where a None seed stands for entropy drawn
+    once for all the probes.
     """
     _check_prob(eps)
     _check_int(trials_per_probe, name="trials_per_probe")
@@ -477,7 +450,7 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
         nonlocal probes
         probes += 1
         return simulate_error_prob(dataclasses.replace(spec, scale=s), sigma2,
-                                   trials, seed=[entropy, probes], streams=streams)
+                                   trials, seed=[entropy, probes])
 
     def finish(s: float) -> ScaleSearchResult:
         scaled = dataclasses.replace(spec, scale=s)

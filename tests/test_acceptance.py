@@ -263,13 +263,13 @@ def test_criterion_10_monte_carlo_vs_analytic():
     interval covers the closed form.  E8 near 1%: the estimate respects the
     sphere-bound converse."""
     sigma = 0.5 / q_func_inv(0.005)  # 2 Q(1/(2 sigma)) = 0.01
-    z1 = simulate_error_prob(builtin("Z1"), sigma * sigma, 10 ** 7, seed=1, streams=4)
+    z1 = simulate_error_prob(builtin("Z1"), sigma * sigma, 10 ** 7, seed=1)
     z1_lo, z1_hi = clopper_pearson(z1.errors, z1.trials, confidence=1.0 - 1e-6)
     z1_ok = z1_lo <= 0.01 <= z1_hi
 
     e8 = builtin("E8")
     s2 = 0.185 ** 2
-    est = simulate_error_prob(e8, s2, 10 ** 6, seed=2, streams=4)
+    est = simulate_error_prob(e8, s2, 10 ** 6, seed=2)
     floor = sphere_bound(ChannelPoint(8, e8.nld, s2)).value
     e8_ok = est.p_hat + 3.0 * est.stderr >= floor
     ok = z1_ok and e8_ok

@@ -35,6 +35,7 @@ from icawgn.bounds import (
     sphere_bound,
     typicality_bound,
 )
+from icawgn.specfn import LogProb
 
 DS = delta_star(1.0)
 DCR = delta_cr(1.0)
@@ -505,6 +506,11 @@ class TestTailIntegralBounds:
     def test_rejects_non_finite_x(self, x):
         with pytest.raises(ValueError, match="x="):
             tail_integral_bounds(10, x)
+
+    @pytest.mark.parametrize("n, x", [(10**9, 1e300), (2**63 - 1, 1e300), (3, 1.7e308)])
+    def test_exact_zeros_past_double_range(self, n, x):
+        # n x / 2 passes double range, so every form's log is below -1.8e308.
+        assert tail_integral_bounds(n, x) == (LogProb.zero(),) * 4
 
 
 class TestHeadIntegralBounds:

@@ -321,7 +321,7 @@ class TestInvertCommand:
 class TestSimulateCommand:
     def test_reproducible_rows(self, capsys):
         args = ("simulate", "--lattice", "D4", "--sigma2", "0.05",
-                "--trials", "20000", "--seed", "7", "--streams", "2")
+                "--trials", "20000", "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -329,10 +329,10 @@ class TestSimulateCommand:
     def test_readme_example_count(self, capsys):
         # The README's example; its count moves only with the noise draw.
         code, out, _ = run_cli(capsys, "simulate", "--lattice", "E8", "--sigma2", "0.0342",
-                               "--trials", "1000000", "--seed", "7", "--streams", "8")
+                               "--trials", "1000000", "--seed", "7")
         _, rows = parse_csv(out)
         assert code == 0
-        assert (rows[0]["errors"], rows[0]["trials"]) == ("11077", "1000000")
+        assert (rows[0]["errors"], rows[0]["trials"]) == ("11231", "1000000")
 
     def test_z1_closed_form_within_ci(self, capsys):
         from icawgn.specfn import q_func
@@ -429,9 +429,8 @@ def test_dimension_past_int64_is_usage_error_naming_the_limit(argv, capsys):
 
 @pytest.mark.parametrize("argv, count", [
     (["--trials", "1000000000000000000000"], "trials"),
-    (["--streams", "2000000000000000000000"], "streams"),
     (["--target-eps", "0.1", "--trials", "1000000000000000000000"], "trials_per_probe"),
-], ids=["trials", "streams", "trials_per_probe"])
+], ids=["trials", "trials_per_probe"])
 def test_count_past_int64_is_usage_error_naming_the_count(argv, count, capsys):
     # These were "error: numerical: Python int too large to convert to C long".
     with pytest.raises(SystemExit) as exc:
@@ -439,6 +438,28 @@ def test_count_past_int64_is_usage_error_naming_the_count(argv, count, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("icawgn: usage error: ") and f"{count} must be an integer in 1.." in err
+
+
+@pytest.mark.parametrize("before, value, code", [
+    (["asym", "--n", "1:3", "--nld"], "-1e3", 0),
+    (["bounds", "--n", "2:4", "--sigma2", "2", "--nld"], "-1.5E0", 0),
+    (["bounds", "--n", "2", "--nld", "-1.5", "--sigma2"], "-2e0", 2),
+    (["invert", "--n", "2", "--eps"], "-1e-3", 2),
+    (["equiv", "--n", "3", "--r"], "-.5e+1", 2),
+], ids=["asym_nld", "bounds_nld", "sigma2", "eps", "r"])
+def test_negative_value_in_exponent_notation_after_a_space(before, value, code, capsys):
+    # argparse's negative-number pattern has no exponent, so '--nld -1e3' was
+    # "expected one argument"; it now means what '--nld=-1e3' means.
+    def outcome(argv):
+        try:
+            exit_code = main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+        return exit_code, *capsys.readouterr()
+
+    spaced = outcome([*before, value])
+    assert spaced == outcome([*before[:-1], f"{before[-1]}={value}"])
+    assert spaced[0] == code and "expected one argument" not in spaced[2]
 
 
 def test_import_leaves_out_scipy_optimize_and_integrate():

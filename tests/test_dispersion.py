@@ -13,7 +13,7 @@ from icawgn.bounds import (BoundValue, ChannelPoint, delta_cr, delta_star, effec
                            ml_bound, sphere_bound)
 from icawgn.dispersion import (
     DB_PER_NAT,
-    _invert_bound,
+    _chandrupatla,
     berry_esseen_T,
     gap_db,
     lattice_snr_rho,
@@ -27,13 +27,26 @@ from icawgn.dispersion import (
     vnr_opt_approx,
 )
 from icawgn.asymptotics import terms
-from icawgn.specfn import LogProb, log_vn, q_func, reg_gamma_upper
+from icawgn.specfn import LogProb, _check_sigma2, log_vn, q_func, reg_gamma_upper
+
+
+def _invert_bound(bound_fn, n, eps, sigma2, kind, seed, step):
+    # One _chandrupatla solve on the scalar bound_fn, seeded at sigma2 = 1,
+    # driven as nld_eps_converse drives it on the sphere bound.
+    _check_sigma2(sigma2)
+    solver = _chandrupatla(n, eps, kind, seed, step, 0.5 * math.log(sigma2))
+    delta = next(solver)
+    try:
+        while True:
+            delta = solver.send(bound_fn(ChannelPoint(n=n, nld=delta, sigma2=1.0)).log_raw)
+    except StopIteration as done:
+        return done.value
 
 
 def _scalar_ml_solve(n, eps, sigma2, bound=ml_bound):
     # The ML inversion on the scalar bound, from the seed and step of
     # nld_eps_achievable: the reference for its lockstep solve.
-    return _invert_bound(bound, n, eps, sigma2, 1e-10, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n)
+    return _invert_bound(bound, n, eps, sigma2, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n)
 
 
 DS = delta_star(1.0)
@@ -196,7 +209,7 @@ class TestInversion:
         def flat(point):
             return BoundValue("flat", LogProb(math.log(0.5)), 1.0, False)
         with pytest.raises(ValueError, match="not bracketed"):
-            _invert_bound(flat, 10, 0.01, 1.0, 1e-10, "flat", 0.0, 0.1)
+            _invert_bound(flat, 10, 0.01, 1.0, "flat", 0.0, 0.1)
 
     def test_exact_zero_at_a_bracket_end(self):
         # The walk from -3 leaves -1.5, where the bound is exactly 0 (its log
@@ -204,7 +217,7 @@ class TestInversion:
         def toy(point):
             lp = LogProb.zero() if point.nld < -1.0 else LogProb(min(0.0, point.nld - 1.0))
             return BoundValue("toy", lp, 1.0, False)
-        res = _invert_bound(toy, 4, math.exp(-1.5), 1.0, 1e-10, "toy", -3.0, 0.1)
+        res = _invert_bound(toy, 4, math.exp(-1.5), 1.0, "toy", -3.0, 0.1)
         assert res.delta == pytest.approx(-0.5, abs=1e-10)
 
     def test_converse_starts_at_closed_form(self):
@@ -304,7 +317,7 @@ class TestInversion:
     def test_curve_matches_scalar_solver(self, eps, sigma2):
         # Same seeds, same steps, and bound_curves' ML logs equal ml_bound's
         # but for a rare last ulp; where one differs, both results still meet
-        # the contract and their deltas are within 2 tol.  A solve does not
+        # the contract and their deltas are within 2e-10.  A solve does not
         # depend on the others of its curve.
         ns = list(range(1, 401)) + [10**4, 10**5, 10**6]
         got = nld_eps_achievable_curve(ns, eps, sigma2)
@@ -393,12 +406,6 @@ class TestInversion:
         nld_eps_achievable_curve(range(2, 52), 0.01, 1.0)
         nld_eps_achievable(10, 0.01, 1.0)
         assert built == [50, 1]
-
-    def test_converse_at_zero_tolerance(self):
-        # The first step is at least float resolution, so tol = 0 still
-        # brackets and stops at float resolution.
-        res = nld_eps_converse(10, 0.01, 1.0, tol=0.0)
-        assert abs(res.delta - nld_eps_converse(10, 0.01, 1.0).delta) <= 1e-10
 
     def test_monotone_in_eps(self):
         assert (nld_eps_converse(50, 0.001, 1.0).delta

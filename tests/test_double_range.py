@@ -2,8 +2,9 @@
 at the ends of double range, and the simulation layer over any count, seed,
 noise variance and scale: each call returns a value or raises ValueError
 (AsymptoticSingularity included), never OverflowError or another error.
-Every NLD is drawn from all finite doubles.  The point values and the
-functions of an NLD are never NaN, and the exponents are never negative."""
+Every NLD is drawn from all finite doubles, and every dimension up to
+2^63 - 1 (10^7 for the inversions).  The point values and the functions of
+an NLD are never NaN, and the exponents are never negative."""
 
 import math
 
@@ -48,7 +49,8 @@ def _finite_or_zero(log_value) -> bool:
 
 @seed(20261019)
 @settings(max_examples=120, deadline=None)
-@given(n=st.integers(min_value=1, max_value=10**7),
+@given(n=st.one_of(st.integers(min_value=1, max_value=10**7),
+                  st.integers(min_value=1, max_value=2**63 - 1)),
        nld=st.floats(allow_nan=False, allow_infinity=False),
        sigma2=st.floats(min_value=5e-324, max_value=1.7e308),
        eps=st.floats(min_value=5e-324, max_value=0.5))
@@ -77,7 +79,7 @@ def test_every_entry_point_returns_a_value_or_raises_value_error(n, nld, sigma2,
         assert _not_nan(value), (fn.__name__, value)
         assert fn not in _EXPONENTS or value is None or value >= 0.0, (fn.__name__, value)
     _value(bounds.sphere_bound_by_volume, n, point.density, sigma2)
-    for invert in _INVERSIONS:
+    for invert in _INVERSIONS if n <= 10**7 else ():
         res = _value(invert, n, eps, sigma2)
         assert res is None or math.isfinite(res.delta), (invert.__name__, res)
     assert math.isfinite(dispersion.nld_eps_approx(n, eps, sigma2))
@@ -99,10 +101,10 @@ def _runs(count, most) -> bool:
 
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
-@given(trials=_COUNTS, streams=st.one_of(st.just(1), _COUNTS), probes=_COUNTS, seed_=_SEEDS,
+@given(trials=_COUNTS, errors=st.one_of(st.just(1), _COUNTS), probes=_COUNTS, seed_=_SEEDS,
        sigma2=_DOUBLES, scale=_DOUBLES,
        confidence=st.one_of(st.floats(min_value=0.01, max_value=0.99), st.floats()))
-def test_simulation_layer_returns_a_value_or_raises_value_error(trials, streams, probes, seed_,
+def test_simulation_layer_returns_a_value_or_raises_value_error(trials, errors, probes, seed_,
                                                                 sigma2, scale, confidence):
     spec = _value(lattices.LatticeSpec, "Z2", 2, np.eye(2), scale)
     assert (spec is not None) == (0.0 < scale < math.inf)
@@ -110,14 +112,14 @@ def test_simulation_layer_returns_a_value_or_raises_value_error(trials, streams,
         type(trials) is int and trials == 2)
     spec = spec or lattices.builtin("Z2")
     # No numpy integers are drawn, so every accepted count is a plain int.
-    ci = _value(lattices.clopper_pearson, streams, trials, confidence)
-    assert ci is None or (type(trials) is type(streams) is int and 0.0 <= ci[0] <= ci[1] <= 1.0), ci
-    if _runs(trials, 10**4) and _runs(streams, 64):
-        est = _value(lattices.simulate_error_prob, spec, sigma2, trials, seed_, streams)
+    ci = _value(lattices.clopper_pearson, errors, trials, confidence)
+    assert ci is None or (type(trials) is type(errors) is int and 0.0 <= ci[0] <= ci[1] <= 1.0), ci
+    if _runs(trials, 10**4):
+        est = _value(lattices.simulate_error_prob, spec, sigma2, trials, seed_)
         assert est is None or (type(trials) is int and 0 <= est.errors <= est.trials == trials), est
-    if _runs(trials, 10**3) and _runs(streams, 8) and _runs(probes, 4):
+    if _runs(trials, 10**3) and _runs(probes, 4):
         try:
-            res = lattices.find_scale_for_error(spec, 0.1, sigma2, trials, seed_, streams, probes)
+            res = lattices.find_scale_for_error(spec, 0.1, sigma2, trials, seed_, probes)
             assert type(trials) is int and res.estimate.trials == 4 * trials, res
         except ValueError:
             pass

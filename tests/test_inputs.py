@@ -116,17 +116,13 @@ def test_empty_dimensions_give_empty_curves(empty):
 
 
 # Every public entry point that takes a count: (its floor, a call at count c).
-# The counts that bound another (streams, errors) sit below their ceiling at 4.
+# The count that bounds another (errors) sits below its ceiling at 4.
 COUNTS = {
     "simulate_error_prob.trials": (1, lambda c: simulate_error_prob(builtin("Z2"), 0.1, c, seed=1)),
-    "simulate_error_prob.streams": (1, lambda c: simulate_error_prob(builtin("Z2"), 0.1, 8, seed=1,
-                                                                     streams=c)),
     "clopper_pearson.trials": (1, lambda c: clopper_pearson(0, c)),
     "clopper_pearson.errors": (0, lambda c: clopper_pearson(c, 8)),
     "find_scale_for_error.trials_per_probe": (
         1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, c, seed=1)),
-    "find_scale_for_error.streams": (
-        1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 8, seed=1, streams=c)),
     "find_scale_for_error.max_probes": (
         1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=1, max_probes=c)),
 }
@@ -152,10 +148,8 @@ def test_count_below_its_floor_is_a_value_error(name):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: simulate_error_prob(builtin("Z2"), 0.1, 8, seed=1, streams=9), "streams"),
     (lambda: clopper_pearson(9, 8), "errors"),
-    (lambda: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 8, seed=1, streams=9), "streams"),
-], ids=["simulate_error_prob", "clopper_pearson", "find_scale_for_error"])
+], ids=["clopper_pearson"])
 def test_count_past_the_count_it_splits_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=f"{message} must be an integer in .*\\.\\.8, got 9"):
         call()
@@ -316,7 +310,7 @@ RULE_PHRASES = ("dimension", "integer", "(0, 1)", "finite and > 0", " must be > 
 VALIDATORS = ("_check_int", "_check_prob", "_check_positive", "_check_positive_or_inf",
               "_check_not_nan", "_check_nld", "_check_seed")
 # The inputs that only a validator may compare with a literal.
-CHECKED_NAMES = ("n", "dim", "trials", "streams", "errors", "eps", "p", "confidence",
+CHECKED_NAMES = ("n", "dim", "trials", "errors", "eps", "p", "confidence",
                  "sigma2", "scale", "r", "v")
 
 

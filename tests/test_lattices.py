@@ -309,22 +309,15 @@ class TestSimulate:
         # sigma so that 2 Q(0.5/sigma) = 0.01.  A 1 - 1e-6 interval, so that
         # the check does not hinge on a 1-in-20 draw of the seeded stream.
         sigma = 0.5 / q_func_inv(0.005)
-        est = simulate_error_prob(builtin("Z1"), sigma * sigma, 2 * 10 ** 6, seed=1, streams=4)
+        est = simulate_error_prob(builtin("Z1"), sigma * sigma, 2 * 10 ** 6, seed=1)
         lo, hi = clopper_pearson(est.errors, est.trials, confidence=1.0 - 1e-6)
         assert lo <= 0.01 <= hi
 
     def test_determinism(self):
         spec = builtin("D4")
-        a = simulate_error_prob(spec, 0.05, 150000, seed=9, streams=3)
-        b = simulate_error_prob(spec, 0.05, 150000, seed=9, streams=3)
+        a = simulate_error_prob(spec, 0.05, 150000, seed=9)
+        b = simulate_error_prob(spec, 0.05, 150000, seed=9)
         assert a.errors == b.errors and a.p_hat == b.p_hat
-
-    def test_streams_change_draws_not_totals(self):
-        spec = builtin("Z2")
-        a = simulate_error_prob(spec, 0.06, 100001, seed=5, streams=1)
-        b = simulate_error_prob(spec, 0.06, 100001, seed=5, streams=7)
-        assert a.trials == b.trials == 100001
-        assert a.errors != b.errors  # different substreams
 
     def test_estimate_invariants(self):
         est = simulate_error_prob(builtin("A2"), 0.04, 50000, seed=1)
@@ -338,7 +331,7 @@ class TestSimulate:
         # probability, so any estimate more than 3 standard errors below it
         # is a bug.
         spec = builtin(name)
-        est = simulate_error_prob(spec, sigma * sigma, 150000, seed=23, streams=2)
+        est = simulate_error_prob(spec, sigma * sigma, 150000, seed=23)
         floor = sphere_bound(ChannelPoint(spec.dim, spec.nld, sigma * sigma)).value
         assert est.p_hat + 3.0 * est.stderr >= floor, (name, est.p_hat, floor)
 
@@ -360,21 +353,21 @@ class TestSimulate:
         sigma = 0.31
         p1 = 2.0 * q_func(0.5 / sigma)
         truth = normalized_error_prob(p1, 6)
-        est = simulate_error_prob(builtin("Z6"), sigma * sigma, 2 * 10 ** 6, seed=8, streams=3)
+        est = simulate_error_prob(builtin("Z6"), sigma * sigma, 2 * 10 ** 6, seed=8)
         lo, hi = clopper_pearson(est.errors, est.trials, confidence=1.0 - 1e-6)
         assert lo <= truth <= hi
 
-    @pytest.mark.parametrize("streams", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("name,sigma2", [
         ("Z1", 0.0377), ("A2", 0.03), ("E8", 0.032), ("Z6", 0.0961), ("D4", 0.05),
         ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0)])
-    def test_counts_do_not_depend_on_chunking(self, monkeypatch, name, sigma2, streams):
-        # 64 scalars per chunk splits each substream into hundreds of chunks,
-        # most of them ragged against the stream boundaries.
+    def test_counts_do_not_depend_on_chunking(self, monkeypatch, name, sigma2, seed):
+        # 64 scalars per chunk splits the draw into hundreds of chunks, most
+        # of them ragged against the mixture components' boundaries.
         spec = builtin(name)
-        whole = simulate_error_prob(spec, sigma2, 20001, seed=12, streams=streams)
+        whole = simulate_error_prob(spec, sigma2, 20001, seed=seed)
         monkeypatch.setattr(lattices, "_CHUNK_SCALARS", 64)
-        chunked = simulate_error_prob(spec, sigma2, 20001, seed=12, streams=streams)
+        chunked = simulate_error_prob(spec, sigma2, 20001, seed=seed)
         assert whole.errors > 0
         assert chunked == whole
 
@@ -462,7 +455,7 @@ class TestSimulate:
         est = simulate_error_prob(spec, 0.04, 1000, seed=2)
         rec = est.to_record(spec, 0.04)
         assert list(rec) == ["lattice", "n", "delta", "sigma2", "trials", "errors",
-                             "p_hat", "ci_low", "ci_high", "seed", "streams"]
+                             "p_hat", "ci_low", "ci_high", "seed"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -496,10 +489,10 @@ class TestFindScale:
         # so no scale is probed twice.
         scales = []
 
-        def estimate(spec, sigma2, trials, seed, streams):
+        def estimate(spec, sigma2, trials, seed):
             scales.append(spec.scale)
             p = 2.0 * q_func(spec.scale / 2.0)
-            return lattices.SimEstimate(trials, 0, p, 0.95 * p, 1.05 * p, seed, streams)
+            return lattices.SimEstimate(trials, 0, p, 0.95 * p, 1.05 * p, seed)
 
         monkeypatch.setattr(lattices, "simulate_error_prob", estimate)
         res = find_scale_for_error(builtin("Z1"), eps, 1.0, trials_per_probe=10, seed=0)
