@@ -143,11 +143,11 @@ def _cmd_simulate(args) -> dict[str, list]:
                                               seed=args.seed).to_record(spec, args.sigma2)
     else:
         res = lattices.find_scale_for_error(spec, args.target_eps, args.sigma2,
-                                            trials_per_probe=args.trials, seed=args.seed)
-        # The estimate's own seed is its probe's; the record names the search's.
+                                            trials=args.trials, seed=args.seed)
+        # The estimate's own seed is derived from the search's, which the record names.
         record = {"lattice": spec.name, "n": spec.dim, "scale": res.scale, "delta": res.delta,
                   "gap_db": res.gap_db, "eps_target": args.target_eps,
-                  **res.estimate._replace(seed=args.seed)._asdict(), "probes": res.probes}
+                  **res.estimate._replace(seed=args.seed)._asdict()}
     return {k: [v] for k, v in record.items()}
 
 
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo on a builtin lattice")
     p.add_argument("--lattice", required=True, help="Z1, Zk, A2, D4 or E8")
     p.add_argument("--trials", type=int, default=100000,
-                   help="trials (per probe when --target-eps is given)")
+                   help="trials (with --target-eps, of the search's draw and of its estimate)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-eps", type=float, default=None,
                    help="search the scale reaching this error probability")

@@ -7,15 +7,15 @@ correction for D_n, the two-coset D_8 decomposition for E_8, and the two
 rectangular sublattices of the hexagonal lattice.  By the geometric
 uniformity of lattices every Voronoi cell is congruent, so the simulation
 transmits the zero point only and still estimates the average error
-probability exactly.  It decodes nothing: a row is an error iff it leaves
-the zero point's Voronoi cell, which it tests against the cell's relevant
-vectors, here the minimal vectors, in closed form.  Noise shorter
-than the lattice's packing radius lies strictly inside the zero point's
-Voronoi cell, so the simulation draws only the noise rows outside that
-ball: their number is binomial with the exact chance q of leaving it, and
-their squared norms come from the chi-square conditioned on exceeding the
-packing radius, an exact finite mixture of shifted Gamma draws.  At
-typical simulation noise levels q is a few percent.  Counts, Gammas, tail
+probability exactly.  It decodes nothing: a row is an error iff the gauge
+of the zero point's Voronoi cell, taken in closed form over the minimal
+vectors, exceeds the scale.  Noise shorter than the lattice's packing
+radius lies strictly inside the zero point's Voronoi cell, so the
+simulation draws only the noise rows outside that ball: their number is
+binomial with the exact chance q of leaving it, and their squared norms
+come from the chi-square conditioned on exceeding the packing radius, an
+exact finite mixture of shifted Gamma draws.  At typical simulation noise
+levels q is a few percent.  Counts, Gammas, tail
 uniforms and directions come from four generators, so seeded counts repeat
 exactly for any chunk size; they differ from those of releases that drew a
 norm for every row, or every noise coordinate, while their distribution is
@@ -23,6 +23,7 @@ the same.
 """
 
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -32,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .bounds import delta_star
-from .dispersion import gap_db
+from .dispersion import gap_db, nld_eps_converse
 from .specfn import _check_int, _check_positive, _check_prob, _check_seed, _check_sigma2
 
 __all__ = [
@@ -132,14 +132,13 @@ class SimEstimate(NamedTuple):
 
 
 class ScaleSearchResult(NamedTuple):
-    """Outcome of the stochastic scale search: the accepted scale, the NLD and
-    dB gap it implies, and the refined estimate at that scale."""
+    """Outcome of the scale search: the scale, the NLD and dB gap it implies,
+    and a fresh estimate at that scale."""
 
     scale: float
     delta: float
     gap_db: float
     estimate: SimEstimate
-    probes: int
 
 
 _ZN_RE = re.compile(r"^Z(?:n\((\d+)\)|(\d+))$")
@@ -269,35 +268,39 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
 # Rows inside the packing ball are never errors, so only the rest are tested.
 # For Z^n, A2, D4 and E8 the Voronoi-relevant vectors are the minimal vectors
 # v, so the zero point is nearest to z iff <z, v> <= |v|^2 / 2 for every one
-# of them (Conway & Sloane, SPLAG ch. 21).  The batch path tests that, in
-# closed form per family; ``decode`` keeps the constructions.
+# of them (Conway & Sloane, SPLAG ch. 21).  The batch path takes the largest
+# 2 <z, v> / |v|^2, the cell's gauge, in closed form per family; ``decode``
+# keeps the constructions.
 
 # Squared packing radius rho^2 of each family at scale 1: a quarter of the
 # minimum squared norm (1 for Z^n and A2, 2 for D4 and E8).
 _PACKING_RADIUS2 = {"zn": 0.25, "a2": 0.25, "d4": 0.5, "e8": 0.5}
 
 
-def _decoded_errors(family: str, z: np.ndarray) -> int:
-    """Rows of z outside the zero point's Voronoi cell: some minimal vector v
-    has <z, v> > |v|^2 / 2.  With a = |z| sorted per row, the largest <z, v>
-    over each family's v is taken in closed form.  No step subtracts, so
-    infinite rows stay errors without an inf - inf.  Any rows may be
-    passed: one inside the packing ball has <z, v> <= |z| |v| < |v|^2 / 2
-    and is never flagged."""
+def _gauge(family: str, z: np.ndarray) -> np.ndarray:
+    """The Minkowski gauge of the zero point's Voronoi cell at each row of z:
+    the largest 2 <z, v> / |v|^2 over the minimal vectors v.  A row is an
+    error of the lattice at scale c iff its gauge exceeds c.  With a = |z|
+    sorted per row, the largest <z, v> over each family's v is taken in
+    closed form.  An infinite row's gauge is inf.  Any rows may be passed:
+    one inside the packing ball has <z, v> <= |z| |v| < |v|^2 / 2, so a
+    gauge below 1."""
     a = np.abs(z)
     if family == "zn":                            # +-e_i
-        err = np.any(a > 0.5, axis=1)
-    elif family == "a2":                          # (+-1, 0), (+-1/2, +-sqrt(3)/2)
-        err = (a[:, 0] > 0.5) | (0.5 * a[:, 0] + 0.5 * _SQRT3 * a[:, 1] > 0.5)
-    else:
-        a.sort(axis=1)
-        err = a[:, -1] + a[:, -2] > 1.0           # +-e_i +- e_j
-        if family == "e8":
-            # (+-1/2)^8 with an even number of minus signs: with an odd number
-            # of negative z_i the best one flips the sign of the smallest.
-            odd = np.count_nonzero(z < 0.0, axis=1) & 1
-            err |= 0.5 * a.sum(axis=1) > 1.0 + np.where(odd, a[:, 0], 0.0)
-    return int(np.count_nonzero(err))
+        # A fold over the columns: a.max(axis=1) is slower on narrow rows.
+        return 2.0 * functools.reduce(np.maximum, a.T)
+    if family == "a2":                            # (+-1, 0), (+-1/2, +-sqrt(3)/2)
+        return np.maximum(2.0 * a[:, 0], a[:, 0] + _SQRT3 * a[:, 1])
+    a.sort(axis=1)
+    g = a[:, -1] + a[:, -2]                       # +-e_i +- e_j
+    if family == "e8":
+        # (+-1/2)^8 with an even number of minus signs: with an odd number
+        # of negative z_i the best one flips the sign of the smallest.  An
+        # infinite row may give inf - inf, which fmax passes over.
+        odd = np.count_nonzero(z < 0.0, axis=1) & 1
+        with np.errstate(invalid="ignore"):
+            g = np.fmax(g, 0.5 * a.sum(axis=1) - np.where(odd, a[:, 0], 0.0))
+    return g
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95):
@@ -401,13 +404,13 @@ def _outside_noise(seq: np.random.SeedSequence, trials: int, dim: int, s: float,
 def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed) -> SimEstimate:
     """Estimate the lattice error probability over AWGN with variance sigma2.
 
-    Draws Z ~ N(0, sigma2 I) and counts the rows outside the transmitted
-    zero point's Voronoi cell (``_decoded_errors``).  Only the rows outside
-    the packing ball are drawn, as many as a Binomial(trials, q) draw says,
-    with norms from the conditional chi-square mixture and directions from
-    four generators in all (``_outside_noise``), spawned from the first
-    child of ``seed``; an identical seed reproduces the error count exactly
-    regardless of chunking.  The error count has the distribution of a plain
+    Draws Z ~ N(0, sigma2 I) and counts the rows whose gauge (``_gauge``)
+    exceeds the scale.  Only the rows outside the packing ball are drawn,
+    as many as a Binomial(trials, q) draw says, with norms from the
+    conditional chi-square mixture and directions from four generators in
+    all (``_outside_noise``), spawned from the first child of ``seed``; an
+    identical seed reproduces the error count exactly regardless of
+    chunking.  The error count has the distribution of a plain
     draw's, but seeded counts differ from releases that drew a norm for
     every row, or every coordinate.  ``trials`` must be an integer >= 1, and
     ``seed`` what ``np.random.SeedSequence`` takes, except a bool.
@@ -416,7 +419,7 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed) -> 
     _check_sigma2(sigma2)
     fam = _family(spec)
     s = math.sqrt(sigma2) / spec.scale
-    errors = sum(_decoded_errors(fam, z) for z in _outside_noise(
+    errors = sum(int(np.count_nonzero(_gauge(fam, z) > 1.0)) for z in _outside_noise(
         _check_seed(seed).spawn(1)[0], trials, spec.dim, s, _PACKING_RADIUS2[fam]))
     lo, hi = clopper_pearson(errors, trials)
     return SimEstimate(trials=trials, errors=errors, p_hat=errors / trials,
@@ -424,58 +427,40 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed) -> 
 
 
 def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
-                         trials_per_probe: int, seed, max_probes: int = 60) -> ScaleSearchResult:
-    """Stochastic bisection for the scale at which the lattice hits error
-    probability eps over noise variance sigma2.
+                         trials: int, seed) -> ScaleSearchResult:
+    """The scale at which the lattice has error probability eps over noise
+    variance sigma2, as an order statistic of one seeded draw.
 
-    A probe is accepted when its Clopper-Pearson interval contains eps;
-    the accepted scale is then re-estimated once with 4x the probe trials.
-    The error probability is strictly decreasing in the scale, so each
-    rejected probe moves one end of the bracket [s_lo, s_hi], which starts
-    at [0, inf): the next probe doubles s_lo while s_hi is infinite, halves
-    s_hi while s_lo is zero, and bisects geometrically once both are set.
+    A noise row is an error at scale c iff its gauge exceeds c, so over
+    ``trials`` rows the share of errors falls below eps at the k-th largest
+    gauge, k = ceil(eps * trials).  By the sphere bound no constellation of
+    the lattice's dimension and density reaches eps below the converse's
+    NLD, so the scale is at least floor = e^(-log_det/n - delta_converse).
+    The rows are drawn in units of floor, and only those outside the
+    packing ball, the only ones that can be errors at a scale >= floor; the
+    k largest gauges are kept as they arrive.  The scale is floor times the
+    k-th largest, or floor when that is below 1 or fewer than k rows were
+    drawn.  It is then estimated afresh with ``trials`` trials.
 
-    ``trials_per_probe`` and ``max_probes`` must be integers >= 1.  Probe k
-    is seeded with [seed, k], where a None seed stands for entropy drawn
-    once for all the probes.
+    ``trials`` must be an integer >= 1.  The draw is seeded with
+    [entropy, 0] and the estimate with [entropy, 1], where entropy is the
+    seed's, drawn once for a None seed.
     """
     _check_prob(eps)
-    _check_int(trials_per_probe, name="trials_per_probe")
-    _check_int(max_probes, name="max_probes")
+    _check_int(trials, name="trials")
     _check_sigma2(sigma2)
     entropy = _check_seed(seed).entropy
-    probes = 0
-
-    def probe(s: float, trials: int) -> SimEstimate:
-        nonlocal probes
-        probes += 1
-        return simulate_error_prob(dataclasses.replace(spec, scale=s), sigma2,
-                                   trials, seed=[entropy, probes])
-
-    def finish(s: float) -> ScaleSearchResult:
-        scaled = dataclasses.replace(spec, scale=s)
-        est = probe(s, 4 * trials_per_probe)
-        return ScaleSearchResult(scale=s, delta=scaled.nld, gap_db=gap_db(scaled.nld, sigma2),
-                                 estimate=est, probes=probes)
-
-    # Start at the capacity-matched scale (NLD = delta*), where errors are
-    # plentiful; double or halve until the target is bracketed, then bisect.
-    s_lo, s_hi = 0.0, math.inf
-    s = math.exp(-spec.log_det / spec.dim - delta_star(sigma2))
-    while probes < max_probes:
-        est = probe(s, trials_per_probe)
-        if est.ci_low <= eps <= est.ci_high:
-            return finish(s)
-        if est.p_hat > eps:
-            s_lo = s
-        else:
-            s_hi = s
-        if s_hi == math.inf:
-            s = 2.0 * s_lo
-        elif s_lo == 0.0:
-            s = s_hi / 2.0
-        else:
-            s = math.sqrt(s_lo * s_hi)
-    raise ArithmeticError(
-        f"scale search did not converge after {probes} probes "
-        f"(bracket [{s_lo:.6g}, {s_hi:.6g}]); raise trials_per_probe")
+    fam = _family(spec)
+    floor = math.exp(-spec.log_det / spec.dim - nld_eps_converse(spec.dim, eps, sigma2).delta)
+    k = math.ceil(eps * trials)
+    top = np.empty(0)
+    for z in _outside_noise(np.random.SeedSequence([entropy, 0]), trials, spec.dim,
+                            math.sqrt(sigma2) / floor, _PACKING_RADIUS2[fam]):
+        top = np.concatenate([top, _gauge(fam, z)])
+        if top.size > k:
+            top = np.partition(top, top.size - k)[-k:]
+    scale = floor * max(1.0, float(top.min())) if top.size == k else floor
+    scaled = dataclasses.replace(spec, scale=scale)
+    return ScaleSearchResult(scale=scaled.scale, delta=scaled.nld,
+                             gap_db=gap_db(scaled.nld, sigma2),
+                             estimate=simulate_error_prob(scaled, sigma2, trials, [entropy, 1]))

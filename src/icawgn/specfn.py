@@ -104,15 +104,19 @@ class LogProb(_ValidatedTuple, _LogProbFields):
     """A nonnegative real carried as its natural log: an immutable tuple
     (log_value, is_zero).
 
-    ``is_zero`` marks an exact zero (log would be -inf).  When the value
-    represents a probability, exp(log_value) lies in [0, 1]; intermediate
-    bound values may exceed 1 before clamping.
+    ``is_zero`` marks an exact zero, whose log is -inf; any other value has
+    a finite log.  When the value represents a probability,
+    exp(log_value) lies in [0, 1]; intermediate bound values may exceed 1
+    before clamping.
     """
 
     __slots__ = ()
 
     def __new__(cls, log_value: float, is_zero: bool = False):
-        if not is_zero and not math.isfinite(log_value):
+        if is_zero:
+            if log_value != -math.inf:
+                raise ValueError(f"an exact zero has log value -inf, got {log_value!r}")
+        elif not math.isfinite(log_value):
             raise ValueError(f"non-finite log value {log_value!r}")
         return tuple.__new__(cls, (log_value, is_zero))
 

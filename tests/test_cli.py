@@ -353,8 +353,10 @@ class TestSimulateCommand:
                                "--trials", "60000")
         header, rows = parse_csv(out)
         assert code == 0
-        assert "scale" in header and "gap_db" in header
+        assert header == ["lattice", "n", "scale", "delta", "gap_db", "eps_target", "trials",
+                          "errors", "p_hat", "ci_low", "ci_high", "seed"]
         row = rows[0]
+        assert row["trials"] == "60000" and row["seed"] == "7"
         assert float(row["scale"]) > 0 and float(row["gap_db"]) > 0
         # delta of the scaled lattice: -ln(scale) for a unimodular generator
         assert float(row["delta"]) == pytest.approx(-math.log(float(row["scale"])),
@@ -429,8 +431,8 @@ def test_dimension_past_int64_is_usage_error_naming_the_limit(argv, capsys):
 
 @pytest.mark.parametrize("argv, count", [
     (["--trials", "1000000000000000000000"], "trials"),
-    (["--target-eps", "0.1", "--trials", "1000000000000000000000"], "trials_per_probe"),
-], ids=["trials", "trials_per_probe"])
+    (["--target-eps", "0.1", "--trials", "1000000000000000000000"], "trials"),
+], ids=["trials", "target_eps_trials"])
 def test_count_past_int64_is_usage_error_naming_the_count(argv, count, capsys):
     # These were "error: numerical: Python int too large to convert to C long".
     with pytest.raises(SystemExit) as exc:

@@ -121,10 +121,8 @@ COUNTS = {
     "simulate_error_prob.trials": (1, lambda c: simulate_error_prob(builtin("Z2"), 0.1, c, seed=1)),
     "clopper_pearson.trials": (1, lambda c: clopper_pearson(0, c)),
     "clopper_pearson.errors": (0, lambda c: clopper_pearson(c, 8)),
-    "find_scale_for_error.trials_per_probe": (
+    "find_scale_for_error.trials": (
         1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, c, seed=1)),
-    "find_scale_for_error.max_probes": (
-        1, lambda c: find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=1, max_probes=c)),
 }
 
 BAD_COUNTS = [2.5, 4.0, True, False, 0, -1, "4", 2**63, np.uint64(2**63)]
@@ -280,13 +278,15 @@ def test_bad_seed_is_a_value_error(name, s):
         SEEDED[name](s)
 
 
-def test_scale_search_probes_draw_from_the_seed_and_the_probe_number():
+def test_scale_search_seeds_its_draw_and_its_estimate_from_the_seed():
     res = find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=7)
-    assert res.estimate.seed == [7, res.probes]
-    # Without a seed the entropy is drawn once, and every probe uses it.
+    assert res.estimate.seed == [7, 1]
+    # Without a seed the entropy is drawn once, for the draw and the estimate;
+    # seeding with it repeats the search.
     fresh = find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=None)
-    entropy, probe = fresh.estimate.seed
-    assert probe == fresh.probes and type(entropy) is int
+    entropy, second = fresh.estimate.seed
+    assert second == 1 and type(entropy) is int
+    assert find_scale_for_error(builtin("Z1"), 0.1, 1.0, 100, seed=entropy) == fresh
 
 
 @pytest.mark.parametrize("kwargs, message", [

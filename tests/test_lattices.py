@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from icawgn.bounds import ChannelPoint, sphere_bound
+from icawgn.bounds import ChannelPoint, integrate_adaptive, sphere_bound
 from icawgn.dispersion import (gap_db, nld_eps_achievable, nld_eps_converse,
                                normalized_error_prob)
 from icawgn import lattices
@@ -14,8 +14,8 @@ from icawgn.lattices import (
     _PACKING_RADIUS2,
     LatticeSpec,
     UnsupportedLatticeError,
-    _decoded_errors,
     _family,
+    _gauge,
     _outside_noise,
     _tail_weights,
     builtin,
@@ -203,14 +203,13 @@ def _e8_minimal_vectors() -> np.ndarray:
     return np.concatenate([roots, halves]).astype(float)
 
 
-def _assert_counted_as_decoded(spec: LatticeSpec, rows: np.ndarray) -> np.ndarray:
-    """The batch error test flags exactly the rows that decode() maps away
-    from zero, row by row; returns that mask."""
-    fam = _family(spec)
-    counted = np.array([_decoded_errors(fam, row[None, :]) for row in rows])
-    decoded = np.array([np.any(decode(spec, row).point != 0.0) for row in rows])
+def _assert_counted_as_decoded(spec: LatticeSpec, rows: np.ndarray, scales=1.0) -> np.ndarray:
+    """A row's gauge exceeds its scale exactly where decode() at that scale
+    maps it away from zero; returns that mask."""
+    counted = _gauge(_family(spec), rows) > scales
+    decoded = np.array([np.any(decode(dataclasses.replace(spec, scale=c), row).point != 0.0)
+                        for row, c in zip(rows, np.broadcast_to(scales, len(rows)))])
     assert np.array_equal(counted, decoded), rows[counted != decoded][:5].tolist()
-    assert _decoded_errors(fam, rows) == np.count_nonzero(decoded)
     return decoded
 
 
@@ -244,6 +243,22 @@ class TestErrorCounter:
         decoded = _assert_counted_as_decoded(spec, rows)
         # Every midpoint pushed outward decodes to its minimal vector.
         assert np.all(decoded[-len(minimal):])
+
+    @pytest.mark.parametrize("name,sigma2,reach", CASES)
+    def test_gauge_exceeds_exactly_the_scales_that_decode_away(self, name, sigma2, reach):
+        # A row is an error of the lattice at scale c iff its gauge exceeds c:
+        # at random scales, and at 1e-9 either side of each row's own gauge,
+        # decode() at scale c maps the row away from zero exactly then.
+        spec = builtin(name)
+        rng = np.random.default_rng(43)
+        rows = rng.standard_normal((1000, spec.dim)) * math.sqrt(sigma2)
+        gauge = _gauge(_family(spec), rows)
+        rows = np.concatenate([rows, rows, rows])
+        scales = np.concatenate([rng.uniform(0.25, 2.0, len(gauge)),
+                                 gauge * (1.0 - 1e-9), gauge * (1.0 + 1e-9)])
+        decoded = _assert_counted_as_decoded(spec, rows, scales)
+        assert 0 < np.count_nonzero(decoded[:len(gauge)]) < len(gauge)
+        assert np.all(decoded[len(gauge):2 * len(gauge)]) and not np.any(decoded[2 * len(gauge):])
 
     @pytest.mark.parametrize("name,sigma2,reach", CASES)
     def test_matches_decode_on_every_facet(self, name, sigma2, reach):
@@ -379,8 +394,8 @@ class TestSimulate:
         spec = builtin(name)
         trials = 10 ** 6
         rng = np.random.default_rng(2024)
-        ref = sum(_decoded_errors(_family(spec),
-                                  rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2))
+        ref = sum(np.count_nonzero(_gauge(
+            _family(spec), rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2)) > 1.0)
                   for _ in range(4))
         est = simulate_error_prob(spec, sigma2, trials, seed=2025)
         p = (ref + est.errors) / (2 * trials)
@@ -468,65 +483,91 @@ class TestSimulate:
                 LatticeSpec(name="weird", dim=1, generator=np.eye(1)), 1.0, 10, seed=1)
 
 
+def _z8_error_prob(scale: float) -> float:
+    # Z^8 at unit noise keeps a row iff each coordinate stays within scale/2.
+    return -math.expm1(8.0 * math.log1p(-2.0 * q_func(scale / 2.0)))
+
+
+def _a2_error_prob(scale: float) -> float:
+    # The hexagonal cell has inradius scale/2 and twelve congruent half
+    # sectors of angle pi/6; at unit noise the chance of leaving it is
+    # (6/pi) int_0^(pi/6) exp(-scale^2 / (8 cos^2 t)) dt.
+    return 6.0 / math.pi * integrate_adaptive(
+        lambda t: np.exp(-scale * scale / (8.0 * np.cos(t) ** 2)), 0.0, math.pi / 6.0)
+
+
 class TestFindScale:
     def test_z1_analytic_anchor(self):
         # For Z at noise 1 the error probability at scale s is 2Q(s/2); at
         # eps = 0.01 the target scale is 2 Qinv(0.005) = 5.1517.
-        res = find_scale_for_error(builtin("Z1"), 0.01, 1.0,
-                                   trials_per_probe=40000, seed=31)
+        res = find_scale_for_error(builtin("Z1"), 0.01, 1.0, trials=40000, seed=31)
         analytic = 2.0 * q_func(res.scale / 2.0)
         assert res.estimate.ci_low <= analytic <= res.estimate.ci_high
         assert abs(analytic - 0.01) <= 3e-3
         assert res.scale == pytest.approx(2.0 * q_func_inv(0.005), rel=0.05)
         assert res.delta == pytest.approx(-math.log(res.scale), rel=1e-12)
 
-    @pytest.mark.parametrize("eps, searched", [(0.038, 1), (1e-6, None)])
-    def test_each_probe_narrows_the_bracket(self, monkeypatch, eps, searched):
-        # A deterministic estimator: the Z1 error probability 2Q(s/2) with a
-        # +-5% interval.  At eps = 0.038 the capacity-scale probe (p = 0.0388)
-        # holds eps in its interval and is accepted although p > eps.  At
-        # eps = 1e-6 the search doubles twice: the lower end moves with it,
-        # so no scale is probed twice.
-        scales = []
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("name, exact", [("Z8", _z8_error_prob), ("A2", _a2_error_prob)])
+    def test_exact_error_prob_at_the_scale(self, name, exact, eps, seed):
+        # The scale is the k-th largest of N gauges, k = eps N, so the exact
+        # error probability there is the k-th smallest of N uniforms,
+        # Beta(k, N - k + 1): inside the Clopper-Pearson interval of k errors
+        # in N trials at confidence 1 - 1e-6.  Where the converse floor
+        # binds instead, the exact probability lies between eps and that.
+        trials = round(200 / eps)
+        res = find_scale_for_error(builtin(name), eps, 1.0, trials=trials, seed=seed)
+        lo, hi = clopper_pearson(math.ceil(eps * trials), trials, confidence=1.0 - 1e-6)
+        assert lo <= exact(res.scale) <= hi
+        assert res.estimate.trials == trials
 
-        def estimate(spec, sigma2, trials, seed):
-            scales.append(spec.scale)
-            p = 2.0 * q_func(spec.scale / 2.0)
-            return lattices.SimEstimate(trials, 0, p, 0.95 * p, 1.05 * p, seed)
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("name", ["Z1", "Z8", "A2", "D4", "E8"])
+    def test_never_past_the_converse(self, name, eps):
+        # The sphere bound holds for every constellation, so no scale below
+        # the converse's is returned.  Z1 meets the bound, so the floor binds
+        # on about half the seeds, and there the NLDs agree to rounding.
+        spec = builtin(name)
+        conv = nld_eps_converse(spec.dim, eps, 1.0).delta
+        deltas = [find_scale_for_error(spec, eps, 1.0, trials=round(200 / eps), seed=seed).delta
+                  for seed in range(4)]
+        assert max(deltas) <= conv + 1e-12
+        assert name != "Z1" or min(deltas) < conv - 1e-6 < conv - 1e-12 < max(deltas)
 
-        monkeypatch.setattr(lattices, "simulate_error_prob", estimate)
-        res = find_scale_for_error(builtin("Z1"), eps, 1.0, trials_per_probe=10, seed=0)
-        probed = scales[:-1]   # the last call re-estimates the accepted scale
-        assert scales[-1] == res.scale and res.estimate.ci_low <= eps <= res.estimate.ci_high
-        assert len(set(probed)) == len(probed)
-        assert searched is None or len(probed) == searched
+    def test_fewer_than_k_rows_give_the_floor(self):
+        # One trial at eps = 1e-3: k = 1, and the one row is drawn outside
+        # the packing ball at the floor with chance near eps.
+        spec = builtin("Z1")
+        floor = math.exp(-nld_eps_converse(1, 1e-3, 1.0).delta)
+        res = find_scale_for_error(spec, 1e-3, 1.0, trials=1, seed=2)
+        assert res.scale == floor and res.estimate.trials == 1
+
+    @pytest.mark.parametrize("name", ["Z8", "A2", "E8"])
+    def test_scale_does_not_depend_on_chunking(self, monkeypatch, name):
+        # 64 scalars per chunk: the k = 200 largest gauges are kept across
+        # hundreds of chunks, each smaller than k.
+        whole = find_scale_for_error(builtin(name), 1e-2, 1.0, trials=20000, seed=5)
+        monkeypatch.setattr(lattices, "_CHUNK_SCALARS", 64)
+        assert find_scale_for_error(builtin(name), 1e-2, 1.0, trials=20000, seed=5) == whole
 
     def test_smaller_eps_needs_larger_scale(self):
-        small = find_scale_for_error(builtin("Z1"), 0.001, 1.0,
-                                     trials_per_probe=60000, seed=4)
-        large = find_scale_for_error(builtin("Z1"), 0.01, 1.0,
-                                     trials_per_probe=60000, seed=4)
+        small = find_scale_for_error(builtin("Z1"), 0.001, 1.0, trials=60000, seed=4)
+        large = find_scale_for_error(builtin("Z1"), 0.01, 1.0, trials=60000, seed=4)
         assert small.scale > large.scale
 
     def test_e8_gap_sits_between_inversion_gaps(self):
         # At the n=8 normalized error target the E8 gap must not beat the
         # converse and is far inside the ML achievability guarantee.
         eps8 = normalized_error_prob(1e-5, 8)
-        res = find_scale_for_error(builtin("E8"), eps8, 1.0,
-                                   trials_per_probe=300000, seed=6)
+        res = find_scale_for_error(builtin("E8"), eps8, 1.0, trials=300000, seed=6)
         gap_conv = gap_db(nld_eps_converse(8, eps8, 1.0).delta, 1.0)
         gap_ach = gap_db(nld_eps_achievable(8, eps8, 1.0).delta, 1.0)
         assert gap_conv - 0.3 <= res.gap_db <= gap_ach + 0.3
 
-    def test_too_few_probes_is_an_arithmetic_error(self):
-        # The capacity-scale probe of Z1 has p near 0.3, far from 1e-6.
-        with pytest.raises(ArithmeticError, match="did not converge after 1 probes"):
-            find_scale_for_error(builtin("Z1"), 1e-6, 1.0, trials_per_probe=100, seed=0,
-                                 max_probes=1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            find_scale_for_error(builtin("Z1"), 1.5, 1.0, trials_per_probe=10, seed=0)
+            find_scale_for_error(builtin("Z1"), 1.5, 1.0, trials=10, seed=0)
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                find_scale_for_error(builtin("Z1"), 0.01, bad, trials_per_probe=10, seed=0)
+                find_scale_for_error(builtin("Z1"), 0.01, bad, trials=10, seed=0)

@@ -28,6 +28,7 @@ INVALID = [
     (LogProb, "log_value", math.inf, "non-finite log value inf"),
     (LogProb, "log_value", -math.inf, "non-finite log value -inf"),
     (LogProb, "log_value", math.nan, "non-finite log value nan"),
+    (LogProb, "is_zero", True, "an exact zero has log value -inf, got -1.5"),
     (ChannelPoint, "n", 0, "dimension must be an integer n in 1.."),
     (ChannelPoint, "n", True, "dimension must be an integer, got True"),
     (ChannelPoint, "n", 2.0, "dimension must be an integer, got 2.0"),
