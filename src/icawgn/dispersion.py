@@ -9,7 +9,8 @@ domain, so inverse quadratic interpolation converges superlinearly, and
 derivative-free iteration avoids underflow-driven derivative noise.  The
 converse is seeded at its closed form through scipy's inverse of the
 chi-square tail, so the walk only certifies it; the achievable bound is
-seeded from the dispersion expansion.  One coroutine holds the method:
+seeded at that closed form less the gap between the two roots, about 1/n,
+with a first step of about the seed's error.  One coroutine holds the method:
 :func:`nld_eps_converse` drives it on the scalar sphere bound, and
 :func:`nld_eps_achievable_curve` runs the achievable inversions one per n in
 lockstep: each round evaluates the ML bound once over every unfinished n, on
@@ -18,6 +19,7 @@ terms in n alone computed once per call.
 
 import math
 import sys
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +29,8 @@ from .bounds import (ChannelPoint, _check_dims, _dim_terms,
                      _sphere_ml_curves, _unit_nld, _unit_radius, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
-from .specfn import (LogProb, _check_int, _check_nld, _check_positive_or_inf, _check_prob,
-                     _check_sigma2, _exp_or_inf, log_vn, q_func, q_func_inv)
+from .specfn import (_LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_positive_or_inf,
+                     _check_prob, _check_sigma2, _exp_or_inf, log_vn, q_func, q_func_inv)
 
 __all__ = [
     "InversionResult",
@@ -147,7 +149,8 @@ def _chandrupatla(n, eps, kind, seed, step, shift):
     while True:
         cur, f_cur = (b, f_b) if abs(f_b) < abs(f_a) else (a, f_a)
         resolution = 2.0 * sys.float_info.epsilon * max(abs(cur), 1.0)
-        value_ok = abs(math.expm1(f_cur)) * eps <= _VALUE_TOL
+        # Past ln DBL_MAX expm1 overflows, and the bound is far from eps.
+        value_ok = f_cur <= _LOG_DBL_MAX and abs(math.expm1(f_cur)) * eps <= _VALUE_TOL
         width = abs(b - a)
         if (f_cur == 0.0 or width <= 2.0 * resolution
                 or (value_ok and width <= _TOL) or iterations >= _MAX_ITER):
@@ -178,6 +181,11 @@ def _chandrupatla(n, eps, kind, seed, step, shift):
                            iterations=iterations, bracket_width=0.0 if f_cur == 0.0 else width)
 
 
+def _sphere_root(a: float, log_vn_per_n: float, eps: float) -> float:
+    # The closed form of nld_eps_converse at sigma2 = 1, at a = n/2.
+    return -0.5 * math.log(2.0 * _cs.gammainccinv(a, eps)) - log_vn_per_n
+
+
 def nld_eps_converse(n: int, eps: float, sigma2: float) -> InversionResult:
     """The NLD at which the sphere bound equals eps: an upper bound on the
     best NLD of any constellation with error probability eps.
@@ -196,7 +204,7 @@ def nld_eps_converse(n: int, eps: float, sigma2: float) -> InversionResult:
     _check_prob(eps)
     _check_int(n)
     _check_sigma2(sigma2)
-    seed = -0.5 * math.log(2.0 * _cs.gammainccinv(0.5 * n, eps)) - log_vn(n) / n
+    seed = _sphere_root(0.5 * n, log_vn(n) / n, eps)
     solver = _chandrupatla(n, eps, "sphere", seed, 0.5 * _TOL, 0.5 * math.log(sigma2))
     delta = next(solver)
     try:
@@ -209,8 +217,32 @@ def nld_eps_converse(n: int, eps: float, sigma2: float) -> InversionResult:
 def nld_eps_achievable(n: int, eps: float, sigma2: float) -> InversionResult:
     """The NLD at which the ML bound (at its optimizing radius) equals eps:
     a constellation with this NLD and error probability <= eps exists.
-    The search starts at :func:`nld_eps_approx` with a first step of 1/n."""
+
+    The search starts at the converse's closed form less the gap between the
+    two roots, [1 + z/sqrt(2n) + (z^2 - 1)/n]/n with z = Q^-1(eps), and its
+    first step is about the error of that expansion, so that the seed and
+    one step usually bracket the root.  Range: from n of about 1e17 the ML
+    bound's terms of size n delta carry ulps of 16 nats and more, so the
+    bound, and the delta returned, are rounding noise there, though finite."""
     return nld_eps_achievable_curve([n], eps, sigma2)[0]
+
+
+def _ml_start(t, eps: float):
+    # Seeds and first steps of the ML solves at the dimensions of the
+    # _DimTerms t, at sigma2 = 1.  With z = Q^-1(eps), n (delta_conv -
+    # delta_ach) = 1 + z/sqrt(2n) + (z^2 - 1)/n + O(n^-3/2).  The first two
+    # terms come from expanding both bounds to second order about the
+    # converse root, where the ML bound's first term over the sphere bound's
+    # slope is about 1/(2(n - x)) at x = r_eff^2/2 = n/2 + z sqrt(n/2); the
+    # third is measured (to 4 digits at n = 1e6, eps from 1e-12 to 0.5), and
+    # so is the step, about the seed's error.
+    z = q_func_inv(eps)
+    n = t.n
+    conv = np.fromiter(map(_sphere_root, t.a.tolist(), t.log_vn_per_n.tolist(), repeat(eps)),
+                       float, n.size)
+    seeds = conv - (1.0 + z / np.sqrt(2.0 * n) + (z * z - 1.0) / n) / n
+    steps = (0.5 * (1.0 + z * z) + abs(z) ** 3 / np.sqrt(n)) / (n * n)
+    return seeds, steps
 
 
 def nld_eps_achievable_curve(ns, eps: float, sigma2: float) -> list[InversionResult]:
@@ -218,12 +250,14 @@ def nld_eps_achievable_curve(ns, eps: float, sigma2: float) -> list[InversionRes
     # One solver per n; each round, one _sphere_ml_curves call feeds every
     # unfinished one, on the n-only terms computed once here.
     _check_sigma2(sigma2)
+    _check_prob(eps)
     ns, shift = list(ns), 0.5 * math.log(sigma2)
-    solvers = [_chandrupatla(n, eps, "ml", nld_eps_approx(n, eps, 1.0), 1.0 / n, shift)
-               for n in ns]
     if not ns:
         return []
     terms = _dim_terms(_check_dims(ns))
+    seeds, steps = _ml_start(terms, eps)
+    solvers = [_chandrupatla(n, eps, "ml", seed, step, shift)
+               for n, seed, step in zip(ns, seeds.tolist(), steps.tolist())]
     live = {i: next(solver) for i, solver in enumerate(solvers)}   # index -> delta to evaluate
     results = [None] * len(ns)
     while live:

@@ -311,6 +311,13 @@ class TestInvertCommand:
                 ref[f"gap_db_{k}"] = dispersion.gap_db(d, s2)
             assert row == {k: str(v) for k, v in ref.items()}, n
 
+    def test_dimension_where_the_ml_log_is_rounding_noise(self, capsys):
+        # Exited 1 with "error: numerical: math range error" from the ML solve.
+        code, out, err = run_cli(capsys, "invert", "--n", "4611686018427387904", "--eps", "0.01")
+        _, rows = parse_csv(out)
+        assert code == 0 and err == ""
+        assert all(math.isfinite(float(v)) for v in rows[0].values())
+
     def test_n1_row_present(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--n", "1", "--eps", "0.01")
         _, rows = parse_csv(out)
