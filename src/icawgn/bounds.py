@@ -25,6 +25,14 @@ almost every n) and is about ten times faster per dimension: about 2 us for
 all four bounds at n up to 1e4, against about 22 us one point at a time
 (Python 3.11, one core of a 2-core x86-64 box).
 
+Range: every dimension from 1 to 2^63 - 1 gives a finite log or an exact
+zero.  The incomplete gammas under the scalar bounds and
+:func:`bound_curves` hold 1e-13 relative to mpmath for n up to 1e7 (shape
+a = n/2 up to 5e6); past it the bounds return finite logs without that
+promise.  The first term of :func:`ml_bound` and :func:`poltyrev_ml_bound`
+sums terms of size n |d|, so from n |d| of about 1e17, where one ulp is 16,
+that log is rounding noise of 16 nats and more.
+
 The section probabilities and the section-integral identity are the one
 place that integrates numerically, by a Gauss-Legendre rule over an angle.
 
@@ -53,7 +61,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc
 
 from .specfn import (
-    _LOG_DBL_MAX,
     _BOOLS,
     LogProb,
     _ValidatedTuple,
@@ -541,61 +548,46 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     return integrate_adaptive(lambda t: _section_density(t, n, s), 0.0, math.acos(0.5 * w / r))
 
 
-# Past it the two sides of the identity drift apart by more than 1e-12.
-_MAX_EQUIV_DIM = 400
-
-
-def equivalence_sides(n: int, r: float, sigma2: float):
+def equivalence_sides(n: int, r: float, sigma2: float) -> tuple[LogProb, LogProb]:
     """Both sides of the section-integral identity
 
-        n int_0^{2r} w^(n-1) Pr{Z in D(r, w)} dw  =  int_0^r f_R(t) t^n dt.
+        n int_0^{2r} w^(n-1) Pr{Z in D(r, w)} dw  =  int_0^r f_R(t) t^n dt,
 
-    With w = 2r cos(phi) the section probability is the integral of one
-    density g over [0, phi] (see :func:`d_section_prob`); swapping the order
-    of integration takes the w-integral in closed form, (2r cos t)^n, so the
-    left side is the single integral of g(t) (2r cos t)^n over [0, pi/2].
-    The right side is the ML bound's radial term in closed form, taken in
-    the log domain: (2 sigma2)^(n/2) Gamma(n) / Gamma(n/2) P(n, r^2 / 2 sigma2).
-    For n = 2..8 and sigma2 in {0.5, 1} the two sides agree to 3.3e-14
-    relative up to r/sigma = 100 (mpmath oracle).  Over random (n, r, sigma2)
-    with r/sigma in [0.05, 100], the worst measured discrepancy between the
-    two sides is 3.4e-14 for n = 2..8, 4.2e-13 for 9..100, 5.9e-13 for
-    101..200 and 7.8e-13 for 201..400; it passes 1e-12 from about n = 450
-    (1.2e-12 at n = 467, where the right side, an exp of logs of size
-    n ln n, is 9.7e-13 off mpmath and the left 2.1e-13), so n is capped at
-    400.  r/sigma is limited as in
-    :func:`d_section_prob`.  A radius is rejected where the right side, of
-    order r^(2n), is not a normal double; where (2r)^n or the right side
-    overflows (above about r = 1e38 at n = 8); and where the angle integral,
-    the right side over (2r)^n, is below 2.2e-297 (the smallest normal double
-    over the rule's 1e-11 tolerance), since the rule stops on an absolute
-    change below the smallest normal double.  That last limit binds from
-    about n = 80 at small r/sigma; at n = 400 it leaves about [4.6, 67].
+    as logs.  With w = 2r cos(phi) the section probability is the integral of
+    one density g over [0, phi] (see :func:`d_section_prob`); swapping the
+    order of integration takes the w-integral in closed form, (2r cos t)^n,
+    so the left side is (2r)^n I, with I the integral of g(t) cos^n t over
+    [0, pi/2], and its log n ln 2r + ln I.  The right side is the ML bound's
+    radial term in closed form, ln of
+    (2 sigma2)^(n/2) Gamma(n) / Gamma(n/2) P(n, r^2 / 2 sigma2).
+    r/sigma is limited as in :func:`d_section_prob`.  A radius is rejected
+    where I, the right side over (2r)^n, is below 2.2e-297 (the smallest
+    normal double over the rule's 1e-11 tolerance), since the rule stops on
+    an absolute change below the smallest normal double.  That limit rejects
+    r/sigma = 0.05 from n = 122, leaves about [4.6, 67] at n = 400, and
+    admits no radius past n = 979.  Over random radii with r/sigma in
+    [0.05, 100] the two sides agree to 3.3e-14 relative for n = 2..8,
+    3.4e-13 for n up to 100, 6.8e-13 up to 400 and 2.3e-12 up to 979.
     """
-    _check_int(n, 2, _MAX_EQUIV_DIM)
+    _check_int(n, 2)
     s = _check_section_radius(r, sigma2)
     log_rhs = (0.5 * n * (math.log(2.0) + math.log(sigma2)) + math.lgamma(n)
                - math.lgamma(0.5 * n) + log_reg_gamma_lower(float(n), _gamma_arg(s)).log_value)
-    if not log_rhs >= math.log(sys.float_info.min):
-        raise ValueError(f"r = {r:g} is too small at n = {n}: the right side of the "
-                         f"identity, of order r^(2n), underflows a double")
-    if not log_rhs - n * math.log(2.0 * r) >= math.log(_QUAD_MIN_VALUE):
+    log_power = n * math.log(2.0 * r)
+    if not log_rhs - log_power >= math.log(_QUAD_MIN_VALUE):
         raise ValueError(f"r = {r:g} is out of range at n = {n}: the angle integral, the right "
                          f"side of the identity over (2r)^n, is below {_QUAD_MIN_VALUE:.3g} "
                          f"(the smallest normal double / 1e-11), where the quadrature "
                          f"loses its relative accuracy")
-    if max(n * math.log(2.0 * r), log_rhs) > _LOG_DBL_MAX:
-        raise ValueError(f"r = {r:g} is too large at n = {n}: (2r)^n or the right side "
-                         f"of the identity overflows a double")
-    lhs = integrate_adaptive(lambda t: _section_density(t, n, s) * np.cos(t) ** n,
-                             0.0, 0.5 * math.pi)
-    return (2.0 * r) ** n * lhs, math.exp(log_rhs)
+    integral = integrate_adaptive(lambda t: _section_density(t, n, s) * np.cos(t) ** n,
+                                  0.0, 0.5 * math.pi)
+    return LogProb(log_power + math.log(integral)), LogProb(log_rhs)
 
 
-def equivalence_discrepancy(lhs: float, rhs: float) -> float:
-    """Relative discrepancy |lhs - rhs| / rhs of the two sides that
-    :func:`equivalence_sides` returns (its right side is a normal double)."""
-    return abs(lhs - rhs) / rhs
+def equivalence_discrepancy(lhs: LogProb, rhs: LogProb) -> float:
+    """Relative discrepancy |lhs / rhs - 1| of the two sides that
+    :func:`equivalence_sides` returns, from their logs."""
+    return abs(math.expm1(lhs.log_value - rhs.log_value))
 
 
 def equivalence_check(n: int, r: float, sigma2: float) -> float:

@@ -142,14 +142,18 @@ class ScaleSearchResult(NamedTuple):
 
 
 _ZN_RE = re.compile(r"^Z(?:n\((\d+)\)|(\d+))$")
+# The largest k of a builtin Z^k: its identity generator takes 8 MB, and the
+# spec's determinant an O(k^3) factorization, before any trial is drawn.
+_MAX_ZN_DIM = 1024
 
 
 def builtin(name: str) -> LatticeSpec:
     """The standard generator for a named lattice.
 
-    Accepts Z1, Zn(k) or Zk, A2 (hexagonal), D4 (checkerboard), E8 (even
-    coordinate system).  Reserved comparison lattices raise
-    :class:`UnsupportedLatticeError`; unknown names raise ValueError.
+    Accepts Z1, Zn(k) or Zk for k up to 1024, A2 (hexagonal), D4
+    (checkerboard), E8 (even coordinate system).  Reserved comparison
+    lattices raise :class:`UnsupportedLatticeError`; unknown names raise
+    ValueError.
     """
     if name in RESERVED_NAMES:
         raise UnsupportedLatticeError(
@@ -157,7 +161,7 @@ def builtin(name: str) -> LatticeSpec:
     m = _ZN_RE.match(name)
     if m:
         k = int(m.group(1) or m.group(2))
-        _check_int(k)
+        _check_int(k, 1, _MAX_ZN_DIM)
         return LatticeSpec(name=f"Z{k}", dim=k, generator=np.eye(k))
     if name == "A2":
         return LatticeSpec(name="A2", dim=2,

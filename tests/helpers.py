@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -27,3 +28,14 @@ def log_ml_first_term_quad(n: int, nld: float, sigma2: float, r: float) -> float
     if not err < 1e-11 * val:
         raise ArithmeticError(f"oracle quadrature not converged: {val} +- {err}")
     return peak + math.log(val)
+
+
+def log_radial_moment_mpmath(n: int, r: float, sigma2: float) -> float:
+    """ln of int_0^r f_R(t) t^n dt, both sides of the section-integral identity,
+    as (n/2) ln 2 sigma2 + ln Gamma(n) - ln Gamma(n/2) + ln P(n, r^2 / 2 sigma2)
+    in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        n_, s2 = mpmath.mpf(n), mpmath.mpf(sigma2)
+        x = mpmath.mpf(r) ** 2 / (2 * s2)
+        return float(n_ / 2 * mpmath.log(2 * s2) + mpmath.loggamma(n_) - mpmath.loggamma(n_ / 2)
+                     + mpmath.log(mpmath.gammainc(n_, 0, x, regularized=True)))

@@ -21,6 +21,7 @@ from icawgn.bounds import (
     d_section_prob,
     effective_radius,
     equivalence_check,
+    equivalence_discrepancy,
     equivalence_sides,
     ml_bound,
     poltyrev_ml_bound,
@@ -31,7 +32,7 @@ from icawgn.bounds import (
 )
 from icawgn.dispersion import lattice_snr_rho, norm_tail_normal_approx
 from icawgn.specfn import LogProb, log_vn, q_func
-from helpers import log_ml_first_term_quad
+from helpers import log_ml_first_term_quad, log_radial_moment_mpmath
 
 
 class TestChannelPoint:
@@ -393,7 +394,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("s2", [0.5, 1.0])
     def test_both_sides_match_closed_form(self, n, r, s2):
         ref = self._closed_form(n, r, s2)
-        lhs, rhs = equivalence_sides(n, r, s2)
+        lhs, rhs = (side.linear for side in equivalence_sides(n, r, s2))
         assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -401,7 +402,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("snr", [10.0, 30.0, 100.0])
     def test_both_sides_match_closed_form_at_large_radius(self, n, snr):
         ref = self._closed_form(n, snr, 1.0)
-        lhs, rhs = equivalence_sides(n, snr, 1.0)
+        lhs, rhs = (side.linear for side in equivalence_sides(n, snr, 1.0))
         assert lhs == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert rhs == pytest.approx(ref, rel=1e-13, abs=0.0)
 
@@ -414,33 +415,37 @@ class TestEquivalence:
                                 0.0, 2.0 * r, epsabs=0.0, epsrel=1e-12)
         assert lhs == pytest.approx(self._closed_form(n, r, s2), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("r", [1e-30, 1e-200])
-    def test_rejects_radius_whose_right_side_underflows(self, r):
-        # The right side is of order r^(2n): 1e-480 at n = 8, r = 1e-30.
-        for fn in (equivalence_sides, equivalence_check):
-            with pytest.raises(ValueError, match="underflows"):
-                fn(8, r, 1.0)
-
     def test_both_sides_where_two_sigma2_overflows(self):
         # sigma2 = 1e308, r/sigma = 1e-4: at n = 2 the right side is
         # 2 sigma2 (1 - e^-x (1 + x)), x = r^2 / 2 sigma2, about 2.5e291.
         with mpmath.workdps(30):
             x = mpmath.mpf(1e150) ** 2 / (2 * mpmath.mpf(1e308))
             ref = float(2 * mpmath.mpf(1e308) * (1 - mpmath.exp(-x) * (1 + x)))
-        lhs, rhs = equivalence_sides(2, 1e150, 1e308)
+        lhs, rhs = (side.linear for side in equivalence_sides(2, 1e150, 1e308))
         assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n, r, s2", [(8, 1e39, 1e76), (2, 1e154, 1e306)])
-    def test_rejects_radius_whose_power_or_right_side_overflows(self, n, r, s2):
-        # (2r)^n = 2.6e314 at n = 8, r = 1e39; both overflow at n = 2, r = 1e154.
-        for fn in (equivalence_sides, equivalence_check):
-            with pytest.raises(ValueError, match=re.escape(f"r = {r:g} is too large at n = {n}")):
-                fn(n, r, s2)
+    @pytest.mark.parametrize("n, r, s2", [
+        (8, 1e-30, 1.0), (8, 1e39, 1e76), (2, 1e154, 1e306),
+        (401, 10.0, 1.0), (500, 20.0, 0.5), (700, 30.0, 1.0), (975, 31.0, 1.0)])
+    def test_sides_match_mpmath_log_oracle(self, n, r, s2):
+        # Sides of order r^(2n) past double range: 1e-480 at n = 8, r = 1e-30,
+        # and (2r)^n = 2.6e314 at n = 8, r = 1e39; then n from 401 to 975,
+        # near 979, past which the quadrature floor admits no radius.
+        ref = log_radial_moment_mpmath(n, r, s2)
+        for side in equivalence_sides(n, r, s2):
+            assert abs(side.log_value - ref) <= 1e-15 * max(1.0, abs(ref))
+        assert equivalence_check(n, r, s2) <= 1e-12
+
+    def test_discrepancy_takes_the_sides_as_logs(self):
+        lhs, rhs = LogProb(math.log(3.0)), LogProb(math.log(2.0))
+        assert equivalence_discrepancy(lhs, rhs) == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(AttributeError):
+            equivalence_discrepancy(3.0, 2.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            equivalence_check(401, 10.0, 1.0)
+            equivalence_check(2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             equivalence_check(1, 1.0, 1.0)
 
@@ -451,7 +456,7 @@ class TestEquivalence:
             ref = float(mpmath.power(2, mpmath.mpf(n) / 2) * mpmath.gamma(n)
                         / mpmath.gamma(mpmath.mpf(n) / 2)
                         * mpmath.gammainc(n, 0, mpmath.mpf(1) / 2, regularized=True))
-        lhs, rhs = equivalence_sides(n, 1.0, 1.0)
+        lhs, rhs = (side.linear for side in equivalence_sides(n, 1.0, 1.0))
         assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -459,9 +464,19 @@ class TestEquivalence:
         # At n = 250, r = sigma = 1 the right side is 3.8e-248, a normal
         # double, but over 2^250 it is 2.1e-323, where the rule's stopping
         # test, an absolute change below the smallest normal double, is no
-        # longer relative: unchecked, the two sides differ by 0.18.
-        with pytest.raises(ValueError, match="the angle integral"):
-            equivalence_sides(250, 1.0, 1.0)
+        # longer relative: unchecked, the two sides differ by 0.18.  The floor
+        # also rejects r = 1e-200 at n = 8, and every radius past n = 979.
+        for n, r in [(250, 1.0), (8, 1e-200), (980, 31.0), (2**63 - 1, 1.0)]:
+            with pytest.raises(ValueError, match="the angle integral"):
+                equivalence_sides(n, r, 1.0)
+
+    @pytest.mark.parametrize("r", [1e-200])
+    def test_rejects_radius_whose_right_side_underflows(self, r):
+        # The right side is of order r^(2n), 1e-3200 at n = 8: its log is
+        # finite, but the angle integral is far below the quadrature floor.
+        for fn in (equivalence_sides, equivalence_check):
+            with pytest.raises(ValueError, match="the angle integral"):
+                fn(8, r, 1.0)
 
 
 class TestCrossBoundInvariants:

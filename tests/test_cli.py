@@ -11,6 +11,7 @@ import pytest
 from icawgn import bounds, dispersion
 from icawgn.cli import _parse_n_range, main
 from icawgn.lattices import clopper_pearson
+from helpers import log_radial_moment_mpmath
 
 
 def run_cli(capsys, *argv):
@@ -374,6 +375,12 @@ class TestSimulateCommand:
             main(["simulate", "--lattice", "S127", "--trials", "10"])
         assert exc.value.code == 2
 
+    def test_integer_lattice_past_1024_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--lattice", "Z2000", "--trials", "10"])
+        assert exc.value.code == 2
+        assert "n in 1..1024, got 2000" in capsys.readouterr().err
+
 
 class TestEquivCommand:
     def test_header_and_discrepancy(self, capsys):
@@ -381,19 +388,22 @@ class TestEquivCommand:
                                "--sigma2", "1")
         header, rows = parse_csv(out)
         assert code == 0
-        assert header == ["n", "r", "lhs", "rhs", "rel_discrepancy"]
+        assert header == ["n", "r", "lhs_log", "rhs_log", "rel_discrepancy"]
         assert len(rows) == 2
-        for row in rows:
+        for row, r in zip(rows, (0.5, 1.0)):
+            lhs, rhs = bounds.equivalence_sides(3, r, 1.0)
+            assert (float(row["lhs_log"]), float(row["rhs_log"])) == (lhs.log_value, rhs.log_value)
             assert float(row["rel_discrepancy"]) <= 1e-6
 
     def test_out_of_range_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["equiv", "--n", "401", "--r", "10"])
+            main(["equiv", "--n", "1", "--r", "10"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("n, r, message", [
-        ("1", "1.0", "n in 2..400"), ("401", "1.0", "n in 2..400"),
-        ("250", "1.0", "the angle integral"),
+        ("1", "1.0", "n in 2.."), ("401", "1.0", "the angle integral"),
+        ("980", "31", "the angle integral"), ("250", "1.0", "the angle integral"),
+        ("8", "1e-200", "the angle integral"),
         ("3", "0", "radius must be finite and > 0"), ("3", "-1", "radius must be finite and > 0"),
         ("3", "1,0", "radius must be finite and > 0")])
     def test_library_domain_errors_are_usage_errors(self, n, r, message, capsys):
@@ -409,19 +419,18 @@ class TestEquivCommand:
         assert exc.value.code == 2
         assert "r/sigma" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("r", ["1e-30", "1e-200"])
-    def test_radius_whose_right_side_underflows_is_usage_error(self, r, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["equiv", "--n", "8", "--r", r])
-        assert exc.value.code == 2
-        assert "underflows" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("n, r, s2", [("8", "1e39", "1e76"), ("2", "1e154", "1e306")])
-    def test_radius_whose_power_overflows_is_usage_error(self, n, r, s2, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["equiv", "--n", n, "--r", r, "--sigma2", s2])
-        assert exc.value.code == 2
-        assert "overflows" in capsys.readouterr().err
+    @pytest.mark.parametrize("n, r, s2", [("8", "1e-30", "1"), ("8", "1e39", "1e76"),
+                                          ("2", "1e154", "1e306"), ("401", "10", "1")])
+    def test_sides_past_double_range_are_logs(self, n, r, s2, capsys):
+        # Sides of order r^(2n): 1e-480 at n = 8, r = 1e-30, and (2r)^n =
+        # 2.6e314 at n = 8, r = 1e39.
+        code, out, _ = run_cli(capsys, "equiv", "--n", n, "--r", r, "--sigma2", s2)
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            ref = log_radial_moment_mpmath(int(n), float(row["r"]), float(s2))
+            for side in ("lhs_log", "rhs_log"):
+                assert abs(float(row[side]) - ref) <= 1e-15 * max(1.0, abs(ref))
+            assert float(row["rel_discrepancy"]) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,11 @@
 """Every public bound, curve, asymptotic form, exponent, radius and inversion
-at the ends of double range, and the simulation layer over any count, seed,
-noise variance and scale: each call returns a value or raises ValueError
-(AsymptoticSingularity included), never OverflowError or another error.
-Every NLD is drawn from all finite doubles, and every dimension up to
-2^63 - 1.  The point values and the functions of
-an NLD are never NaN, and the exponents are never negative."""
+at the ends of double range, the section layer over every positive radius,
+chord offset and noise variance, and the simulation layer over any count,
+seed, noise variance and scale: each call returns a value or raises
+ValueError (AsymptoticSingularity included), never OverflowError or another
+error.  Every NLD is drawn from all finite doubles, and every dimension up
+to 2^63 - 1.  The point values and the functions of an NLD are never NaN,
+and the exponents are never negative."""
 
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from icawgn import asymptotics, bounds, dispersion, lattices
 from icawgn.bounds import CURVE_KINDS, ChannelPoint
+from icawgn.specfn import LogProb
 
 _BOUNDS = (bounds.sphere_bound, bounds.ml_bound, bounds.typicality_bound,
            bounds.poltyrev_ml_bound)
@@ -83,6 +85,35 @@ def test_every_entry_point_returns_a_value_or_raises_value_error(n, nld, sigma2,
         res = _value(invert, n, eps, sigma2)
         assert res is None or math.isfinite(res.delta), (invert.__name__, res)
     assert math.isfinite(dispersion.nld_eps_approx(n, eps, sigma2))
+
+
+# Every positive double, led by a branch of moderate values, so that some
+# draws put r/sigma in the few decades where the identity's sides are accepted.
+_POSITIVE = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                      st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(min_value=2, max_value=1000),
+                  st.integers(min_value=2, max_value=2**63 - 1)),
+       r=_POSITIVE, offset=_POSITIVE, sigma2=_POSITIVE)
+def test_section_layer_returns_a_value_or_raises_value_error(n, r, offset, sigma2):
+    # offset is w / 2r, the chord offset over the diameter; past 1 it is rejected.
+    p = _value(bounds.d_section_prob, n, r, 2.0 * r * offset, sigma2)
+    assert p is None or 0.0 <= p <= 1.0, p
+    sides = _value(bounds.equivalence_sides, n, r, sigma2)
+    check = _value(bounds.equivalence_check, n, r, sigma2)
+    if sides is None:
+        assert check is None
+        return
+    lhs, rhs = sides
+    assert isinstance(lhs, LogProb) and isinstance(rhs, LogProb), sides
+    assert not (lhs.is_zero or rhs.is_zero), sides
+    # The logs reach 3.5e5 in magnitude at sigma2 near the ends of double
+    # range, where one ulp of either is 5.8e-11: the slack past 1e-11 is that
+    # rounding, relative in the log.
+    assert check == bounds.equivalence_discrepancy(lhs, rhs) <= 1e-11 + 1e-15 * abs(rhs.log_value)
 
 
 # Counts of every size and type, seeds of every kind, and every double.  Each

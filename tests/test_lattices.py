@@ -64,7 +64,7 @@ def _e8_bf_min_dist2(y: np.ndarray) -> float:
 
 class TestBuiltins:
     def test_integer_lattices(self):
-        for name, k in (("Z1", 1), ("Z4", 4), ("Zn(4)", 4), ("Z16", 16)):
+        for name, k in (("Z1", 1), ("Z4", 4), ("Zn(4)", 4), ("Z16", 16), ("Z1024", 1024)):
             spec = builtin(name)
             assert spec.dim == k
             assert spec.nld == pytest.approx(0.0, abs=1e-14)
@@ -95,6 +95,13 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin("K12")
+
+    @pytest.mark.parametrize("k", [1025, 2**63 - 1])
+    def test_integer_lattice_past_1024_rejected_before_allocating(self, k):
+        # Z^k's identity generator is 8k^2 bytes: 6.8e38 at k = 2^63 - 1.
+        for name in (f"Z{k}", f"Zn({k})"):
+            with pytest.raises(ValueError, match=r"n in 1\.\.1024"):
+                builtin(name)
 
     def test_scaled_nld(self):
         spec = dataclasses.replace(builtin("D4"), scale=3.0)
