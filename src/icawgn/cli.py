@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("simulate", help="Monte Carlo on a builtin lattice")
-    p.add_argument("--lattice", required=True, help="Z1, Zk, A2, D4 or E8")
+    p.add_argument("--lattice", required=True, help="Zk or Zn(k), k <= 1024, A2, D4 or E8")
     p.add_argument("--trials", type=int, default=100000,
                    help="trials (with --target-eps, of the search's draw and of its estimate)")
     p.add_argument("--seed", type=int, default=0)

@@ -221,9 +221,11 @@ def nld_eps_achievable(n: int, eps: float, sigma2: float) -> InversionResult:
     The search starts at the converse's closed form less the gap between the
     two roots, [1 + z/sqrt(2n) + (z^2 - 1)/n]/n with z = Q^-1(eps), and its
     first step is about the error of that expansion, so that the seed and
-    one step usually bracket the root.  Range: from n of about 1e17 the ML
-    bound's terms of size n delta carry ulps of 16 nats and more, so the
-    bound, and the delta returned, are rounding noise there, though finite."""
+    one step usually bracket the root.  Range: the delta returned is checked
+    against the fixed-eps expansion up to n of about 1e15 only.  Past it some
+    n are off by about 5e-8 (at eps = 0.01, 4.1e-8 at n = 3 * 2^59 and
+    5.3e-8 at 2^62), while others, 2^60 and 2^63 - 1 among them, are exact;
+    ROADMAP.md keeps this open."""
     return nld_eps_achievable_curve([n], eps, sigma2)[0]
 
 

@@ -22,26 +22,23 @@ norm for every row, or every noise coordinate, while their distribution is
 the same.
 """
 
-import dataclasses
 import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
 
 from .dispersion import gap_db, nld_eps_converse
-from .specfn import _check_int, _check_positive, _check_prob, _check_seed, _check_sigma2
+from .specfn import (_ValidatedTuple, _check_int, _check_positive, _check_prob, _check_seed,
+                     _check_sigma2)
 
 __all__ = [
     "LatticeSpec",
     "SimEstimate",
     "ScaleSearchResult",
-    "UnsupportedLatticeError",
-    "RESERVED_NAMES",
     "builtin",
     "decode",
     "clopper_pearson",
@@ -50,10 +47,6 @@ __all__ = [
 ]
 
 _SQRT3 = math.sqrt(3.0)
-
-# Named in the comparison literature but decoded externally; kept reserved so
-# result files cannot silently confuse them with supported constructions.
-RESERVED_NAMES = frozenset({"BW16", "Leech24", "S127", "LDLC"})
 
 _CHUNK_SCALARS = 1 << 18  # 2 MB of noise per chunk
 
@@ -65,45 +58,101 @@ _DECODE_MAX = 2.0 ** 50
 _T_LINEAR = -math.log(sys.float_info.min)
 
 
-class UnsupportedLatticeError(ValueError):
-    """A reserved or non-builtin lattice without an exact decoder."""
+def _e8_generator(_dim: int) -> np.ndarray:
+    # The even coordinate system: 2e_1, e_i - e_(i-1) for i = 2..7, (1/2)^8.
+    gen = np.eye(8) - np.eye(8, k=-1)
+    gen[0, 0], gen[7] = 2.0, 0.5
+    return gen
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeSpec:
-    """A named lattice: row-basis generator, positive scale multiplier.
+class _Family(NamedTuple):
+    dim: int | None                          # None: Z^k, k from the name
+    log_det: float                           # ln |det generator|, in closed form
+    rho2: float                              # squared packing radius at scale 1
+    generator: Callable[[int], np.ndarray]   # the row basis at a dimension
 
-    The constellation is {scale * (c @ generator) : c integer row vector};
-    its NLD is -(1/n) ln|det generator| - ln scale.  ``name`` must be a
-    str, ``dim`` an integer, ``generator`` finite and nonsingular, and
-    ``scale`` finite and > 0.
-    """
 
+# The builtin families.  rho^2 is a quarter of the minimum squared norm (1 for
+# Z^n and A2, 2 for D4 and E8).  Each log_det is slogdet's of the generator,
+# bit for bit: 0.5 * log(0.75) for A2 is an ulp off.
+_FAMILIES = {
+    "zn": _Family(None, 0.0, 0.25, np.eye),
+    "a2": _Family(2, math.log(_SQRT3 / 2.0), 0.25,
+                  lambda _dim: np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0]])),
+    "d4": _Family(4, math.log(2.0), 0.5, lambda _dim: np.array([
+        [-1.0, -1.0, 0.0, 0.0],
+        [1.0, -1.0, 0.0, 0.0],
+        [0.0, 1.0, -1.0, 0.0],
+        [0.0, 0.0, 1.0, -1.0],
+    ])),
+    "e8": _Family(8, 0.0, 0.5, _e8_generator),
+}
+
+_ZN_RE = re.compile(r"^Z(?:n\((\d+)\)|(\d+))$")
+# The largest k of Z^k: the noise draw holds rows of k coordinates and
+# _tail_weights k/2 mixture weights, so k is capped before any is allocated.
+_MAX_ZN_DIM = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _basis(family: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # The generator and its inverse, read-only, built on first use.
+    gen = _FAMILIES[family].generator(dim)
+    ginv = np.linalg.inv(gen)
+    gen.flags.writeable = ginv.flags.writeable = False
+    return gen, ginv
+
+
+class _LatticeSpecFields(NamedTuple):
     name: str
-    dim: int
-    generator: np.ndarray = field(repr=False)
     scale: float = 1.0
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"lattice name must be a str, got {self.name!r}")
-        _check_int(self.dim)
-        gen = np.asarray(self.generator, dtype=float)
-        object.__setattr__(self, "generator", gen)
-        if gen.shape != (self.dim, self.dim):
-            raise ValueError(f"generator must be {self.dim}x{self.dim}, got {gen.shape}")
-        if not (np.isfinite(gen).all() and abs(np.linalg.det(gen)) > 0.0):
-            raise ValueError("generator must be finite and nonsingular")
-        _check_positive(self.scale, "scale")
+
+class LatticeSpec(_ValidatedTuple, _LatticeSpecFields):
+    """A builtin lattice at a scale, an immutable tuple (name, scale).
+
+    ``name`` is Zk or Zn(k) for k in 1..1024 (kept as Zk), A2 (hexagonal),
+    D4 (checkerboard) or E8 (even coordinate system); ``scale`` is finite
+    and > 0.  The constellation is {scale * (c @ generator) : c integer row
+    vector}, and its NLD is -(1/n) ln|det generator| - ln scale.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, scale: float = 1.0):
+        if not isinstance(name, str):
+            raise ValueError(f"lattice name must be a str, got {name!r}")
+        m = _ZN_RE.match(name)
+        if m:
+            k = int(m.group(1) or m.group(2))
+            _check_int(k, 1, _MAX_ZN_DIM)
+            name = f"Z{k}"
+        elif name not in ("A2", "D4", "E8"):
+            raise ValueError(f"unknown lattice name {name!r}")
+        _check_positive(scale, "scale")
+        return tuple.__new__(cls, (name, scale))
+
+    @property
+    def family(self) -> str:
+        return "zn" if self.name[0] == "Z" else self.name.lower()
+
+    @property
+    def dim(self) -> int:
+        return _FAMILIES[self.family].dim or int(self.name[1:])
 
     @property
     def log_det(self) -> float:
-        return float(np.linalg.slogdet(self.generator)[1])
+        return _FAMILIES[self.family].log_det
 
     @property
     def nld(self) -> float:
         """Normalized log density of the scaled lattice, nats per dimension."""
         return 0.0 - self.log_det / self.dim - math.log(self.scale)
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The row basis at scale 1, read-only."""
+        return _basis(self.family, self.dim)[0]
 
 
 class DecodedPoint(NamedTuple):
@@ -141,61 +190,9 @@ class ScaleSearchResult(NamedTuple):
     estimate: SimEstimate
 
 
-_ZN_RE = re.compile(r"^Z(?:n\((\d+)\)|(\d+))$")
-# The largest k of a builtin Z^k: its identity generator takes 8 MB, and the
-# spec's determinant an O(k^3) factorization, before any trial is drawn.
-_MAX_ZN_DIM = 1024
-
-
 def builtin(name: str) -> LatticeSpec:
-    """The standard generator for a named lattice.
-
-    Accepts Z1, Zn(k) or Zk for k up to 1024, A2 (hexagonal), D4
-    (checkerboard), E8 (even coordinate system).  Reserved comparison
-    lattices raise :class:`UnsupportedLatticeError`; unknown names raise
-    ValueError.
-    """
-    if name in RESERVED_NAMES:
-        raise UnsupportedLatticeError(
-            f"{name} is name-reserved but has no exact decoder here")
-    m = _ZN_RE.match(name)
-    if m:
-        k = int(m.group(1) or m.group(2))
-        _check_int(k, 1, _MAX_ZN_DIM)
-        return LatticeSpec(name=f"Z{k}", dim=k, generator=np.eye(k))
-    if name == "A2":
-        return LatticeSpec(name="A2", dim=2,
-                           generator=np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0]]))
-    if name == "D4":
-        return LatticeSpec(name="D4", dim=4, generator=np.array([
-            [-1.0, -1.0, 0.0, 0.0],
-            [1.0, -1.0, 0.0, 0.0],
-            [0.0, 1.0, -1.0, 0.0],
-            [0.0, 0.0, 1.0, -1.0],
-        ]))
-    if name == "E8":
-        half = np.full(8, 0.5)
-        gen = np.zeros((8, 8))
-        gen[0, 0] = 2.0
-        for i in range(1, 7):
-            gen[i, i - 1] = -1.0
-            gen[i, i] = 1.0
-        gen[7] = half
-        return LatticeSpec(name="E8", dim=8, generator=gen)
-    raise ValueError(f"unknown lattice name {name!r}")
-
-
-def _family(spec: LatticeSpec) -> str:
-    # The decoder is picked by name, so the spec must be that builtin at some scale.
-    try:
-        builtin_gen = np.array_equal(builtin(spec.name).generator, spec.generator)
-    except ValueError:
-        builtin_gen = False
-    if not builtin_gen:
-        raise UnsupportedLatticeError(
-            f"no exact decoder for lattice {spec.name!r}: only the builtins, "
-            f"with their own generators, are decoded")
-    return "zn" if _ZN_RE.match(spec.name) else spec.name.lower()
+    """The named lattice at scale 1, ``LatticeSpec(name)``."""
+    return LatticeSpec(name)
 
 
 def _round_half_down(x: np.ndarray) -> np.ndarray:
@@ -248,7 +245,6 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
     finite and below 2^50 in magnitude, where sums of candidate coordinates
     are still exact integers.
     """
-    fam = _family(spec)
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.dim,):
         raise ValueError(f"input must have shape ({spec.dim},), got {y.shape}")
@@ -256,14 +252,14 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
     if not np.all(np.abs(base) < _DECODE_MAX):
         raise ValueError(f"input / scale must be finite and below 2^50 in magnitude, "
                          f"got {y.tolist()}")
-    cands = _candidate_points(fam, base)
+    cands = _candidate_points(spec.family, base)
     d2 = ((cands - base) ** 2).sum(axis=1)
     tied = cands[d2 <= d2.min() + 1e-12]
-    ginv = np.linalg.inv(spec.generator)
+    gen, ginv = _basis(spec.family, spec.dim)
     coeff_rows = np.rint(tied @ ginv).astype(np.int64)
     best = min(range(len(tied)), key=lambda i: tuple(coeff_rows[i]))
     coeffs = coeff_rows[best]
-    point = (coeffs @ spec.generator) * spec.scale
+    point = (coeffs @ gen) * spec.scale
     return DecodedPoint(coeffs=coeffs, point=point)
 
 
@@ -275,11 +271,6 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
 # of them (Conway & Sloane, SPLAG ch. 21).  The batch path takes the largest
 # 2 <z, v> / |v|^2, the cell's gauge, in closed form per family; ``decode``
 # keeps the constructions.
-
-# Squared packing radius rho^2 of each family at scale 1: a quarter of the
-# minimum squared norm (1 for Z^n and A2, 2 for D4 and E8).
-_PACKING_RADIUS2 = {"zn": 0.25, "a2": 0.25, "d4": 0.5, "e8": 0.5}
-
 
 def _gauge(family: str, z: np.ndarray) -> np.ndarray:
     """The Minkowski gauge of the zero point's Voronoi cell at each row of z:
@@ -421,10 +412,10 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed) -> 
     """
     _check_int(trials, name="trials")
     _check_sigma2(sigma2)
-    fam = _family(spec)
+    fam = spec.family
     s = math.sqrt(sigma2) / spec.scale
     errors = sum(int(np.count_nonzero(_gauge(fam, z) > 1.0)) for z in _outside_noise(
-        _check_seed(seed).spawn(1)[0], trials, spec.dim, s, _PACKING_RADIUS2[fam]))
+        _check_seed(seed).spawn(1)[0], trials, spec.dim, s, _FAMILIES[fam].rho2))
     lo, hi = clopper_pearson(errors, trials)
     return SimEstimate(trials=trials, errors=errors, p_hat=errors / trials,
                        ci_low=lo, ci_high=hi, seed=seed)
@@ -454,17 +445,17 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     _check_int(trials, name="trials")
     _check_sigma2(sigma2)
     entropy = _check_seed(seed).entropy
-    fam = _family(spec)
+    fam = spec.family
     floor = math.exp(-spec.log_det / spec.dim - nld_eps_converse(spec.dim, eps, sigma2).delta)
     k = math.ceil(eps * trials)
     top = np.empty(0)
     for z in _outside_noise(np.random.SeedSequence([entropy, 0]), trials, spec.dim,
-                            math.sqrt(sigma2) / floor, _PACKING_RADIUS2[fam]):
+                            math.sqrt(sigma2) / floor, _FAMILIES[fam].rho2):
         top = np.concatenate([top, _gauge(fam, z)])
         if top.size > k:
             top = np.partition(top, top.size - k)[-k:]
     scale = floor * max(1.0, float(top.min())) if top.size == k else floor
-    scaled = dataclasses.replace(spec, scale=scale)
+    scaled = spec._replace(scale=scale)
     return ScaleSearchResult(scale=scaled.scale, delta=scaled.nld,
                              gap_db=gap_db(scaled.nld, sigma2),
                              estimate=simulate_error_prob(scaled, sigma2, trials, [entropy, 1]))

@@ -39,3 +39,19 @@ def log_radial_moment_mpmath(n: int, r: float, sigma2: float) -> float:
         x = mpmath.mpf(r) ** 2 / (2 * s2)
         return float(n_ / 2 * mpmath.log(2 * s2) + mpmath.loggamma(n_) - mpmath.loggamma(n_ / 2)
                      + mpmath.log(mpmath.gammainc(n_, 0, x, regularized=True)))
+
+
+def log_ml_bound_mpmath(n: int, nld: float, s: float) -> float:
+    """ln of the ML bound at sigma2 = 1 and radius s in 60-digit mpmath: the
+    first term n delta + ln V_n + (n/2) ln 2 + ln Gamma(n) - ln Gamma(n/2)
+    + ln P(n, s^2/2), with P(a, x) = x^a e^-x 1F1(1; a + 1; x) / Gamma(a + 1),
+    plus the chi-square tail Q(n/2, s^2/2)."""
+    with mpmath.workdps(60):
+        m, x = mpmath.mpf(n), mpmath.mpf(s) ** 2 / 2
+        log_vn = m / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(m / 2 + 1)
+        log_p = (m * mpmath.log(x) - x - mpmath.loggamma(m + 1)
+                 + mpmath.log(mpmath.hyp1f1(1, m + 1, x)))
+        first = (m * mpmath.mpf(nld) + log_vn + m / 2 * mpmath.log(2)
+                 + mpmath.loggamma(m) - mpmath.loggamma(m / 2) + log_p)
+        tail = mpmath.gammainc(m / 2, x, mpmath.inf, regularized=True)
+        return float(mpmath.log(mpmath.exp(first) + tail))

@@ -32,7 +32,7 @@ from icawgn.bounds import (
 )
 from icawgn.dispersion import lattice_snr_rho, norm_tail_normal_approx
 from icawgn.specfn import LogProb, log_vn, q_func
-from helpers import log_ml_first_term_quad, log_radial_moment_mpmath
+from helpers import log_ml_bound_mpmath, log_ml_first_term_quad, log_radial_moment_mpmath
 
 
 class TestChannelPoint:
@@ -247,6 +247,16 @@ class TestMlBound:
         ref_log = math.log(math.exp(first_log) + tail)
         assert abs(math.expm1(total_log - ref_log)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
+    def test_log_within_n_d_ulps_of_mpmath(self, n):
+        # The first term sums terms of size n |d|, so the log's error is
+        # absolute, about n |d| 2^-53 (at most 2.1 times that measured here):
+        # near capacity, where the log is about -14, and deep below it.
+        for d in (delta_star(1.0) - 3.0 / math.sqrt(n), -3.0):
+            bv = ml_bound(ChannelPoint(n, d, 1.0))
+            ref = log_ml_bound_mpmath(n, d, bv.radius_used)
+            assert abs(bv.log_raw - ref) <= 4.0 * n * abs(d) * 2.0 ** -53, (d, bv.log_raw, ref)
+
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_default_radius_is_optimal(self, n):
         p = ChannelPoint(n, -1.5, 1.0)
@@ -328,6 +338,9 @@ class TestPoltyrevBound:
 class TestDSectionProb:
     def test_empty_section(self):
         assert d_section_prob(3, 2.0, 4.0, 1.0) == 0.0
+        # w/2r rounds to 1 at these subnormal radii, where the section is
+        # about 1e-970: an exact zero in doubles.
+        assert d_section_prob(3, 1e-323, 1.5e-323, 1.0) == 0.0
 
     def test_half_ball_at_zero_offset(self):
         # w = 0 cuts the ball in half: value = Pr{||Z|| <= r} / 2, with the

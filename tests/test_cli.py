@@ -374,6 +374,7 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--lattice", "S127", "--trials", "10"])
         assert exc.value.code == 2
+        assert "unknown lattice name 'S127'" in capsys.readouterr().err
 
     def test_integer_lattice_past_1024_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -137,10 +137,10 @@ def _runs(count, most) -> bool:
        confidence=st.one_of(st.floats(min_value=0.01, max_value=0.99), st.floats()))
 def test_simulation_layer_returns_a_value_or_raises_value_error(trials, errors, seed_,
                                                                 sigma2, scale, confidence):
-    spec = _value(lattices.LatticeSpec, "Z2", 2, np.eye(2), scale)
+    spec = _value(lattices.LatticeSpec, "Z2", scale)
     assert (spec is not None) == (0.0 < scale < math.inf)
-    assert _value(lattices.LatticeSpec, "Z2", trials, np.eye(2)) is None or (
-        type(trials) is int and trials == 2)
+    assert (_value(lattices.LatticeSpec, f"Z{trials}") is None) == (
+        type(trials) is not int or not 1 <= trials <= 1024)
     spec = spec or lattices.builtin("Z2")
     # No numpy integers are drawn, so every accepted count is a plain int.
     ci = _value(lattices.clopper_pearson, errors, trials, confidence)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -11,10 +10,8 @@ from icawgn.dispersion import (gap_db, nld_eps_achievable, nld_eps_converse,
                                normalized_error_prob)
 from icawgn import lattices
 from icawgn.lattices import (
-    _PACKING_RADIUS2,
+    _FAMILIES,
     LatticeSpec,
-    UnsupportedLatticeError,
-    _family,
     _gauge,
     _outside_noise,
     _tail_weights,
@@ -66,7 +63,7 @@ class TestBuiltins:
     def test_integer_lattices(self):
         for name, k in (("Z1", 1), ("Z4", 4), ("Zn(4)", 4), ("Z16", 16), ("Z1024", 1024)):
             spec = builtin(name)
-            assert spec.dim == k
+            assert spec == LatticeSpec(f"Z{k}", 1.0) and spec.dim == k
             assert spec.nld == pytest.approx(0.0, abs=1e-14)
             assert np.array_equal(spec.generator, np.eye(k))
 
@@ -87,9 +84,18 @@ class TestBuiltins:
         assert abs(np.linalg.det(spec.generator)) == pytest.approx(1.0, rel=1e-12)
         assert spec.nld == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("name", ["Z1", "Z8", "Zn(16)", "A2", "D4", "E8"])
+    def test_closed_form_log_det_is_the_generators(self, name):
+        # The generator, built apart from the closed forms, is their oracle.
+        # It is shared, so it is read-only.
+        spec = builtin(name)
+        assert spec.log_det == float(np.linalg.slogdet(spec.generator)[1])
+        assert not spec.generator.flags.writeable
+
     def test_reserved_names(self):
+        # Named in the comparison literature, with no decoder here.
         for name in ("BW16", "Leech24", "S127", "LDLC"):
-            with pytest.raises(UnsupportedLatticeError):
+            with pytest.raises(ValueError, match="unknown lattice name"):
                 builtin(name)
 
     def test_unknown_name(self):
@@ -98,13 +104,13 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("k", [1025, 2**63 - 1])
     def test_integer_lattice_past_1024_rejected_before_allocating(self, k):
-        # Z^k's identity generator is 8k^2 bytes: 6.8e38 at k = 2^63 - 1.
+        # A noise row of Z^k is 8k bytes, and its mixture weights 4k.
         for name in (f"Z{k}", f"Zn({k})"):
             with pytest.raises(ValueError, match=r"n in 1\.\.1024"):
                 builtin(name)
 
     def test_scaled_nld(self):
-        spec = dataclasses.replace(builtin("D4"), scale=3.0)
+        spec = builtin("D4")._replace(scale=3.0)
         assert spec.nld == pytest.approx(-0.25 * math.log(2.0) - math.log(3.0), rel=1e-12)
 
 
@@ -147,40 +153,21 @@ class TestDecode:
     def test_returns_true_lattice_point(self):
         rng = np.random.default_rng(11)
         for name in ("Z4", "A2", "D4", "E8"):
-            spec = dataclasses.replace(builtin(name), scale=1.7)
+            spec = builtin(name)._replace(scale=1.7)
             for y in rng.uniform(-4.0, 4.0, size=(50, spec.dim)):
                 dp = decode(spec, y)
                 rebuilt = (dp.coeffs @ spec.generator) * spec.scale
                 assert np.max(np.abs(rebuilt - dp.point)) <= 1e-12
 
     def test_scaled_decode(self):
-        spec = dataclasses.replace(builtin("Z2"), scale=2.0)
+        spec = builtin("Z2")._replace(scale=2.0)
         dp = decode(spec, [0.9, 3.2])
         assert np.array_equal(dp.point, [0.0, 4.0])
 
-    def test_non_builtin_rejected(self):
-        rogue = LatticeSpec(name="custom", dim=2, generator=np.array([[1.0, 0.3], [0.0, 1.0]]))
-        with pytest.raises(UnsupportedLatticeError):
-            decode(rogue, [0.1, 0.2])
-
-    @pytest.mark.parametrize("spec", [
-        LatticeSpec("D4", 4, np.eye(4)),
-        LatticeSpec("Z4", 4, 2.0 * np.eye(4)),
-        LatticeSpec("E8", 8, np.eye(8)),
-        LatticeSpec("Z2", 2, builtin("A2").generator),
-    ], ids=lambda spec: spec.name)
-    def test_builtin_name_with_another_generator_rejected(self, spec):
-        # The decoder is picked by name: D4's decodes the points of Z^4 wrongly,
-        # e.g. (0.9, 0, 0, 0) to the origin although (1, 0, 0, 0) is nearer.
-        with pytest.raises(UnsupportedLatticeError, match=spec.name):
-            decode(spec, np.full(spec.dim, 0.1))
-        with pytest.raises(UnsupportedLatticeError, match=spec.name):
-            simulate_error_prob(spec, 0.05, 100, seed=1)
-
     def test_scaled_builtins_keep_their_decoder(self):
         for name in ("Z4", "Zn(4)", "A2", "D4", "E8"):
-            spec = dataclasses.replace(builtin(name), scale=0.5)
-            assert _family(spec) == _family(builtin(name))
+            spec = builtin(name)._replace(scale=0.5)
+            assert spec.family == builtin(name).family
             assert simulate_error_prob(spec, 0.01, 100, seed=1).trials == 100
 
     def test_shape_validation(self):
@@ -213,8 +200,8 @@ def _e8_minimal_vectors() -> np.ndarray:
 def _assert_counted_as_decoded(spec: LatticeSpec, rows: np.ndarray, scales=1.0) -> np.ndarray:
     """A row's gauge exceeds its scale exactly where decode() at that scale
     maps it away from zero; returns that mask."""
-    counted = _gauge(_family(spec), rows) > scales
-    decoded = np.array([np.any(decode(dataclasses.replace(spec, scale=c), row).point != 0.0)
+    counted = _gauge(spec.family, rows) > scales
+    decoded = np.array([np.any(decode(spec._replace(scale=c), row).point != 0.0)
                         for row, c in zip(rows, np.broadcast_to(scales, len(rows)))])
     assert np.array_equal(counted, decoded), rows[counted != decoded][:5].tolist()
     return decoded
@@ -229,7 +216,7 @@ class TestErrorCounter:
     def test_packing_radius_is_quarter_min_norm(self, name, sigma2, reach):
         spec = builtin(name)
         min_norm2 = float((_box_vectors(spec, reach) ** 2).sum(axis=1).min())
-        assert _PACKING_RADIUS2[_family(spec)] == pytest.approx(min_norm2 / 4.0, rel=1e-12)
+        assert _FAMILIES[spec.family].rho2 == pytest.approx(min_norm2 / 4.0, rel=1e-12)
 
     @pytest.mark.parametrize("name,sigma2,reach", CASES)
     def test_matches_decode(self, name, sigma2, reach):
@@ -239,7 +226,7 @@ class TestErrorCounter:
         # the midpoint of every minimal vector in the box.
         spec = builtin(name)
         rng = np.random.default_rng(41)
-        rho = math.sqrt(_PACKING_RADIUS2[_family(spec)])
+        rho = math.sqrt(_FAMILIES[spec.family].rho2)
         dirs = rng.standard_normal((200, spec.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         minimal = _minimal_box_vectors(spec, reach)
@@ -259,7 +246,7 @@ class TestErrorCounter:
         spec = builtin(name)
         rng = np.random.default_rng(43)
         rows = rng.standard_normal((1000, spec.dim)) * math.sqrt(sigma2)
-        gauge = _gauge(_family(spec), rows)
+        gauge = _gauge(spec.family, rows)
         rows = np.concatenate([rows, rows, rows])
         scales = np.concatenate([rng.uniform(0.25, 2.0, len(gauge)),
                                  gauge * (1.0 - 1e-9), gauge * (1.0 + 1e-9)])
@@ -363,7 +350,7 @@ class TestSimulate:
         # error counts agree exactly for equal seeds.
         spec = builtin("E8")
         s = 2.5
-        a = simulate_error_prob(dataclasses.replace(spec, scale=s), 0.25, 80000, seed=77)
+        a = simulate_error_prob(spec._replace(scale=s), 0.25, 80000, seed=77)
         b = simulate_error_prob(spec, 0.25 / s ** 2, 80000, seed=77)
         assert a.errors == b.errors
 
@@ -402,7 +389,7 @@ class TestSimulate:
         trials = 10 ** 6
         rng = np.random.default_rng(2024)
         ref = sum(np.count_nonzero(_gauge(
-            _family(spec), rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2)) > 1.0)
+            spec.family, rng.standard_normal((trials // 4, spec.dim)) * math.sqrt(sigma2)) > 1.0)
                   for _ in range(4))
         est = simulate_error_prob(spec, sigma2, trials, seed=2025)
         p = (ref + est.errors) / (2 * trials)
@@ -421,7 +408,7 @@ class TestSimulate:
         # squared norms follow chi^2_n truncated to [rho^2, inf).  Each point
         # draws from its own seed, so the eight checks are independent.
         spec = builtin(name)
-        n, rho2, trials = spec.dim, _PACKING_RADIUS2[_family(spec)], 10 ** 6
+        n, rho2, trials = spec.dim, _FAMILIES[spec.family].rho2, 10 ** 6
         seed = np.random.SeedSequence([3, self.TRUNCATED_CASES.index((name, sigma2))])
         norms2 = np.concatenate([
             np.einsum("ij,ij->i", z, z)
@@ -485,9 +472,6 @@ class TestSimulate:
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 simulate_error_prob(builtin("Z1"), bad, 10, seed=1)
-        with pytest.raises(UnsupportedLatticeError):
-            simulate_error_prob(
-                LatticeSpec(name="weird", dim=1, generator=np.eye(1)), 1.0, 10, seed=1)
 
 
 def _z8_error_prob(scale: float) -> float:

@@ -1,5 +1,5 @@
-"""The value types LogProb, ChannelPoint, BoundValue and InversionResult are
-immutable tuples: fields by name and by position, equality and hash by
+"""The value types LogProb, ChannelPoint, BoundValue, InversionResult and
+LatticeSpec are immutable tuples: fields by name and by position, equality and hash by
 value, and every way of building one (the constructor, ``_make``,
 ``_replace``, copying, unpickling) goes through its validation."""
 
@@ -12,6 +12,7 @@ import pytest
 
 from icawgn.bounds import BoundValue, ChannelPoint
 from icawgn.dispersion import InversionResult
+from icawgn.lattices import LatticeSpec
 from icawgn.specfn import LogProb
 
 # Each type with valid field values in field order, and other valid values.
@@ -21,6 +22,7 @@ VALUES = [
     (BoundValue, ("ml", LogProb(-2.0), 3.0, False), ("ml", LogProb(-2.0), 3.0, True)),
     (InversionResult, (-1.6, LogProb(math.log(0.01)), 3, 1e-11),
      (-1.6, LogProb(math.log(0.01)), 4, 1e-11)),
+    (LatticeSpec, ("E8", 1.5), ("E8", 2.0)),
 ]
 
 # A field of a validating type, a value it rejects, and the message.
@@ -35,6 +37,9 @@ INVALID = [
     (ChannelPoint, "nld", math.inf, "NLD must be finite"),
     (ChannelPoint, "sigma2", 0.0, "noise variance must be finite and > 0"),
     (ChannelPoint, "sigma2", math.nan, "noise variance must be finite and > 0"),
+    (LatticeSpec, "name", "BW16", "unknown lattice name 'BW16'"),
+    (LatticeSpec, "name", "Z1025", "dimension must be an integer n in 1..1024"),
+    (LatticeSpec, "scale", 0.0, "scale must be finite and > 0"),
 ]
 
 PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
