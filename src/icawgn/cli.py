@@ -1,8 +1,8 @@
 """Command-line front end: emits figure-ready tables for every library capability.
 
 Subcommands:
-    bounds    finite-n bound sweeps over a dimension range
-    asym      exact bounds vs sandwich members and asymptotic forms
+    bounds    finite-n bound sweeps over a dimension range, as logs
+    asym      exact bounds vs sandwich members and asymptotic forms, as logs
     invert    fixed-error NLD inversion (converse / achievable / approximation)
     simulate  seeded Monte Carlo of a builtin lattice, or a scale search
     equiv     section-integral equivalence residuals, both sides as logs
@@ -10,8 +10,10 @@ Subcommands:
 Output is CSV (one header line, full-precision, LF line endings) or JSON
 lines behind --format json.  Each subcommand returns one column table, a
 dict from column name to column in output order, and CSV is written
-straight from its columns.  Exit status: 0 success, 2 usage error,
-1 numerical failure (one machine-parsable line on stderr).
+straight from its columns; bound tables leave min(1, e^log), e^(log -
+asym_log), delta*, delta_cr and dB gaps to the library.  Exit status: 0
+success, 2 usage error, 1 numerical failure (one machine-parsable line on
+stderr).
 """
 
 import argparse
@@ -46,10 +48,10 @@ def _parse_n_range(text: str) -> list[int]:
             raise ValueError(f"geometric ratio must be finite and > 1, got {step!r}")
         if math.log(b) - math.log(a) > 1e6 * math.log(ratio):
             raise ValueError(f"geometric ratio {step!r} takes more than 10^6 steps from {a} to {b}")
-        out, v = [], float(a)
-        while v <= b + 1e-9:   # v grows, so a repeated value repeats the last
-            if not out or round(v) != out[-1]:
-                out.append(round(v))
+        out, v = [a], a * ratio   # v grows, so a repeated value repeats the last
+        while v < math.inf and (k := round(v)) <= b:   # as integers: v may round past b
+            if k > out[-1]:
+                out.append(k)
             v *= ratio
         return out
     inc = int(step)
@@ -90,20 +92,16 @@ def _cmd_bounds(args) -> dict[str, list]:
         print(f"warning: {which[j]} bound exceeds 1 at n={ns[i]} (clamped, vacuous)",
               file=sys.stderr)
     # Python floats, which str formats faster than numpy scalars.
-    cells = {"n": ns}
-    for w in which:
-        cells[w] = curves[w].value.tolist()
-        cells[f"{w}_log"] = curves[w].log_value.tolist()
-    return cells
+    return {"n": ns, **{f"{w}_log": curves[w].log_value.tolist() for w in which}}
 
 
 def _cmd_asym(args) -> dict[str, list]:
     columns = ["n",
                "sphere_log", "sphere_lower_q_log", "sphere_lower_log",
-               "sphere_upper_log", "sphere_asym_log", "sphere_ratio",
+               "sphere_upper_log", "sphere_asym_log",
                "ml_log", "ml_lower_q_log", "ml_lower_log", "ml_upper_log",
-               "ml_asym_log", "ml_ratio", "ml_branch",
-               "typicality_log", "typicality_asym_log", "typicality_ratio"]
+               "ml_asym_log", "ml_branch",
+               "typicality_log", "typicality_asym_log"]
     ns = _parse_n_range(args.n)
     # The exact columns stay on the scalar bounds, one point at a time, and the
     # branch is one scalar call: the benchmark's tracer wraps only these scalar
@@ -118,22 +116,16 @@ def _cmd_asym(args) -> dict[str, list]:
     cells["ml_branch"] = [asymptotics.ml_asymptotic_branch(points[-1])] * len(ns)
     for key, curve in asymptotics.asym_curves(ns, args.nld, args.sigma2).items():
         cells[f"{key}_log"] = curve.tolist()
-    for k in exact:
-        cells[f"{k}_ratio"] = [math.exp(e - a) for e, a in
-                               zip(cells[f"{k}_log"], cells[f"{k}_asym_log"])]
     return {c: cells[c] for c in columns}
 
 
 def _cmd_invert(args) -> dict[str, list]:
-    ds, dcr = bounds.delta_star(args.sigma2), bounds.delta_cr(args.sigma2)
     ns, eps, sigma2 = _parse_n_range(args.n), args.eps, args.sigma2
     # The ML solves run together, one array evaluation of the bound per round.
-    delta = {"converse": [dispersion.nld_eps_converse(n, eps, sigma2).delta for n in ns],
-             "achievable": [r.delta for r in dispersion.nld_eps_achievable_curve(ns, eps, sigma2)],
-             "approx": [dispersion.nld_eps_approx(n, eps, sigma2) for n in ns]}
-    return {"n": ns, **{f"delta_{k}": v for k, v in delta.items()},
-            "delta_star": [ds] * len(ns), "delta_cr": [dcr] * len(ns),
-            **{f"gap_db_{k}": [dispersion.gap_db(d, sigma2) for d in v] for k, v in delta.items()}}
+    return {"n": ns,
+            "delta_converse": [dispersion.nld_eps_converse(n, eps, sigma2).delta for n in ns],
+            "delta_achievable": [r.delta for r in dispersion.nld_eps_achievable_curve(ns, eps, sigma2)],
+            "delta_approx": [dispersion.nld_eps_approx(n, eps, sigma2) for n in ns]}
 
 
 def _cmd_simulate(args) -> dict[str, list]:

@@ -316,7 +316,9 @@ def _log_tail(a: float, x: float, upper: bool) -> float:
     if small > (_LARGE_A_LOWER_MIN if lower_smaller and a > _SCIPY_SERIES_MAX_A else _LINEAR_MIN):
         return math.log(small) if direct else math.log1p(-small)
     if lower_smaller:
-        log_small = _log_prefactor(a, x) + math.log(_cs.hyp1f1(1.0, a + 1.0, float(x)))
+        kummer = _cs.hyp1f1(1.0, a + 1.0, float(x))   # NaN: see _log_tail_inner
+        log_small = (_log_prefactor(a, x) + math.log(kummer) if not math.isnan(kummer)
+                     else math.log(small) if small else -math.inf)
     else:
         log_small = _log_upper_cf(a, x)
     return min(log_small, 0.0) if direct else math.log1p(-math.exp(log_small))
@@ -331,7 +333,8 @@ def log_reg_gamma_lower(a: float, x: float) -> LogProb:
         return LogProb.zero()
     if x == math.inf:
         return LogProb(0.0)
-    return LogProb(_log_tail(a, x, upper=False))
+    log_value = _log_tail(a, x, upper=False)
+    return LogProb(log_value, log_value == -math.inf)
 
 
 def log_reg_gamma_upper(a: float, x: float) -> LogProb:
@@ -451,6 +454,10 @@ def _log_tail_inner(a: np.ndarray, x: np.ndarray, upper: bool) -> np.ndarray:
                             (~linear & ~lower_smaller, _log_upper_cf_array)):
         if m.any():
             log_small = log_small_of(a[m], x[m])
+            # scipy's hyp1f1 is NaN at some x within a few sqrt(a) below a from
+            # a = 2.4e10 on; there scipy's own tail stands in, -inf if zero.
+            with np.errstate(divide="ignore"):
+                log_small = np.where(np.isnan(log_small), np.log(small[m]), log_small)
             res[m] = np.where(direct[m], np.minimum(log_small, 0.0), np.log1p(-np.exp(log_small)))
     return res
 

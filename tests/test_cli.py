@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from icawgn import bounds, dispersion
+from icawgn import asymptotics, bounds, dispersion
 from icawgn.cli import _parse_n_range, main
 from icawgn.lattices import clopper_pearson
 from helpers import log_radial_moment_mpmath
@@ -80,7 +80,7 @@ class TestRangeParsing:
     @pytest.mark.parametrize("text", ["2:64:x2", "10:1000:x10", "8:64:x2", "2:1000:x2",
                                       "2:16:x2", "16:256:x4", "100:1000:x10", "10:5000:x5",
                                       "4:8:x2", "3:3:x2", "1:10:x1.0001", "1:100000:x1.01",
-                                      "7:1000000:x1.5"])
+                                      "7:1000000:x1.5", "1:10:x2"])
     def test_geometric_ranges_keep_their_values(self, text):
         # The walk as it was before the repeats were dropped on the way.
         a, b, g = text.split(":")
@@ -90,6 +90,20 @@ class TestRangeParsing:
             v *= ratio
         assert _parse_n_range(text) == sorted(set(steps))
 
+    @pytest.mark.parametrize("text", ["2251799813685249:9007199254740995:x4",
+                                      "4611686018427387904:9223372036854775807:x2",
+                                      "2:10:x1e308"])
+    def test_geometric_values_stay_in_range(self, text):
+        # b + 1e-9 rounds to the double above an odd b past 2^53, and 2^63
+        # rounds past the largest int64: both once stepped past b.  The step
+        # after 2 at ratio 1e308 is an infinite double.
+        a, b = map(int, text.split(":")[:2])
+        values = _parse_n_range(text)
+        assert values[0] == a and all(a <= v <= b for v in values)
+        assert values == sorted(set(values))
+        code = main(["bounds", "--n", text, "--nld", "-1.5", "--which", "sphere"])
+        assert code == 0
+
 
 class TestBoundsCommand:
     def test_projection_to_requested_columns(self, capsys):
@@ -97,18 +111,31 @@ class TestBoundsCommand:
                                "--which", "sphere")
         header, rows = parse_csv(out)
         assert code == 0
-        assert header == ["n", "sphere", "sphere_log"]
+        assert header == ["n", "sphere_log"]
         assert len(rows) == 1
 
     def test_log_column_matches_linear_when_unclamped(self, capsys):
+        # The linear bound is min(1, e^log), from the log column alone.
+        ns = [8, 16, 32, 64]
         _, out, _ = run_cli(capsys, "bounds", "--n", "8:64:x2", "--nld", "-1.5")
         _, rows = parse_csv(out)
-        for row in rows:
+        curves = bounds.bound_curves(ns, -1.5, 1.0)
+        for i, row in enumerate(rows):
             for kind in ("sphere", "ml", "typicality", "poltyrev"):
-                lin = float(row[kind])
-                lg = float(row[kind + "_log"])
-                if lin < 1.0:
-                    assert lg == pytest.approx(math.log(lin), rel=1e-12)
+                lin = curves[kind].value[i]
+                assert lin < 1.0
+                assert min(1.0, math.exp(float(row[kind + "_log"]))) == pytest.approx(lin, rel=1e-12)
+
+    @pytest.mark.parametrize("nld", ["-1.5", "-2.0"])
+    def test_cells_are_the_library_values(self, capsys, nld):
+        code, out, err = run_cli(capsys, "bounds", "--n", "1:300", "--nld", nld)
+        header, rows = parse_csv(out)
+        assert (code, err, len(rows)) == (0, "", 300)
+        assert header == ["n", "sphere_log", "ml_log", "typicality_log", "poltyrev_log"]
+        for n, row in enumerate(rows, start=1):
+            curves = bounds.bound_curves([n], float(nld), 1.0)
+            ref = {"n": n, **{f"{k}_log": c.log_value[0].item() for k, c in curves.items()}}
+            assert row == {k: str(v) for k, v in ref.items()}, n
 
     def test_figure_sweep_shape(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "2:1000:x2",
@@ -117,7 +144,7 @@ class TestBoundsCommand:
         assert code == 0
         assert [r["n"] for r in rows] == ["2", "4", "8", "16", "32", "64", "128",
                                           "256", "512", "1024"][:len(rows)]
-        assert header[0] == "n" and "ml" in header and "poltyrev" in header
+        assert header[0] == "n" and "ml_log" in header and "poltyrev_log" in header
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "bounds", "--n", "2:16:x2", "--nld", "-1.7")
@@ -131,8 +158,8 @@ class TestBoundsCommand:
                             "--which", "sphere")
         _, rows = parse_csv(out)
         from icawgn.bounds import bound_curves
-        exact = bound_curves([16], -1.5, 1.0, ["sphere"])["sphere"].value[0]
-        assert float(rows[0]["sphere"]) == exact
+        exact = bound_curves([16], -1.5, 1.0, ["sphere"])["sphere"].log_value[0]
+        assert float(rows[0]["sphere_log"]) == exact
 
 
 class TestBoundsEdgeContract:
@@ -147,7 +174,7 @@ class TestBoundsEdgeContract:
                                  "--which", "sphere,ml")
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
-        assert rows[0]["sphere"] == "0.0" and rows[0]["sphere_log"] == "-inf"
+        assert rows[0]["sphere_log"] == "-inf"
         ref = -3200.0 + math.log(math.pi ** 2 / 2.0) + 2.0 * math.log(2.0) + math.log(6.0)
         assert float(rows[0]["ml_log"]) == pytest.approx(ref, rel=1e-15)
 
@@ -155,7 +182,7 @@ class TestBoundsEdgeContract:
         code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "800",
                                  "--which", "poltyrev")
         assert code == 0 and err == ""
-        assert out == "n,poltyrev,poltyrev_log\n4,1.0,0.0\n"
+        assert out == "n,poltyrev_log\n4,0.0\n"
 
     def test_asym_past_double_range_exits_0(self, capsys):
         code, out, err = run_cli(capsys, "asym", "--n", "3:6", "--nld", "-800")
@@ -163,6 +190,14 @@ class TestBoundsEdgeContract:
         _, rows = parse_csv(out)
         assert [r["sphere_log"] for r in rows] == ["-inf"] * 4
         assert all(math.isfinite(float(r["ml_log"])) for r in rows)
+
+    def test_above_capacity_where_hyp1f1_is_nan(self, capsys):
+        # Printed nan,nan with exit status 0.
+        code, out, err = run_cli(capsys, "bounds", "--n", "1000000000000",
+                                 "--nld=-1.4189363", "--which", "sphere")
+        _, rows = parse_csv(out)
+        assert (code, err) == (0, "")
+        assert -1.0 < float(rows[0]["sphere_log"]) < 0.0
 
     def test_invert_at_1e_300_exits_0(self, capsys):
         # The achievable search at n = 1 walks past delta = -710, where r_eff
@@ -179,7 +214,7 @@ class TestBoundsEdgeContract:
         code, out, err = run_cli(capsys, "bounds", "--n", "4", "--nld", "800",
                                  "--which", "sphere,ml")
         assert code == 0 and err == ""
-        assert out == "n,sphere,sphere_log,ml,ml_log\n4,1.0,0.0,1.0,0.0\n"
+        assert out == "n,sphere_log,ml_log\n4,0.0,0.0\n"
 
     @pytest.mark.parametrize("argv", [
         ["--n", "4", "--nld", "inf"],                           # NLD not finite
@@ -220,9 +255,11 @@ class TestBoundsEdgeContract:
             "warning: ml bound exceeds 1 at n=3 (clamped, vacuous)",
             "warning: sphere bound exceeds 1 at n=3 (clamped, vacuous)",
         ]
-        _, rows = parse_csv(out)
-        assert [r["ml"] for r in rows] == ["1.0", "0.36787944117144233", "1.0"]
-        assert rows[0]["ml_log"] == "0.5"
+        header, rows = parse_csv(out)
+        assert header == ["n", "ml_log", "sphere_log"]
+        # A log above 0 is the clamped case the warnings name.
+        assert [r["ml_log"] for r in rows] == ["0.5", "-1.0", "0.25"]
+        assert [r["sphere_log"] for r in rows] == ["-1.0", "-2.0", "0.125"]
 
 
 class TestAsymCommand:
@@ -244,11 +281,54 @@ class TestAsymCommand:
                     <= float(row["ml_upper_log"]))
 
     def test_ratio_column_approaches_one(self, capsys):
+        # The exact bound over its asymptotic form, e^(sphere_log - sphere_asym_log).
         _, out, _ = run_cli(capsys, "asym", "--n", "100:1000:x10", "--nld", "-1.5")
-        _, rows = parse_csv(out)
-        r100 = float(rows[0]["sphere_ratio"])
-        r1000 = float(rows[-1]["sphere_ratio"])
+        header, rows = parse_csv(out)
+        assert not any(c.endswith("_ratio") for c in header)
+        r100, r1000 = (math.exp(float(r["sphere_log"]) - float(r["sphere_asym_log"]))
+                       for r in (rows[0], rows[-1]))
         assert abs(r1000 - 1.0) < abs(r100 - 1.0)
+
+    @pytest.mark.parametrize("nld", ["-1.5", "-2.0"])
+    def test_cells_are_the_library_values(self, capsys, nld):
+        # Each cell is the scalar library function's value at its n, and nan
+        # where that function raises.
+        code, out, err = run_cli(capsys, "asym", "--n", "1:300", "--nld", nld)
+        _, rows = parse_csv(out)
+        assert (code, err, len(rows)) == (0, "", 300)
+
+        def log_or_nan(form, *fields):
+            try:
+                value = form(point)
+            except ValueError:
+                return [math.nan] * max(1, len(fields))
+            return [getattr(value, f).log_value for f in fields] if fields else [value.log_value]
+
+        for n, row in enumerate(rows, start=1):
+            point = bounds.ChannelPoint(n, float(nld), 1.0)
+            sandwich = ("lower_q", "lower_analytic", "upper")
+            sphere_lo_q, sphere_lo, sphere_up = log_or_nan(asymptotics.sphere_sandwich, *sandwich)
+            ml_lo_q, ml_lo, ml_up = log_or_nan(asymptotics.ml_sandwich, *sandwich)
+            ref = {"n": n,
+                   "sphere_log": bounds.sphere_bound(point).log_raw,
+                   "sphere_lower_q_log": sphere_lo_q, "sphere_lower_log": sphere_lo,
+                   "sphere_upper_log": sphere_up,
+                   "sphere_asym_log": log_or_nan(asymptotics.sphere_asymptotic)[0],
+                   "ml_log": bounds.ml_bound(point).log_raw,
+                   "ml_lower_q_log": ml_lo_q, "ml_lower_log": ml_lo, "ml_upper_log": ml_up,
+                   "ml_asym_log": log_or_nan(asymptotics.ml_asymptotic)[0],
+                   "ml_branch": asymptotics.ml_asymptotic_branch(point),
+                   "typicality_log": bounds.typicality_bound(point).log_raw,
+                   "typicality_asym_log": log_or_nan(asymptotics.typicality_asymptotic)[0]}
+            assert row == {k: str(v) for k, v in ref.items()}, n
+
+    def test_largest_dimension_exits_0(self, capsys):
+        # Exited 1 with "error: numerical: math range error": the dropped
+        # typicality ratio was e^(e - a) of two logs near -8e18, 4096 nats apart.
+        code, out, err = run_cli(capsys, "asym", "--n", "9223372036854775807", "--nld=-3")
+        _, rows = parse_csv(out)
+        assert (code, err, len(rows)) == (0, "", 1)
+        assert math.isfinite(float(rows[0]["typicality_log"]))
 
     @pytest.mark.parametrize("nld", ["delta_star", "delta_cr"])
     def test_capacity_and_critical_exit_cleanly(self, nld, capsys):
@@ -270,9 +350,7 @@ class TestInvertCommand:
         code, out, _ = run_cli(capsys, "invert", "--n", "10:1000:x10", "--eps", "0.01")
         header, rows = parse_csv(out)
         assert code == 0
-        assert header == ["n", "delta_converse", "delta_achievable", "delta_approx",
-                          "delta_star", "delta_cr",
-                          "gap_db_converse", "gap_db_achievable", "gap_db_approx"]
+        assert header == ["n", "delta_converse", "delta_achievable", "delta_approx"]
         for row in rows:
             n = int(row["n"])
             conv = float(row["delta_converse"])
@@ -281,15 +359,15 @@ class TestInvertCommand:
             assert ach <= conv
             assert abs(n * (conv - approx)) <= 20.0
             assert abs(n * (ach - approx)) <= 20.0
-            assert float(row["gap_db_achievable"]) >= float(row["gap_db_converse"])
+            assert dispersion.gap_db(ach, 1.0) >= dispersion.gap_db(conv, 1.0)
 
     def test_variance_where_4_pi_e_sigma2_overflows(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--n", "2", "--eps", "0.01",
                                "--sigma2", "6e306")
         _, rows = parse_csv(out)
         assert code == 0
+        # delta_cr(6e306) itself is pinned in test_bounds.
         assert all(math.isfinite(float(v)) for v in rows[0].values())
-        assert float(rows[0]["delta_cr"]) == pytest.approx(-354.9569110861877, abs=1e-12)
 
     @pytest.mark.parametrize("eps, sigma2, dims", [
         *((e, s, "1:120") for e in ("0.5", "1e-2", "1e-12") for s in ("1", "0.5")),
@@ -306,10 +384,7 @@ class TestInvertCommand:
             delta = {"converse": dispersion.nld_eps_converse(n, e, s2).delta,
                      "achievable": dispersion.nld_eps_achievable(n, e, s2).delta,
                      "approx": dispersion.nld_eps_approx(n, e, s2)}
-            ref = {"n": n, "delta_star": bounds.delta_star(s2), "delta_cr": bounds.delta_cr(s2)}
-            for k, d in delta.items():
-                ref[f"delta_{k}"] = d
-                ref[f"gap_db_{k}"] = dispersion.gap_db(d, s2)
+            ref = {"n": n, **{f"delta_{k}": d for k, d in delta.items()}}
             assert row == {k: str(v) for k, v in ref.items()}, n
 
     def test_dimension_where_the_ml_log_is_rounding_noise(self, capsys):
@@ -501,7 +576,7 @@ class TestOutputPlumbing:
         assert code == 0
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert [r["n"] for r in rows] == [4, 8]
-        assert all(isinstance(r["sphere"], float) for r in rows)
+        assert all(isinstance(r["sphere_log"], float) for r in rows)
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

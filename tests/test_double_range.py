@@ -10,6 +10,7 @@ and the exponents are never negative."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,20 @@ def _not_nan(value) -> bool:
 def _finite_or_zero(log_value) -> bool:
     # A bound's log is finite, or -inf for an exact zero.
     return bool(np.all(np.isfinite(log_value) | (log_value == -math.inf)))
+
+
+@pytest.mark.parametrize("n", [10**11, 10**12, 10**15, 2**63 - 1])
+def test_bounds_above_capacity_where_hyp1f1_is_nan_are_finite(n):
+    # At delta = delta* + k / sqrt(2n) the bounds take P(n/2, x) with x about
+    # n/2 - k sqrt(n/2), where scipy's hyp1f1 is NaN from n = 5e10 on; each
+    # bound was NaN (a ValueError from the scalar) there.
+    for k in (2.4, 3.0, 4.5, 5.0, 7.0, 10.0, 20.0, 37.0, 50.0):
+        nld = bounds.delta_star(1.0) + k / math.sqrt(2.0 * n)
+        point = ChannelPoint(n, nld, 1.0)
+        for bound in _BOUNDS:
+            assert _finite_or_zero(bound(point).log_raw), (bound.__name__, n, k)
+        for kind, curve in bounds.bound_curves([n], nld, 1.0).items():
+            assert _finite_or_zero(curve.log_value), (kind, n, k)
 
 
 @seed(20261019)

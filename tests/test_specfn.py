@@ -329,6 +329,25 @@ class TestLargeShape:
         assert any(taken) and not all(taken)
         _check_no_jump(xs, np.array([fn(a, float(x)).log_value for x in xs]), lower)
 
+    @pytest.mark.parametrize("a", [5e10, 5e11, 5e14, 4.611686018427388e18])
+    def test_lower_tail_where_hyp1f1_is_nan_is_scipys(self, a):
+        # scipy's hyp1f1(1, a + 1, x) is NaN at some of these x; there its tail
+        # P = gammainc stands in, in both kernels, and an exact zero stays one.
+        xs = np.array([a - k * math.sqrt(a) for k in (0.5, 2.4, 4.5, 5, 10, 20, 37, 50)])
+        nan = np.isnan(special.hyp1f1(1.0, a + 1.0, xs))
+        assert nan.any()
+        small = special.gammainc(a, xs[nan])
+        ref = np.log(small, out=np.full_like(small, -math.inf), where=small > 0.0)
+        curve = log_reg_gamma_tail(np.full_like(xs, a), xs, upper=False)
+        scalar = [log_reg_gamma_lower(a, float(x)) for x in xs]
+        np.testing.assert_allclose(curve[nan], ref, rtol=1e-15)
+        np.testing.assert_allclose([p.log_value for p in scalar], curve, rtol=1e-15)
+        zero = curve == -math.inf
+        # P underflows at k = 50: Kummer's log is finite, scipy's tail an exact zero.
+        assert [p.is_zero for p in scalar] == zero.tolist() == (nan & (xs == xs[-1])).tolist()
+        upper = log_reg_gamma_tail(np.full_like(xs, a), xs, upper=True)
+        assert np.all(upper[zero] == 0.0) and np.all(np.isfinite(upper))
+
 
 class TestArrayKernel:
     """log_reg_gamma_tail on the points of the scalar accuracy tests, each
