@@ -47,8 +47,8 @@ from .bounds import (
     delta_cr,
     delta_star,
 )
-from .specfn import (_LOG_DBL_MAX, _SQRT2, LogProb, _check_int, _check_nld, _check_sigma2,
-                     _exp_or_inf)
+from .specfn import (_LOG_DBL_MAX, _SQRT2, LogProb, _check_int, _check_nld, _check_one_nld,
+                     _check_sigma2, _exp_or_inf)
 
 __all__ = [
     "AsymptoticTerms",
@@ -326,7 +326,7 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
     -inf there is NaN, and the scalar form raises ``ValueError``.
     """
     _check_sigma2(sigma2)
-    _check_nld(nld)
+    _check_one_nld(nld)
     n = _check_dims(n)
     d = nld + 0.5 * math.log(sigma2)
     curves = {}

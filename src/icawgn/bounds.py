@@ -18,8 +18,9 @@ Two paths evaluate the bounds at their default radii.  The scalar one
 (:func:`sphere_bound`, :func:`ml_bound`, ...) takes one
 :class:`ChannelPoint` and returns a :class:`BoundValue`; the converse
 inversion and the asymptotic comparisons use it.  The array one,
-:func:`bound_curves`, takes a vector of dimensions at one sigma2 and one
-delta or one per dimension, and returns a :class:`BoundCurve` per kind; it
+:func:`bound_curves`, takes a vector of dimensions at one (delta, sigma2)
+and returns the natural logs of each kind as an array, as
+:func:`~icawgn.asymptotics.asym_curves` does for the asymptotic forms; it
 agrees with the scalar path to 1e-12 relative in the log (bit for bit at
 almost every n) and is about ten times faster per dimension: about 2 us for
 all four bounds at n up to 1e4, against about 22 us one point at a time
@@ -67,6 +68,7 @@ from .specfn import (
     _ValidatedTuple,
     _check_int,
     _check_nld,
+    _check_one_nld,
     _check_positive,
     _check_positive_or_inf,
     _check_sigma2,
@@ -95,7 +97,6 @@ __all__ = [
     "poltyrev_ml_bound",
     "poltyrev_radius",
     "CURVE_KINDS",
-    "BoundCurve",
     "bound_curves",
     "d_section_prob",
     "equivalence_sides",
@@ -324,18 +325,6 @@ def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
 CURVE_KINDS = ("sphere", "ml", "typicality", "poltyrev")
 
 
-class BoundCurve(NamedTuple):
-    """One bound over a vector of dimensions: the array form of :class:`BoundValue`."""
-
-    log_value: np.ndarray   # unclamped ln of the bound; -inf marks an exact zero
-    clamped: np.ndarray     # log_value > 0: the bound exceeds 1 and is vacuous
-
-    @property
-    def value(self) -> np.ndarray:
-        """Linear values clamped into [0, 1]."""
-        return np.minimum(np.exp(self.log_value), 1.0)
-
-
 def _check_dims(n) -> np.ndarray:
     # A 1-d sequence of dimensions, each valid for _check_int, as floats.
     # np.asarray makes [4, True] int64, so a bool element is caught first.
@@ -390,16 +379,6 @@ def _dim_terms(n: np.ndarray) -> _DimTerms:
                      _math_map(math.lgamma, n), _math_map(math.lgamma, a))
 
 
-def _reject_first(bad, values, n, message: str) -> None:
-    # ValueError naming the first flagged value, and its n if ``values`` is an array.
-    if np.any(bad):
-        if not np.ndim(values):
-            raise ValueError(message.format(float(values)))
-        i = np.argmax(bad)
-        n, values = np.broadcast_arrays(n, values)
-        raise ValueError(message.format(float(values[i])) + f" at n = {n[i]:.0f}")
-
-
 def _ml_log(t: _DimTerms, d, x, log_norm_tail):
     # ln of the ML bound at x = s^2/2: _ml_first_term plus the chi-square
     # tail, summed in the log domain.  As in _ml_first_term, an exact-zero
@@ -419,10 +398,11 @@ def _sphere_ml_curves(t: _DimTerms, d, ml: bool = True):
 
 
 @np.errstate(over="ignore")
-def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCurve]:
-    """The bounds named in ``kinds`` (from :data:`CURVE_KINDS`) at every
-    dimension of the 1-d integer array ``n``, at one sigma2 and at ``nld``:
-    one NLD, or an array of them broadcast against ``n``.
+def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, np.ndarray]:
+    """The natural logs of the bounds named in ``kinds`` (from
+    :data:`CURVE_KINDS`), in that order, at every dimension of the 1-d integer
+    array ``n`` and one (nld, sigma2): -inf is an exact zero, and a log above 0
+    a vacuous bound, one the scalar functions flag ``clamped``.
 
     The array path of :func:`sphere_bound`, :func:`ml_bound`,
     :func:`typicality_bound` and :func:`poltyrev_ml_bound` at their default
@@ -432,13 +412,14 @@ def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCur
     the rare last-bit gaps come from numpy's ``np.log`` and ``np.log1p``,
     which differ from libm's ``math.log`` and ``math.log1p`` in the last bit
     at about 0.35% and 7-8% of arguments uniform on (0, 1), not from the
-    scipy kernels, whose ufuncs and scalar entry points agree.  Inputs the scalar functions reject raise
-    the same exception types.  An array ``nld`` equals one scalar-``nld``
-    call per element; a rejection names its n.
+    scipy kernels, whose ufuncs and scalar entry points agree.  Inputs the
+    scalar functions reject raise the same exception types; so does an array
+    ``nld``.
     """
     _check_sigma2(sigma2)
-    nld = np.asarray(nld, dtype=float)
-    _reject_first(~np.isfinite(nld), nld, n, "NLD must be finite, got {}")
+    _check_one_nld(nld)
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a sequence of bound kinds, got the string {kinds!r}")
     unknown = [k for k in kinds if k not in CURVE_KINDS]
     if unknown:
         raise ValueError(f"unknown bound kind {unknown[0]!r} (choose from {', '.join(CURVE_KINDS)})")
@@ -451,18 +432,17 @@ def bound_curves(n, nld, sigma2: float, kinds=CURVE_KINDS) -> dict[str, BoundCur
     if "typicality" in kinds:
         gap = _DELTA_STAR_1 - d
         radicand = 1.0 + 2.0 * gap
-        _reject_first(radicand <= 0.0, radicand, n,
-                      "default typicality radius undefined: 1 + 2(delta* - delta) = {} <= 0")
-        gaps = np.broadcast_to(gap, n.shape).tolist()
-        log_s = np.fromiter(map(_log_typicality_radius, n.tolist(), gaps), float, n.size)
+        if radicand <= 0.0:
+            raise ValueError(
+                f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
+        log_s = _math_map(lambda m: _log_typicality_radius(m, gap), n)
         logs["typicality"] = np.logaddexp(
             n * d + t.log_vn + n * log_s,
             log_reg_gamma_tail(a, _gamma_arg(np.sqrt(n * radicand)), upper=True))
     if "poltyrev" in kinds:
-        s = np.sqrt(n) * _math_map(_exp_or_inf, np.atleast_1d(_DELTA_STAR_1 - d))
-        x = _gamma_arg(s)
+        x = _gamma_arg(np.sqrt(n) * _exp_or_inf(_DELTA_STAR_1 - d))
         logs["poltyrev"] = _ml_log(t, d, x, log_reg_gamma_tail(a, x, upper=True))
-    return {k: BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
+    return {k: logs[k] for k in kinds}
 
 
 _legendre_rule = functools.cache(leggauss)

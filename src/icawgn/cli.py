@@ -87,12 +87,12 @@ def _cmd_bounds(args) -> dict[str, list]:
     which = args.which.split(",") if args.which else list(bounds.CURVE_KINDS)
     ns = _parse_n_range(args.n)
     curves = bounds.bound_curves(ns, args.nld, args.sigma2, which)
-    clamped = np.column_stack([curves[w].clamped for w in which])
+    clamped = np.column_stack([curves[w] > 0.0 for w in which])
     for i, j in zip(*np.nonzero(clamped)):
         print(f"warning: {which[j]} bound exceeds 1 at n={ns[i]} (clamped, vacuous)",
               file=sys.stderr)
     # Python floats, which str formats faster than numpy scalars.
-    return {"n": ns, **{f"{w}_log": curves[w].log_value.tolist() for w in which}}
+    return {"n": ns, **{f"{w}_log": curves[w].tolist() for w in which}}
 
 
 def _cmd_asym(args) -> dict[str, list]:

@@ -213,6 +213,13 @@ def _check_nld(delta: float) -> None:
         raise ValueError(f"NLD must be finite, got {delta}")
 
 
+def _check_one_nld(delta) -> None:
+    # The curve functions' NLD: _check_nld's rule, and not a sequence.
+    if isinstance(delta, (list, tuple, np.ndarray)):
+        raise ValueError(f"NLD must be one number, got {delta!r}")
+    _check_nld(delta)
+
+
 def _check_seed(seed) -> np.random.SeedSequence:
     # The one rule for a seed, returned as its SeedSequence: what SeedSequence
     # takes (None, a nonnegative integer or a sequence of them) but bools.

@@ -416,7 +416,10 @@ class TestAsymCurves:
 
     @pytest.mark.parametrize("args", [([0, 3], -1.5, 1.0), ([3.0], -1.5, 1.0),
                                       ([3], math.nan, 1.0), ([3], -1.5, 0.0),
-                                      ([3], -1.5, math.inf)])
+                                      ([3], -1.5, math.inf),
+                                      ([3, 4], np.array([-1.5, -1.6]), 1.0),
+                                      ([3, 4], np.array([[-1.5], [-1.6]]), 1.0),
+                                      ([3], [-1.5], 1.0), ([3], np.array([-1.5]), 1.0)])
     def test_rejections_match_bound_curves(self, args):
         with pytest.raises(ValueError) as ref:
             bound_curves(*args)

@@ -227,7 +227,7 @@ class TestHugeVariance:
     def test_bound_curves(self):
         curves = bound_curves([1], self.POINT.nld, self.POINT.sigma2, ["sphere", "ml"])
         for got, ref in zip((curves["sphere"], curves["ml"]), self._closed_forms()):
-            assert got.log_value[0] == pytest.approx(ref, rel=1e-13)
+            assert got[0] == pytest.approx(ref, rel=1e-13)
 
 
 class TestMlBound:
@@ -558,20 +558,21 @@ class TestBoundCurves:
         for kind in kinds:
             scalar = [_SCALAR_BOUNDS[kind](ChannelPoint(n, nld, sigma2)) for n in ns]
             ref = np.array([bv.log_raw for bv in scalar])
-            got = curves[kind].log_value
+            got = curves[kind]
             with np.errstate(invalid="ignore"):   # -inf - -inf
                 close = np.abs(got - ref) <= 1e-12 * np.abs(ref)
             assert np.all(close | (got == ref)), kind
-            assert np.array_equal(curves[kind].clamped, [bv.clamped for bv in scalar]), kind
-            assert np.allclose(curves[kind].value, [bv.value for bv in scalar], rtol=1e-12, atol=0.0)
+            assert np.array_equal(got > 0.0, [bv.clamped for bv in scalar]), kind
+            assert np.allclose(np.minimum(np.exp(got), 1.0), [bv.value for bv in scalar],
+                               rtol=1e-12, atol=0.0)
 
     def test_exact_zeros_and_ones(self):
         # Far below the packing density the noise escapes every ball; far
         # above it r_eff underflows to 0 and the tails are exact.
         low = bound_curves([4], -705.0, 1.0, ["sphere"])["sphere"]
-        assert low.log_value[0] == -math.inf and low.value[0] == 0.0
+        assert low[0] == -math.inf and np.exp(low[0]) == 0.0
         high = bound_curves([4], 800.0, 1.0, ["sphere", "ml"])
-        assert all(c.log_value[0] == 0.0 and c.value[0] == 1.0 for c in high.values())
+        assert all(c[0] == 0.0 and np.exp(c[0]) == 1.0 for c in high.values())
 
     @pytest.mark.parametrize("nld, kind, exc", [
         (0.3, "typicality", ValueError),    # 1 + 2(delta* - delta) <= 0
@@ -591,7 +592,7 @@ class TestBoundCurves:
                 bound_curves([4], nld, 1.0, [kind])
         else:
             assert ref == pytest.approx(_exact_limit(4, nld, kind), rel=1e-14)
-            assert bound_curves([4], nld, 1.0, [kind])[kind].log_value[0] == ref
+            assert bound_curves([4], nld, 1.0, [kind])[kind][0] == ref
 
     @pytest.mark.parametrize("kind", ["ml", "poltyrev"])
     def test_zero_lower_tail_is_a_zero_first_term(self, kind):
@@ -600,7 +601,7 @@ class TestBoundCurves:
         # bound is its tail Q(n/2, 0) = 1, as the scalar bound has it.
         nld = 2.8534811664481203e306
         ref = _SCALAR_BOUNDS[kind](ChannelPoint(63, nld, 1.0)).log_raw
-        assert bound_curves([63], nld, 1.0, [kind])[kind].log_value[0] == ref == 0.0
+        assert bound_curves([63], nld, 1.0, [kind])[kind][0] == ref == 0.0
 
     @pytest.mark.parametrize("kind", ["ml", "poltyrev"])
     @pytest.mark.parametrize("n, nld", [(2, -1.7e308), (4681, -8.938803994605981e307)])
@@ -610,7 +611,7 @@ class TestBoundCurves:
         # paths (the scalar bound raised "non-finite log value -inf").
         bv = _SCALAR_BOUNDS[kind](ChannelPoint(n, nld, 1.0))
         assert bv.log_value == LogProb.zero() and bv.value == 0.0 and not bv.clamped
-        assert bound_curves([n], nld, 1.0, [kind])[kind].log_value[0] == -math.inf
+        assert bound_curves([n], nld, 1.0, [kind])[kind][0] == -math.inf
 
     @pytest.mark.parametrize("n, nld", [(1, -8.99e307), (63, -2.85e306)])
     def test_typicality_past_double_range_is_its_volume_term(self, n, nld):
@@ -621,11 +622,11 @@ class TestBoundCurves:
         want = n * nld + log_vn(n) + 0.5 * n * (math.log(n) + math.log(2.0) + math.log(d))
         ref = typicality_bound(ChannelPoint(n, nld, 1.0)).log_raw
         assert ref == pytest.approx(want, rel=1e-15)
-        assert bound_curves([n], nld, 1.0, ["typicality"])["typicality"].log_value[0] == ref
+        assert bound_curves([n], nld, 1.0, ["typicality"])["typicality"][0] == ref
 
     @pytest.mark.parametrize("evaluate", [
         pytest.param(lambda: poltyrev_ml_bound(ChannelPoint(4, 800.0, 1.0)).log_raw, id="scalar"),
-        pytest.param(lambda: bound_curves([4], 800.0, 1.0, ["poltyrev"])["poltyrev"].log_value[0],
+        pytest.param(lambda: bound_curves([4], 800.0, 1.0, ["poltyrev"])["poltyrev"][0],
                      id="curves")])
     def test_poltyrev_radius_underflow_is_named(self, evaluate):
         # poltyrev_radius names the radius that underflows, 0.0; there P(n, 0) = 0
@@ -641,9 +642,20 @@ class TestBoundCurves:
         ([1], -1.5, 0.0, CURVE_KINDS),
         ([1], -1.5, math.inf, CURVE_KINDS),
         ([1], -1.5, 1.0, ["sphere", "exact"]),
+        ([1, 2], np.array([-1.5, -1.6]), 1.0, CURVE_KINDS),
+        ([1, 2], np.array([[-1.5], [-1.6]]), 1.0, CURVE_KINDS),
+        ([1], [-1.5], 1.0, CURVE_KINDS),
+        ([1], (-1.5,), 1.0, CURVE_KINDS),
+        ([1], np.array(-1.5), 1.0, CURVE_KINDS),
+        ([1, 2], -1.5, 1.0, "ml"),
+        ([1, 2, 3], [-1.5, -1.6], 1.0, CURVE_KINDS),
+        ([3], np.array([-1.5, -1.6]), 1.0, CURVE_KINDS),
     ])
     def test_rejects_bad_inputs(self, n, nld, sigma2, kinds):
-        with pytest.raises(ValueError):
+        # An array NLD and a string of kinds are named whole, not taken apart.
+        match = (re.escape(repr(kinds)) if isinstance(kinds, str)
+                 else "dimension|NLD|noise variance|kind")
+        with pytest.raises(ValueError, match=match):
             bound_curves(n, nld, sigma2, kinds)
 
     @pytest.mark.parametrize("n", [[2**63], [4, 2**70], np.array([2**63], dtype=np.uint64)])
@@ -653,57 +665,58 @@ class TestBoundCurves:
 
     def test_largest_n_gives_finite_logs(self):
         curves = bound_curves([2**63 - 1], -1.5, 1.0)
-        assert all(np.isfinite(c.log_value).all() for c in curves.values())
+        assert all(np.isfinite(c).all() for c in curves.values())
 
     @pytest.mark.parametrize("sigma2", [1.0, 0.25])
     def test_array_nld_matches_one_call_per_element(self, sigma2):
+        # The lockstep inversion's evaluator takes one NLD per dimension:
+        # _sphere_ml_curves at d = nld + ln(sigma2)/2 equals one scalar-NLD
+        # bound_curves call per element, bit for bit, past double range too.
         ns = list(range(1, 301)) + [10_000, 1_000_000]
         nlds = np.random.default_rng(7).uniform(-3.0, -1.0, len(ns)) - 0.5 * math.log(sigma2)
-        curves = bound_curves(ns, nlds, sigma2)
+        nlds[::37], nlds[18::37] = 800.0, -800.0
+        terms = bounds._dim_terms(bounds._check_dims(ns))
+        sphere, ml = bounds._sphere_ml_curves(terms, nlds + 0.5 * math.log(sigma2))
         for i, (n, nld) in enumerate(zip(ns, nlds.tolist())):
-            one = bound_curves([n], nld, sigma2)
-            for kind in CURVE_KINDS:
-                assert curves[kind].log_value[i] == one[kind].log_value[0], (kind, n, nld)
-                assert curves[kind].clamped[i] == one[kind].clamped[0], (kind, n, nld)
+            one = bound_curves([n], nld, sigma2, ["sphere", "ml"])
+            assert sphere[i] == one["sphere"][0] and ml[i] == one["ml"][0], (n, nld)
 
     @pytest.mark.parametrize("bad_nld, kind, exc, message", [
-        (math.nan, "sphere", ValueError, "NLD must be finite, got nan at n = 3"),
-        (0.3, "typicality", ValueError, "1 + 2(delta* - delta) = -2.4378770664093454 <= 0 at n = 3"),
-        # These raised exc with this message until the radius saturated; the
-        # element now takes the bound's exact limit.
-        (800.0, "poltyrev", ValueError, "underflows at delta = 800.0 at n = 3"),
-        (-800.0, "ml", OverflowError, "math range error"),
+        (math.nan, "sphere", ValueError, "NLD must be finite, got nan"),
+        (0.3, "typicality", ValueError, "1 + 2(delta* - delta) = -2.4378770664093454 <= 0"),
+        # These raised exc until the radius saturated; the NLD now takes the
+        # bound's exact limit.
+        (800.0, "poltyrev", ValueError, None),
+        (-800.0, "ml", OverflowError, None),
     ])
     def test_array_nld_rejects_one_bad_element_by_name(self, bad_nld, kind, exc, message):
+        # An array NLD is rejected whole, by its repr, before any element is
+        # looked at; the bad element alone gives what the scalar bound gives.
         nlds = [-1.5, -1.6, bad_nld, -1.7]
-        if abs(bad_nld) == 800.0:
-            got = bound_curves([1, 2, 3, 4], nlds, 1.0, [kind])[kind].log_value
-            assert got[2] == pytest.approx(_exact_limit(3, bad_nld, kind), rel=1e-14)
-            assert got.tolist() == [bound_curves([n], nld, 1.0, [kind])[kind].log_value[0]
-                                    for n, nld in zip([1, 2, 3, 4], nlds)]
-            assert bound_curves([3], [-1.5, bad_nld], 1.0, [kind])[kind].log_value[1] == got[2]
+        for given in (nlds, tuple(nlds), np.array(nlds), [bad_nld], np.array([bad_nld])):
+            rejected = f"NLD must be one number, got {given!r}"
+            with pytest.raises(ValueError, match=re.escape(rejected)):
+                bound_curves([1, 2, 3, 4], given, 1.0, [kind])
+        if message is None:
+            got = bound_curves([3], bad_nld, 1.0, [kind])[kind][0]
+            assert got == pytest.approx(_exact_limit(3, bad_nld, kind), rel=1e-14)
             return
         with pytest.raises(exc, match=re.escape(message)):
-            bound_curves([1, 2, 3, 4], nlds, 1.0, [kind])
-        # One n broadcast against several NLDs.
-        with pytest.raises(exc, match=re.escape(message)):
-            bound_curves([3], [-1.5, bad_nld], 1.0, [kind])
-        with pytest.raises(exc):
             bound_curves([3], bad_nld, 1.0, [kind])
-
-    def test_array_nld_must_broadcast_against_n(self):
-        with pytest.raises(ValueError):
-            bound_curves([1, 2, 3], [-1.5, -1.6], 1.0)
+        with pytest.raises(exc, match=re.escape(message)):
+            _SCALAR_BOUNDS[kind](ChannelPoint(3, bad_nld, 1.0))
 
     def test_round_evaluator_is_bound_curves_ml(self):
         # The lockstep inversion evaluates the ML bound through
         # _sphere_ml_curves on the n-only terms of the unfinished n; every bit
-        # equals bound_curves' "ml", also on a subset and past double range.
+        # equals one scalar-NLD bound_curves "ml" call per element, also on a
+        # subset and past double range.
         rng = np.random.default_rng(19)
         ns = np.arange(1, 3001)
         nlds = rng.uniform(-3.0, 0.5, ns.size)
         nlds[::97], nlds[50::97] = 800.0, -800.0
-        ref = bound_curves(ns, nlds, 1.0, ["ml"])["ml"].log_value
+        ref = np.array([bound_curves([n], nld, 1.0, ["ml"])["ml"][0]
+                        for n, nld in zip(ns.tolist(), nlds.tolist())])
         terms = bounds._dim_terms(bounds._check_dims(ns))
         live = np.sort(rng.choice(ns.size, 700, replace=False))
         for i in (np.arange(ns.size), live, live[:1]):
@@ -740,7 +753,7 @@ class TestUnitsOfSigma:
             got = bound_curves(self.DIMS, nld, s2)
             ref = bound_curves(self.DIMS, nld + h, 1.0)
             for kind in CURVE_KINDS:
-                np.testing.assert_allclose(got[kind].log_value, ref[kind].log_value, rtol=1e-9,
+                np.testing.assert_allclose(got[kind], ref[kind], rtol=1e-9,
                                            err_msg=f"{kind} at d = {d}")
         for v in (0.5, 2.0, 6.0):
             assert sphere_bound_by_volume(1, v * sigma, s2) == pytest.approx(

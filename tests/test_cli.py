@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -43,6 +44,14 @@ class TestRangeParsing:
         for bad in ("5:2", "0:4", "2:8:x1", "2:8:0"):
             with pytest.raises(ValueError):
                 _parse_n_range(bad)
+
+    def test_more_than_three_fields_is_bad_syntax(self, capsys):
+        with pytest.raises(ValueError, match=re.escape("bad range syntax '1:2:3:4'")):
+            _parse_n_range("1:2:3:4")
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "1:2:3:4", "--nld", "-1.5"])
+        assert exc.value.code == 2
+        assert "bad range syntax" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["xnan", "xinf", "x-inf", "x0.5", "x-2"])
     def test_geometric_ratio_must_be_finite_and_above_1(self, ratio, capsys):
@@ -120,9 +129,10 @@ class TestBoundsCommand:
         _, out, _ = run_cli(capsys, "bounds", "--n", "8:64:x2", "--nld", "-1.5")
         _, rows = parse_csv(out)
         curves = bounds.bound_curves(ns, -1.5, 1.0)
+        linear = {k: np.minimum(np.exp(c), 1.0) for k, c in curves.items()}
         for i, row in enumerate(rows):
             for kind in ("sphere", "ml", "typicality", "poltyrev"):
-                lin = curves[kind].value[i]
+                lin = linear[kind][i]
                 assert lin < 1.0
                 assert min(1.0, math.exp(float(row[kind + "_log"]))) == pytest.approx(lin, rel=1e-12)
 
@@ -134,7 +144,7 @@ class TestBoundsCommand:
         assert header == ["n", "sphere_log", "ml_log", "typicality_log", "poltyrev_log"]
         for n, row in enumerate(rows, start=1):
             curves = bounds.bound_curves([n], float(nld), 1.0)
-            ref = {"n": n, **{f"{k}_log": c.log_value[0].item() for k, c in curves.items()}}
+            ref = {"n": n, **{f"{k}_log": c[0].item() for k, c in curves.items()}}
             assert row == {k: str(v) for k, v in ref.items()}, n
 
     def test_figure_sweep_shape(self, capsys):
@@ -158,7 +168,7 @@ class TestBoundsCommand:
                             "--which", "sphere")
         _, rows = parse_csv(out)
         from icawgn.bounds import bound_curves
-        exact = bound_curves([16], -1.5, 1.0, ["sphere"])["sphere"].log_value[0]
+        exact = bound_curves([16], -1.5, 1.0, ["sphere"])["sphere"][0]
         assert float(rows[0]["sphere_log"]) == exact
 
 
@@ -244,7 +254,7 @@ class TestBoundsEdgeContract:
 
         def vacuous(n, nld, sigma2, kinds):
             logs = {"ml": np.array([0.5, -1.0, 0.25]), "sphere": np.array([-1.0, -2.0, 0.125])}
-            return {k: bounds_mod.BoundCurve(logs[k], logs[k] > 0.0) for k in kinds}
+            return {k: logs[k] for k in kinds}
 
         monkeypatch.setattr(bounds_mod, "bound_curves", vacuous)
         code, out, err = run_cli(capsys, "bounds", "--n", "1:3", "--nld", "-1.5",

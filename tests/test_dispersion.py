@@ -463,6 +463,20 @@ class TestInversion:
             remainder = nld_eps_converse(n, eps, 1.0).delta - expansion
             assert n**1.5 * abs(remainder) <= 1.2 * constant, (n, remainder)
 
+    @pytest.mark.parametrize("eps, constant", [(0.5, 0.311), (1e-2, 0.866), (1e-6, 5.77),
+                                               (1e-12, 22.1)])
+    def test_converse_fourth_order_expansion(self, eps, constant):
+        # The next term of the expansion above, -(z^3 + 5z)/(18 sqrt 2) n^-3/2,
+        # leaves an O(n^-2) remainder; constant is the largest n^2 times it
+        # measured over these n (at 1e7 it includes the solve's rounding).
+        z = q_func_inv(eps)
+        for n in (10**3, 10**4, 10**5, 10**6, 10**7):
+            expansion = (DS - z / math.sqrt(2.0 * n)
+                         + (0.5 * math.log(math.pi * n) + 1.0 / 3.0 + z * z / 6.0) / n
+                         - (z**3 + 5.0 * z) / (18.0 * math.sqrt(2.0)) / n**1.5)
+            remainder = nld_eps_converse(n, eps, 1.0).delta - expansion
+            assert n * n * abs(remainder) <= 1.2 * constant, (n, remainder)
+
     def test_monotone_in_eps(self):
         assert (nld_eps_converse(50, 0.001, 1.0).delta
                 < nld_eps_converse(50, 0.01, 1.0).delta

@@ -108,8 +108,7 @@ def test_exponents_reject_a_non_finite_nld(exponent, delta):
 def test_empty_dimensions_give_empty_curves(empty):
     curves = bound_curves(empty, -1.5, 1.0)
     assert list(curves) == list(CURVE_KINDS)
-    for curve in curves.values():
-        assert curve.log_value.shape == (0,) and curve.clamped.shape == (0,)
+    assert all(curve.shape == (0,) for curve in curves.values())
     forms = asym_curves(empty, -1.5, 1.0)
     assert forms and all(v.shape == (0,) for v in forms.values())
     assert nld_eps_achievable_curve(empty, 0.01, 1.0) == []
@@ -308,7 +307,7 @@ def test_bad_lattice_spec_is_a_value_error(kwargs, message):
 RULE_PHRASES = ("dimension", "integer", "(0, 1)", "finite and > 0", " must be > 0",
                 "must not be NaN", "NLD", "requires delta < delta*", "seed")
 VALIDATORS = ("_check_int", "_check_prob", "_check_positive", "_check_positive_or_inf",
-              "_check_not_nan", "_check_nld", "_check_seed")
+              "_check_not_nan", "_check_nld", "_check_one_nld", "_check_seed")
 # The inputs that only a validator may compare with a literal.
 CHECKED_NAMES = ("n", "dim", "trials", "errors", "eps", "p", "confidence",
                  "sigma2", "scale", "r", "v")
@@ -360,6 +359,7 @@ def test_input_errors_come_from_their_validators():
         ("specfn", "_check_positive_or_inf"): [" must be > 0"],
         ("specfn", "_check_not_nan"): [" must not be NaN"],
         ("specfn", "_check_nld"): ["NLD must be finite"],
+        ("specfn", "_check_one_nld"): ["NLD must be one number"],
         ("specfn", "_check_seed"): ["seed must be None, a nonnegative integer or a sequence of them"],
         ("bounds", "_check_dims"): ["dimensions must be a 1-d integer array"],
         ("asymptotics", "_require_below_capacity"): [" requires delta < delta*"],

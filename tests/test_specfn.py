@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -50,6 +51,15 @@ class TestLogProb:
         lp = LogProb.from_linear(0.25)
         assert lp.linear == pytest.approx(0.25, rel=1e-15)
 
+    def test_from_linear_zero_is_the_exact_zero(self):
+        assert LogProb.from_linear(0.0) == LogProb.zero()
+        assert LogProb.from_linear(-0.0) == LogProb.zero()
+
+    @pytest.mark.parametrize("value", [-1e-300, -0.5, -math.inf])
+    def test_from_linear_rejects_a_negative_value(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"negative value {value!r}")):
+            LogProb.from_linear(value)
+
     def test_probability_clamps(self):
         assert LogProb(0.7).probability == 1.0
         # Past double range the linear value saturates to inf.
@@ -72,6 +82,8 @@ class TestLogProb:
         b = LogProb(math.log(0.5))
         assert log_add(a, b).linear == pytest.approx(0.75, rel=1e-14)
         assert log_add(LogProb.zero(), b).log_value == b.log_value
+        assert log_add(a, LogProb.zero()) == a
+        assert log_add(LogProb.zero(), LogProb.zero()) == LogProb.zero()
 
 
 class TestLogGamma:
