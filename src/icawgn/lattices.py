@@ -48,7 +48,7 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-_CHUNK_SCALARS = 1 << 18  # 2 MB of noise per chunk
+_CHUNK_SCALARS = 1 << 16  # 512 KB of noise per chunk, which stays in cache
 
 # decode's largest coordinate: every candidate's coordinate sum is then exact.
 _DECODE_MAX = 2.0 ** 50
@@ -291,10 +291,15 @@ def _gauge(family: str, z: np.ndarray) -> np.ndarray:
     if family == "e8":
         # (+-1/2)^8 with an even number of minus signs: with an odd number
         # of negative z_i the best one flips the sign of the smallest.  An
-        # infinite row may give inf - inf, which fmax passes over.
-        odd = np.count_nonzero(z < 0.0, axis=1) & 1
+        # infinite row may give inf - inf, which fmax passes over.  Both
+        # reductions are folds over the columns, faster than per-row ones on
+        # 8-wide rows; the sum adds in numpy's own pairwise order for an
+        # 8-element row, so it is a.sum(axis=1) bit for bit.
+        c = a.T
+        total = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+        odd = functools.reduce(np.not_equal, (z < 0.0).T)
         with np.errstate(invalid="ignore"):
-            g = np.fmax(g, 0.5 * a.sum(axis=1) - np.where(odd, a[:, 0], 0.0))
+            g = np.fmax(g, 0.5 * total - np.where(odd, c[0], 0.0))
     return g
 
 
@@ -421,6 +426,11 @@ def simulate_error_prob(spec: LatticeSpec, sigma2: float, trials: int, seed) -> 
                        ci_low=lo, ci_high=hi, seed=seed)
 
 
+def _largest(x: np.ndarray, k: int) -> np.ndarray:
+    # The k largest of x, the k-th largest first, or all of x when fewer.
+    return np.partition(x, x.size - k)[-k:] if x.size >= k else x
+
+
 def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
                          trials: int, seed) -> ScaleSearchResult:
     """The scale at which the lattice has error probability eps over noise
@@ -432,10 +442,12 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     the lattice's dimension and density reaches eps below the converse's
     NLD, so the scale is at least floor = e^(-log_det/n - delta_converse).
     The rows are drawn in units of floor, and only those outside the
-    packing ball, the only ones that can be errors at a scale >= floor; the
-    k largest gauges are kept as they arrive.  The scale is floor times the
-    k-th largest, or floor when that is below 1 or fewer than k rows were
-    drawn.  It is then estimated afresh with ``trials`` trials.
+    packing ball, the only ones that can be errors at a scale >= floor.
+    Once k gauges are held, a chunk keeps only those above the k-th largest
+    so far, and the held ones are cut back to the k largest whenever k new
+    ones have come, so the work is linear in the rows.  The scale is floor
+    times the k-th largest, or floor when that is below 1 or fewer than k
+    rows were drawn.  It is then estimated afresh with ``trials`` trials.
 
     ``trials`` must be an integer >= 1.  The draw is seeded with
     [entropy, 0] and the estimate with [entropy, 1], where entropy is the
@@ -448,13 +460,18 @@ def find_scale_for_error(spec: LatticeSpec, eps: float, sigma2: float,
     fam = spec.family
     floor = math.exp(-spec.log_det / spec.dim - nld_eps_converse(spec.dim, eps, sigma2).delta)
     k = math.ceil(eps * trials)
-    top = np.empty(0)
+    top, fresh, n_fresh = np.empty(0), [], 0
     for z in _outside_noise(np.random.SeedSequence([entropy, 0]), trials, spec.dim,
                             math.sqrt(sigma2) / floor, _FAMILIES[fam].rho2):
-        top = np.concatenate([top, _gauge(fam, z)])
-        if top.size > k:
-            top = np.partition(top, top.size - k)[-k:]
-    scale = floor * max(1.0, float(top.min())) if top.size == k else floor
+        g = _gauge(fam, z)
+        if top.size == k:            # no gauge at or below the k-th largest can enter
+            g = g[g > top[0]]
+        fresh.append(g)
+        n_fresh += g.size
+        if n_fresh >= k:             # merged once per k new gauges: linear in all
+            top, fresh, n_fresh = _largest(np.concatenate([top, *fresh]), k), [], 0
+    top = _largest(np.concatenate([top, *fresh]), k)
+    scale = floor * max(1.0, float(top[0])) if top.size == k else floor
     scaled = spec._replace(scale=scale)
     return ScaleSearchResult(scale=scaled.scale, delta=scaled.nld,
                              gap_db=gap_db(scaled.nld, sigma2),

@@ -66,7 +66,8 @@ _LINEAR_MIN = 1e-300
 _SCIPY_SERIES_MAX_A = 1e5
 _LARGE_A_LOWER_MIN = 1e-2
 
-_LOG_DBL_MAX = math.log(sys.float_info.max)
+_DBL_MAX = sys.float_info.max
+_LOG_DBL_MAX = math.log(_DBL_MAX)
 
 # The largest dimension or count: the array paths and numpy's generators use int64.
 _MAX_INT = 2**63 - 1
@@ -187,9 +188,15 @@ def _check_prob(p, name: str = "error probability") -> None:
 
 
 def _check_positive(v, name: str) -> None:
-    # The one rule for a positive real: finite and > 0, which NaN is not.
-    if not (0.0 < v < math.inf):
-        raise ValueError(f"{name} must be finite and > 0, got {v}")
+    # The one rule for a positive real: a finite double > 0, which NaN, a
+    # non-number and an int past double range are not.  The comparison is
+    # all that a valid value pays for.
+    try:
+        if 0.0 < v <= _DBL_MAX:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
 def _check_positive_or_inf(v, name: str) -> None:
@@ -209,8 +216,13 @@ def _check_sigma2(sigma2: float) -> None:
 
 
 def _check_nld(delta: float) -> None:
-    if not math.isfinite(delta):
-        raise ValueError(f"NLD must be finite, got {delta}")
+    # A finite double, which a non-number and an int past double range are not.
+    try:
+        if math.isfinite(delta):
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"NLD must be finite, got {delta!r}")
 
 
 def _check_one_nld(delta) -> None:
@@ -520,9 +532,9 @@ def reg_gamma_lower(a: float, x: float) -> float:
     scipy's ``gammainc``, or the exponentiated log-domain tail where scipy's
     series truncates (a > 1e5, x < a).  Use :func:`log_reg_gamma_lower` where
     the value may underflow."""
+    _check_gamma_args(a, x)
     if a > _SCIPY_SERIES_MAX_A and x < a:
         return log_reg_gamma_lower(a, x).linear
-    _check_gamma_args(a, x)
     return _cs.gammainc(a, x)
 
 

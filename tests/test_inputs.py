@@ -29,9 +29,9 @@ from icawgn.asymptotics import (asym_curves, exponent_r, exponent_sp, exponent_t
 from icawgn.bounds import (CURVE_KINDS, ChannelPoint, bound_curves, d_section_prob,
                            equivalence_sides, ml_bound, sphere_bound, sphere_bound_by_volume,
                            typicality_bound)
-from icawgn.dispersion import (nld_eps_achievable, nld_eps_achievable_curve, nld_eps_approx,
-                               nld_eps_converse, norm_tail_normal_approx,
-                               normalized_error_prob, vnr_opt_approx)
+from icawgn.dispersion import (gap_db, nld_eps_achievable, nld_eps_achievable_curve,
+                               nld_eps_approx, nld_eps_converse, norm_tail_normal_approx,
+                               normalized_error_prob, vnr_from_nld, vnr_opt_approx)
 from icawgn.lattices import (LatticeSpec, builtin, clopper_pearson, decode, find_scale_for_error,
                              simulate_error_prob)
 from icawgn.specfn import (log_gamma, log_q_func, log_reg_gamma_lower, log_reg_gamma_tail,
@@ -102,6 +102,26 @@ def test_a_bool_inside_a_sequence_is_a_value_error(call, ns):
 def test_exponents_reject_a_non_finite_nld(exponent, delta):
     with pytest.raises(ValueError, match="NLD must be finite"):
         exponent(delta, 1.0)
+
+
+# Every public entry point that takes an NLD, as a call at delta.
+NLDS = {
+    "ChannelPoint": lambda d: ChannelPoint(4, d, 1.0),
+    "bound_curves": lambda d: bound_curves([4], d, 1.0),
+    "asym_curves": lambda d: asym_curves([4], d, 1.0),
+    "exponent_sp": lambda d: exponent_sp(d, 1.0),
+    "vnr_from_nld": lambda d: vnr_from_nld(d, 1.0),
+    "gap_db": lambda d: gap_db(d, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", NLDS)
+@pytest.mark.parametrize("delta", ["-1.5", None, 10**400, -10**400],
+                         ids=["'-1.5'", "None", "10**400", "-10**400"])
+def test_a_non_number_or_an_int_past_double_range_is_not_an_nld(name, delta):
+    # Neither may escape as the TypeError or OverflowError of math.isfinite.
+    with pytest.raises(ValueError, match="NLD must be finite"):
+        NLDS[name](delta)
 
 
 @pytest.mark.parametrize("empty", [[], (), np.array([], dtype=np.int64)], ids=repr)
@@ -204,6 +224,16 @@ POSITIVE_REALS = {
 @pytest.mark.parametrize("name", POSITIVE_REALS)
 @pytest.mark.parametrize("v", [0.0, -1.0, math.nan, math.inf], ids=repr)
 def test_bad_positive_real_is_a_value_error(name, v):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        POSITIVE_REALS[name](v)
+
+
+# log_reg_gamma_tail reads its arrays as numpy does, "1" as 1.0.
+@pytest.mark.parametrize("name", [k for k in POSITIVE_REALS if k != "log_reg_gamma_tail"])
+@pytest.mark.parametrize("v", ["1", None, 10**400], ids=["'1'", "None", "10**400"])
+def test_a_non_number_or_an_int_past_double_range_is_not_a_positive_real(name, v):
+    # Neither may escape as a comparison's TypeError, nor the int pass as
+    # finite and fail later in a conversion to float.
     with pytest.raises(ValueError, match="must be finite and > 0"):
         POSITIVE_REALS[name](v)
 

@@ -369,7 +369,7 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("name,sigma2", [
         ("Z1", 0.0377), ("A2", 0.03), ("E8", 0.032), ("Z6", 0.0961), ("D4", 0.05),
-        ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0)])
+        ("Z3", 0.05), ("Z5", 0.05), ("Z1", 3.0), ("D4", 2.0), ("Z8", 0.024), ("Z16", 0.05)])
     def test_counts_do_not_depend_on_chunking(self, monkeypatch, name, sigma2, seed):
         # 64 scalars per chunk splits the draw into hundreds of chunks, most
         # of them ragged against the mixture components' boundaries.
@@ -536,11 +536,15 @@ class TestFindScale:
 
     @pytest.mark.parametrize("name", ["Z8", "A2", "E8"])
     def test_scale_does_not_depend_on_chunking(self, monkeypatch, name):
-        # 64 scalars per chunk: the k = 200 largest gauges are kept across
-        # hundreds of chunks, each smaller than k.
-        whole = find_scale_for_error(builtin(name), 1e-2, 1.0, trials=20000, seed=5)
+        # 64 scalars per chunk: the k = 200 or 6,000 largest gauges are kept
+        # across hundreds of chunks, each smaller than k.  At eps = 0.3 the
+        # default chunks of Z8 and E8 also drop the gauges below the k-th
+        # largest of the chunks before them.
+        eps = (1e-2, 0.3)
+        whole = [find_scale_for_error(builtin(name), e, 1.0, trials=20000, seed=5) for e in eps]
         monkeypatch.setattr(lattices, "_CHUNK_SCALARS", 64)
-        assert find_scale_for_error(builtin(name), 1e-2, 1.0, trials=20000, seed=5) == whole
+        assert [find_scale_for_error(builtin(name), e, 1.0, trials=20000, seed=5)
+                for e in eps] == whole
 
     def test_smaller_eps_needs_larger_scale(self):
         small = find_scale_for_error(builtin("Z1"), 0.001, 1.0, trials=60000, seed=4)
