@@ -435,10 +435,12 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, n
         if radicand <= 0.0:
             raise ValueError(
                 f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
-        log_s = _math_map(lambda m: _log_typicality_radius(m, gap), n)
+        s = np.sqrt(n * radicand)   # rounded as math.sqrt rounds: the scalar bound's s
+        log_s = _math_map(math.log, s)
+        big = s == math.inf   # where _log_typicality_radius takes its other form
+        log_s[big] = _math_map(lambda m: _log_typicality_radius(m, gap), n[big])
         logs["typicality"] = np.logaddexp(
-            n * d + t.log_vn + n * log_s,
-            log_reg_gamma_tail(a, _gamma_arg(np.sqrt(n * radicand)), upper=True))
+            n * d + t.log_vn + n * log_s, log_reg_gamma_tail(a, _gamma_arg(s), upper=True))
     if "poltyrev" in kinds:
         x = _gamma_arg(np.sqrt(n) * _exp_or_inf(_DELTA_STAR_1 - d))
         logs["poltyrev"] = _ml_log(t, d, x, log_reg_gamma_tail(a, x, upper=True))

@@ -64,8 +64,10 @@ def _parse_n_range(text: str) -> list[int]:
 
 def _emit(table: dict[str, list], fmt: str, out_path: str | None) -> None:
     if fmt == "csv":
-        # str of a Python float is its shortest round-trip repr.
-        rows = zip(*(map(str, col) for col in table.values()))
+        # str of a Python float or int is its repr, which costs less; not so
+        # for a numpy scalar (np.float64(1.5)), so each column is checked.
+        rows = zip(*(map(repr if {float, int}.issuperset(map(type, col)) else str, col)
+                     for col in table.values()))
         lines = [",".join(table), *map(",".join, rows)]
     else:
         # RFC 8259 has no NaN or Infinity: a non-finite cell is written as null.
@@ -91,7 +93,7 @@ def _cmd_bounds(args) -> dict[str, list]:
     for i, j in zip(*np.nonzero(clamped)):
         print(f"warning: {which[j]} bound exceeds 1 at n={ns[i]} (clamped, vacuous)",
               file=sys.stderr)
-    # Python floats, which str formats faster than numpy scalars.
+    # Python floats, which _emit formats faster than numpy scalars.
     return {"n": ns, **{f"{w}_log": curves[w].tolist() for w in which}}
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from icawgn import asymptotics, bounds, dispersion
-from icawgn.cli import _parse_n_range, main
+from icawgn.cli import _build_parser, _emit, _join_negative_values, _parse_n_range, main
 from icawgn.lattices import clopper_pearson
 from helpers import log_radial_moment_mpmath
 
@@ -577,6 +577,46 @@ def test_import_leaves_out_scipy_optimize_and_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _str_csv(table):
+    # The CSV of a column table with every cell through str.
+    rows = (",".join(map(str, row)) for row in zip(*table.values()))
+    return "\n".join([",".join(table), *rows]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "1:60", "--nld", "-1.5"],
+    ["bounds", "--n", "1:3", "--nld=-800"],            # -inf sphere cells
+    ["asym", "--n", "1:2", "--nld", "-1.5"],           # nan sandwich cells
+    ["asym", "--n", "3:300:x1.5", "--nld", "-1.5"],    # and ml_branch
+    ["invert", "--n", "1:8", "--eps", "0.01"],
+    ["simulate", "--lattice", "A2", "--trials", "300", "--seed", "3"],
+    ["simulate", "--lattice", "Z2", "--trials", "300", "--target-eps", "0.1", "--seed", "3"],
+    ["equiv", "--n", "3", "--r", "0.5,1,2"],
+], ids=" ".join)
+def test_csv_is_the_str_of_every_cell(argv, capsys):
+    args = _build_parser().parse_args(_join_negative_values(argv))
+    table = args.func(args)
+    _emit(table, "csv", None)
+    assert capsys.readouterr().out == _str_csv(table)
+
+
+def test_csv_of_numpy_scalars_and_non_finite_floats_is_their_str(capsys):
+    # A numpy scalar's repr is not its str (np.float64(1.5)), so no cell of
+    # its column goes through repr.
+    table = {"x": [1.5, np.float64(-2.5), math.nan], "k": [np.int64(3), 4, True],
+             "y": [math.inf, -math.inf, 1e-300], "s": ["a", "b", "c"]}
+    _emit(table, "csv", None)
+    assert capsys.readouterr().out == _str_csv(table) == (
+        "x,k,y,s\n1.5,3,inf,a\n-2.5,4,-inf,b\nnan,True,1e-300,c\n")
+
+
+@pytest.mark.parametrize("which", ["bounds", "asym"])
+def test_nan_nld_is_a_usage_error_before_any_cell(which, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([which, "--n", "1:3", "--nld", "nan"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestOutputPlumbing:

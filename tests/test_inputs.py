@@ -238,6 +238,28 @@ def test_a_non_number_or_an_int_past_double_range_is_not_a_positive_real(name, v
         POSITIVE_REALS[name](v)
 
 
+# Calls whose non-number or int past double range once escaped a validator as
+# a TypeError or an OverflowError: (call, the repr that the message names).
+ESCAPED = {
+    "nld_eps_converse": (lambda: nld_eps_converse(4, "0.1", 1.0), "'0.1'"),
+    "clopper_pearson": (lambda: clopper_pearson(1, 10, "0.9"), "'0.9'"),
+    "ml_bound": (lambda: ml_bound(ChannelPoint(4, -1.5, 1.0), r="1"), "'1'"),
+    "reg_gamma_upper": (lambda: reg_gamma_upper(1.0, "1"), "'1'"),
+    "q_func": (lambda: q_func("1"), "'1'"),
+    "log_reg_gamma_upper": (lambda: log_reg_gamma_upper(2.0, 10**400), repr(10**400)),
+    "log_reg_gamma_tail": (lambda: log_reg_gamma_tail([2.0, 10**400], [1.0, 1.0], upper=True),
+                           repr(10**400)),
+}
+
+
+@pytest.mark.parametrize("name", ESCAPED)
+def test_a_non_number_or_an_int_past_double_range_is_a_value_error_naming_it(name):
+    call, shown = ESCAPED[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert shown in str(info.value)
+
+
 # Every public entry point that takes a bound's own radius or a ball's volume,
 # as a call at v, and whether v = inf gives a value (typicality's volume term
 # gamma V_n r^n overflows there instead).

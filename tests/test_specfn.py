@@ -15,7 +15,9 @@ from icawgn.specfn import (
     _LINEAR_MIN,
     _SCIPY_SERIES_MAX_A,
     LogProb,
+    _atanh_minus_u,
     _exp_or_inf,
+    _log_prefactor,
     log_add,
     log_gamma,
     log_reg_gamma_lower,
@@ -359,6 +361,44 @@ class TestLargeShape:
         assert [p.is_zero for p in scalar] == zero.tolist() == (nan & (xs == xs[-1])).tolist()
         upper = log_reg_gamma_tail(np.full_like(xs, a), xs, upper=True)
         assert np.all(upper[zero] == 0.0) and np.all(np.isfinite(upper))
+
+
+class TestLogPrefactor:
+    """ln(x^a e^-x / Gamma(a+1)), the factor of the deep tails, and the series
+    atanh(u) - u that carries it within |x - a| <= a/2."""
+
+    # |u| <= 1/3 over a linear grid and down to 1e-100 (u^3 still normal) on
+    # both sides, with the ends, zero, and inputs whose u^3 underflows.
+    SERIES_US = sorted({*np.linspace(-1 / 3, 1 / 3, 2001).tolist(),
+                        *(s * v for s in (1.0, -1.0) for v in np.geomspace(1e-100, 1 / 3, 501).tolist()),
+                        1 / 3, -1 / 3, 0.0, 1e-300, 5e-324, -5e-324})
+
+    @staticmethod
+    def _mp_atanh_minus_u(u):
+        # The difference cancels about 2 log10(1/|u|) digits.
+        digits = 50 + (3 * int(-math.log10(abs(u))) if u else 0)
+        with mpmath.workdps(digits):
+            return float(mpmath.atanh(mpmath.mpf(u)) - u)
+
+    def test_series_within_two_ulps_of_mpmath(self):
+        for u in self.SERIES_US:
+            ref = self._mp_atanh_minus_u(u)
+            assert abs(_atanh_minus_u(u) - ref) <= 2.0 * 2.0 ** -52 * abs(ref), u
+
+    def test_series_on_an_array_is_its_float_calls_bit_for_bit(self):
+        us = np.array(self.SERIES_US)
+        got = _atanh_minus_u(us)
+        ref = np.array([_atanh_minus_u(u) for u in self.SERIES_US])
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("a", np.geomspace(2.5, 1e9, 25).tolist())
+    def test_prefactor_vs_mpmath(self, a):
+        # x/a in [0.5, 1.5), where the series carries phi(x/a); at 1.5 the
+        # rounding of x - a picks the branch that takes phi's logs directly.
+        for ratio in np.linspace(0.5, 1.5, 41)[:-1].tolist():
+            x = a * ratio
+            ref = mpmath.mpf(a) * mpmath.log(x) - x - mpmath.loggamma(mpmath.mpf(a) + 1)
+            assert abs(_log_prefactor(a, x) - ref) <= 4e-15 * max(1.0, abs(ref)), (a, x)
 
 
 class TestArrayKernel:
