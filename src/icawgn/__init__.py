@@ -12,5 +12,8 @@ from .bounds import *
 from .asymptotics import *
 from .dispersion import *
 from .lattices import *
+from . import asymptotics, bounds, dispersion, lattices, specfn
+
+__all__ = [name for m in (specfn, bounds, asymptotics, dispersion, lattices) for name in m.__all__]
 
 __version__ = "0.1.0"

@@ -39,10 +39,9 @@ from .bounds import (
     _DELTA_STAR_1,
     ChannelPoint,
     _check_dims,
-    _gamma_arg,
     _log1p_2x,
-    _log_vn_curve,
-    _math_map,
+    _rho_star,
+    _typicality_gap,
     _unit_nld,
     delta_cr,
     delta_star,
@@ -144,9 +143,7 @@ def exponent_t(delta: float, sigma2: float) -> float:
     """Typicality exponent D - (1/2) ln(1 + 2 D), D = delta* - delta, finite
     for D up to the largest double."""
     _check_nld(delta)
-    d = delta_star(sigma2) - delta
-    if 1.0 + 2.0 * d <= 0.0:
-        raise ValueError(f"typicality exponent undefined: 1 + 2(delta*-delta) = {1 + 2 * d} <= 0")
+    d = _typicality_gap(delta_star(sigma2) - delta)
     return d - 0.5 * _log1p_2x(d)
 
 
@@ -157,13 +154,6 @@ def terms(point: ChannelPoint) -> AsymptoticTerms:
     n, d = np.array([float(point.n)]), _unit_nld(point)
     rho = _rho_star(n, d)
     return AsymptoticTerms(*(float(v[0]) for v in (rho, _upsilon(n, rho), _psi(n, rho))), _mu(d))
-
-
-def _rho_star(n: np.ndarray, d: float) -> np.ndarray:
-    # rho* over a float array of n at the NLD d.  s is rounded exactly as the sphere
-    # bound rounds it: the sandwiches' logs move by n/2 times any change in rho*.
-    s = _math_map(_exp_or_inf, -d - _log_vn_curve(n) / n)
-    return 2.0 * _gamma_arg(s) / n
 
 
 def _mu(d: float) -> float:
@@ -322,8 +312,8 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
     sandwiches, outside the window for the ML sandwich, and at the mu -> 1
     singularity.  Inputs :func:`~icawgn.bounds.bound_curves`
     rejects raise the same errors here.  So far below capacity that
-    e^(2(delta*-delta)) or r_eff passes double range, a form whose log is
-    -inf there is NaN, and the scalar form raises ``ValueError``.
+    e^(2(delta*-delta)) or r_eff^2 passes double range, a form or sandwich with
+    a log that is not finite there is NaN, and the scalar form raises ``ValueError``.
     """
     _check_sigma2(sigma2)
     _check_one_nld(nld)
@@ -335,15 +325,18 @@ def asym_curves(n, nld: float, sigma2: float) -> dict[str, np.ndarray]:
             values = np.atleast_2d(form(n, d))
         except ValueError:
             values = np.full((len(names), n.size), math.nan)
-        curves.update(zip(names, np.where(np.isfinite(values), values, math.nan)))
+        curves.update(zip(names, np.where(np.isfinite(values).all(axis=0), values, math.nan)))
     return curves
 
 
 @np.errstate(all="ignore")
 def _at(form, point: ChannelPoint) -> list[LogProb]:
-    # One form at one point; a non-finite value is a ValueError, from LogProb.
-    values = np.atleast_2d(form(np.array([float(point.n)]), _unit_nld(point)))
-    return [LogProb(float(v[0])) for v in values]
+    # One form at one point; a non-finite value, -inf included, is a ValueError.
+    values = [float(v[0]) for v in np.atleast_2d(form(np.array([float(point.n)]), _unit_nld(point)))]
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite log value {v!r}")
+    return [LogProb(v) for v in values]
 
 
 def sphere_sandwich(point: ChannelPoint) -> SandwichBounds:
@@ -352,7 +345,6 @@ def sphere_sandwich(point: ChannelPoint) -> SandwichBounds:
     C = n(delta* - delta) + n/2 - n rho*/2 and rho* from :func:`terms`.
     Evaluated by :func:`asym_curves`.
     """
-    _require_below_capacity(_unit_nld(point), "sphere sandwich")
     _check_int(point.n, 3)
     return SandwichBounds(*_at(_sphere_sandwich, point))
 
@@ -449,8 +441,7 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     loose_factor = 1.0 - _upsilon(n, x) ** -2
     lower_loose = upper + math.log(loose_factor) if loose_factor > 0.0 else -math.inf
     # A log of -inf, where n x / 2 passes double range, is an exact zero.
-    return TailIntegralBounds(*(LogProb.zero() if v == -math.inf else LogProb(v)
-                                for v in (lower_q, lower_analytic, lower_loose, upper)))
+    return TailIntegralBounds(*map(LogProb, (lower_q, lower_analytic, lower_loose, upper)))
 
 
 class HeadIntegralBounds(NamedTuple):

@@ -101,7 +101,6 @@ __all__ = [
     "d_section_prob",
     "equivalence_sides",
     "equivalence_discrepancy",
-    "equivalence_check",
 ]
 
 
@@ -137,8 +136,8 @@ def _unit_nld(point: ChannelPoint) -> float:
 
 
 class BoundValue(NamedTuple):
-    """A bound evaluation, an immutable tuple: kind, raw log-domain value,
-    radius applied, clamp flag.
+    """A bound evaluation, an immutable tuple (kind, log_value, radius_used):
+    the bound's kind, its log-domain value and the radius applied.
 
     ``log_value`` holds the bound exactly as computed (it may exceed 1 when
     the bound is vacuous); ``clamped`` reports that, and ``value`` yields
@@ -148,7 +147,11 @@ class BoundValue(NamedTuple):
     kind: str
     log_value: LogProb
     radius_used: float
-    clamped: bool
+
+    @property
+    def clamped(self) -> bool:
+        """Whether the bound is vacuous: its log is above 0."""
+        return self.log_raw > 0.0
 
     @property
     def value(self) -> float:
@@ -195,6 +198,16 @@ def _unit_radius(n: int, d: float, lv: float) -> float:
     return _exp_or_inf(-d - lv / n)
 
 
+@np.errstate(over="ignore")
+def _rho_star(n: np.ndarray, d: float) -> np.ndarray:
+    # rho* = (r_eff / sigma)^2 / n over a float array of n at the NLD d, finite
+    # wherever it is.  s is rounded as _unit_radius rounds it: the sandwiches'
+    # logs move by n/2 times any change in rho*.
+    s = _math_map(_exp_or_inf, -d - _log_vn_curve(n) / n)
+    s2 = s * s
+    return np.where(s2 < math.inf, s2 / n, s * (s / n))
+
+
 def poltyrev_radius(point: ChannelPoint) -> float:
     """The classical suboptimal decoding radius sqrt(n) sigma e^(delta* - delta)."""
     return math.sqrt(point.sigma2) * _poltyrev_unit_radius(point.n, _unit_nld(point))
@@ -213,18 +226,12 @@ def _log_norm_tail(n: int, s: float) -> LogProb:
     return log_reg_gamma_upper(0.5 * n, _gamma_arg(s))
 
 
-def _bound_value(kind: str, log: float, radius_used: float) -> BoundValue:
-    # The BoundValue of a bound's log, -inf for an exact zero.
-    value = LogProb.zero() if log == -math.inf else LogProb(log)
-    return BoundValue(kind, value, radius_used, log > 0.0)
-
-
 def sphere_bound(point: ChannelPoint) -> BoundValue:
     """Converse: Pr{||Z|| > r_eff}, a lower bound on the error probability of
     any constellation at this (n, delta, sigma2)."""
     n, _, sigma2 = point
     s = _unit_radius(n, _unit_nld(point), log_vn(n))
-    return BoundValue("sphere", _log_norm_tail(n, s), math.sqrt(sigma2) * s, False)
+    return BoundValue("sphere", _log_norm_tail(n, s), math.sqrt(sigma2) * s)
 
 
 def sphere_bound_by_volume(n: int, v: float, sigma2: float) -> float:
@@ -254,8 +261,8 @@ def _ml_first_term(n: int, d: float, s: float, lv: float) -> float:
 
 def _ml_bound_at(kind: str, n: int, d: float, s: float, lv: float, radius_used: float) -> BoundValue:
     # The ML bound at s = r/sigma, with lv = ln V_n.
-    return _bound_value(kind, _log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s).log_value),
-                        radius_used)
+    log = _log_add(_ml_first_term(n, d, s, lv), _log_norm_tail(n, s).log_value)
+    return BoundValue(kind, LogProb(log), radius_used)
 
 
 def ml_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
@@ -281,6 +288,14 @@ def _log1p_2x(gap: float) -> float:
     return math.log1p(two_gap) if two_gap < math.inf else math.log(2.0) + math.log(gap)
 
 
+def _typicality_gap(gap: float) -> float:
+    # gap = delta* - delta where the typicality radius and exponent are defined.
+    if 1.0 + 2.0 * gap <= 0.0:
+        raise ValueError(
+            f"default typicality radius undefined: 1 + 2(delta* - delta) = {1.0 + 2.0 * gap} <= 0")
+    return gap
+
+
 def _log_typicality_radius(n: float, gap: float) -> float:
     # ln s of the default typicality radius s = sqrt(n (1 + 2 gap)) in units of
     # sigma; where n (1 + 2 gap) overflows, (1/2)(ln n + ln(1 + 2 gap)).
@@ -300,19 +315,15 @@ def typicality_bound(point: ChannelPoint, r: float | None = None) -> BoundValue:
     n, d, sigma = point.n, _unit_nld(point), math.sqrt(point.sigma2)
     if r is not None:
         _check_positive_or_inf(r, "radius")
-    gap = _DELTA_STAR_1 - d
-    radicand = 1.0 + 2.0 * gap
-    if r is None and radicand <= 0.0:
-        raise ValueError(
-            f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
-    s = math.sqrt(n * radicand) if r is None else r / sigma
+    gap = _typicality_gap(_DELTA_STAR_1 - d) if r is None else None
+    s = math.sqrt(n * (1.0 + 2.0 * gap)) if r is None else r / sigma
     log_s = _log_typicality_radius(n, gap) if r is None else math.log(s)
     first = n * d + log_vn(n) + n * log_s
     if first == math.inf:
         raise ValueError(f"volume term gamma V_n r^n overflows at r = {r}, r/sigma = {s}")
     # first = -inf where e^(n d) underflows: the volume term is an exact zero.
-    return _bound_value("typicality", _log_add(first, _log_norm_tail(n, s).log_value),
-                        sigma * s if r is None else r)
+    log = _log_add(first, _log_norm_tail(n, s).log_value)
+    return BoundValue("typicality", LogProb(log), sigma * s if r is None else r)
 
 
 def poltyrev_ml_bound(point: ChannelPoint) -> BoundValue:
@@ -430,12 +441,8 @@ def bound_curves(n, nld: float, sigma2: float, kinds=CURVE_KINDS) -> dict[str, n
     if "sphere" in kinds or "ml" in kinds:
         logs["sphere"], logs["ml"] = _sphere_ml_curves(t, d, "ml" in kinds)
     if "typicality" in kinds:
-        gap = _DELTA_STAR_1 - d
-        radicand = 1.0 + 2.0 * gap
-        if radicand <= 0.0:
-            raise ValueError(
-                f"default typicality radius undefined: 1 + 2(delta* - delta) = {radicand} <= 0")
-        s = np.sqrt(n * radicand)   # rounded as math.sqrt rounds: the scalar bound's s
+        gap = _typicality_gap(_DELTA_STAR_1 - d)
+        s = np.sqrt(n * (1.0 + 2.0 * gap))   # rounded as math.sqrt rounds: the scalar bound's s
         log_s = _math_map(math.log, s)
         big = s == math.inf   # where _log_typicality_radius takes its other form
         log_s[big] = _math_map(lambda m: _log_typicality_radius(m, gap), n[big])
@@ -574,8 +581,3 @@ def equivalence_discrepancy(lhs: LogProb, rhs: LogProb) -> float:
     """Relative discrepancy |lhs / rhs - 1| of the two sides that
     :func:`equivalence_sides` returns, from their logs."""
     return abs(math.expm1(lhs.log_value - rhs.log_value))
-
-
-def equivalence_check(n: int, r: float, sigma2: float) -> float:
-    """Relative discrepancy of the section-integral identity at (n, r, sigma2)."""
-    return equivalence_discrepancy(*equivalence_sides(n, r, sigma2))

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import cython_special as _cs
 
-from .bounds import (ChannelPoint, _check_dims, _dim_terms,
-                     _sphere_ml_curves, _unit_nld, _unit_radius, delta_star, sphere_bound)
+from .bounds import (ChannelPoint, _check_dims, _dim_terms, _rho_star,
+                     _sphere_ml_curves, _unit_nld, delta_star, sphere_bound)
 # Not called here: bench/tracing.py wraps icawgn.dispersion.integrate_adaptive and ml_bound.
 from .bounds import integrate_adaptive, ml_bound
 from .specfn import (_LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_positive_or_inf,
@@ -35,8 +35,8 @@ from .specfn import (_LOG_DBL_MAX, LogProb, _check_int, _check_nld, _check_posit
 __all__ = [
     "InversionResult",
     "DB_PER_NAT",
+    "BERRY_ESSEEN_T",
     "norm_tail_normal_approx",
-    "berry_esseen_T",
     "nld_eps_approx",
     "nld_eps_converse",
     "nld_eps_achievable",
@@ -51,16 +51,16 @@ __all__ = [
 # 10 log10 e^2 = 20 / ln 10 decibels per nat of NLD gap.
 DB_PER_NAT = 20.0 / math.log(10.0)
 
+# The Berry-Esseen third absolute moment E|(X^2 - 1)/sqrt 2|^3 of a standard Gaussian
+# X, in closed form (48 phi(1) + 32 Q(1) - 8) / 2^(3/2) = 3.0729315338... to 1 ulp.
+BERRY_ESSEEN_T = (48.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+                  + 32.0 * q_func(1.0) - 8.0) / 2.0 ** 1.5
+
 _MAX_ITER = 200
 _TOL = 1e-10          # width of the final bracket, in nats
 _VALUE_TOL = 1e-10    # largest |bound - eps| at the root
 # Widest bracket searched for the root before giving up, in nats.
 _MAX_BRACKET = 8192.0
-
-# E|(X^2 - 1)/sqrt 2|^3 for standard Gaussian X: splitting at |x| = 1 and
-# integrating by parts gives (48 phi(1) + 32 Q(1) - 8) / 2^(3/2).
-_BERRY_ESSEEN_T = (48.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-                   + 32.0 * q_func(1.0) - 8.0) / 2.0 ** 1.5
 
 
 class InversionResult(NamedTuple):
@@ -84,15 +84,8 @@ def norm_tail_normal_approx(n: int, r: float, sigma2: float):
     _check_sigma2(sigma2)
     s = r / math.sqrt(sigma2)
     approx = q_func((s * s - n) / math.sqrt(2.0 * n))
-    guarantee = 6.0 * berry_esseen_T() / math.sqrt(n)
+    guarantee = 6.0 * BERRY_ESSEEN_T / math.sqrt(n)
     return approx, guarantee
-
-
-def berry_esseen_T() -> float:
-    """Third absolute moment E|(X^2-1)/sqrt 2|^3 of the standardized squared
-    Gaussian, from its closed form (48 phi(1) + 32 Q(1) - 8)/2^(3/2)
-    = 3.0729315338...  Within 1 ulp (4.5e-16) of the exact value."""
-    return _BERRY_ESSEEN_T
 
 
 def nld_eps_approx(n: int, eps: float, sigma2: float) -> float:
@@ -294,10 +287,10 @@ def gap_db(delta: float, sigma2: float) -> float:
 
 
 def lattice_snr_rho(point: ChannelPoint) -> float:
-    """Squared effective-radius-to-noise ratio r_eff^2 / (n sigma2); converges
-    to the VNR as n grows.  inf past double range."""
-    s = _unit_radius(point.n, _unit_nld(point), log_vn(point.n))
-    return s * s / point.n if s < 1e154 else s * (s / point.n)   # s^2 alone overflows past 1.3e154
+    """Squared effective-radius-to-noise ratio rho* = r_eff^2 / (n sigma2),
+    the rho_star of :func:`~icawgn.asymptotics.terms` at any n; converges to
+    the VNR as n grows.  Finite wherever rho* is, inf past double range."""
+    return float(_rho_star(np.array([float(point.n)]), _unit_nld(point))[0])
 
 
 def normalized_error_prob(eps1: float, n: int) -> float:

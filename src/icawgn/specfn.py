@@ -28,10 +28,7 @@ from scipy.special import cython_special as _cs
 
 __all__ = [
     "LogProb",
-    "log_add",
-    "log_gamma",
     "log_vn",
-    "log_vn_asymptotic",
     "reg_gamma_upper",
     "reg_gamma_lower",
     "log_reg_gamma_upper",
@@ -97,46 +94,32 @@ class _ValidatedTuple:
 
 class _LogProbFields(NamedTuple):
     log_value: float
-    is_zero: bool = False
 
 
 class LogProb(_ValidatedTuple, _LogProbFields):
     """A nonnegative real carried as its natural log: an immutable tuple
-    (log_value, is_zero).
+    (log_value,).
 
-    ``is_zero`` marks an exact zero, whose log is -inf; any other value has
-    a finite log.  When the value represents a probability,
-    exp(log_value) lies in [0, 1]; intermediate bound values may exceed 1
-    before clamping.
+    The log value is finite, or -inf for an exact zero.  When the value
+    represents a probability, exp(log_value) lies in [0, 1]; intermediate
+    bound values may exceed 1 before clamping.
     """
 
     __slots__ = ()
 
-    def __new__(cls, log_value: float, is_zero: bool = False):
-        if is_zero:
-            if log_value != -math.inf:
-                raise ValueError(f"an exact zero has log value -inf, got {log_value!r}")
-        elif not math.isfinite(log_value):
+    def __new__(cls, log_value: float):
+        if not log_value < math.inf:   # NaN or +inf
             raise ValueError(f"non-finite log value {log_value!r}")
-        return tuple.__new__(cls, (log_value, is_zero))
+        return tuple.__new__(cls, (log_value,))
 
-    @classmethod
-    def zero(cls) -> "LogProb":
-        return cls(-math.inf, True)
-
-    @classmethod
-    def from_linear(cls, value: float) -> "LogProb":
-        if value < 0.0:
-            raise ValueError(f"negative value {value!r}")
-        if value == 0.0:
-            return cls.zero()
-        return cls(math.log(value))
+    @property
+    def is_zero(self) -> bool:
+        """Whether the value is an exact zero, whose log is -inf."""
+        return self.log_value == -math.inf
 
     @property
     def linear(self) -> float:
-        """Plain exp of the log value (0 for exact zeros, inf past double range, unclamped)."""
-        if self.is_zero:
-            return 0.0
+        """Plain exp of the log value (0 for an exact zero, inf past double range, unclamped)."""
         return _exp_or_inf(self.log_value)
 
     @property
@@ -149,22 +132,6 @@ def _log_add(a: float, b: float) -> float:
     # ln(e^a + e^b) of two logs, -inf an exact zero.
     hi, lo = (a, b) if a >= b else (b, a)
     return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
-
-
-def log_add(a: LogProb, b: LogProb) -> LogProb:
-    """Sum of two log-domain values, computed without leaving the log domain."""
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    return LogProb(_log_add(a.log_value, b.log_value))
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, inf at x = inf."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _check_int(v, least: int = 1, most: int = _MAX_INT, name: str = "dimension") -> None:
@@ -260,16 +227,6 @@ def log_vn(n: int) -> float:
     return 0.5 * n * _LN_PI - math.lgamma(0.5 * n + 1.0)
 
 
-def log_vn_asymptotic(n: int) -> float:
-    """Leading Stirling form of ln V_n: (n/2) ln(2 pi e / n) - (1/2) ln(n pi).
-
-    Error is O(1/n) (about -1/(6n)); intended for asymptotic cross-checks
-    only, never as a substitute for :func:`log_vn`.
-    """
-    _check_int(n)
-    return 0.5 * n * math.log(2.0 * math.pi * math.e / n) - 0.5 * math.log(n * math.pi)
-
-
 def _check_gamma_args(a: float, x: float) -> None:
     _check_positive(a, "shape parameter")
     try:
@@ -281,11 +238,15 @@ def _check_gamma_args(a: float, x: float) -> None:
 
 
 def _stirlerr(a: float) -> float:
-    # ln Gamma(a+1) - [(a + 1/2) ln a - a + ln(2 pi)/2].  From a = 15 on, the
-    # Stirling series to a^-9 is exact to double precision and avoids the
-    # cancellation of the large terms.
+    # ln Gamma(a+1) - [(a + 1/2) ln a - a + ln(2 pi)/2].
     if a < 15.0:
         return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - _LN_SQRT_2PI
+    return _stirling_series(a)
+
+
+def _stirling_series(a):
+    # _stirlerr from a = 15 on, where the series to a^-9 is exact to double precision,
+    # of a float or of an array elementwise by the same operations (so bit for bit).
     r = 1.0 / (a * a)
     return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a
 
@@ -373,11 +334,10 @@ def log_reg_gamma_lower(a: float, x: float) -> LogProb:
     a finite log without that promise past it."""
     _check_gamma_args(a, x)
     if x == 0.0:
-        return LogProb.zero()
+        return LogProb(-math.inf)
     if x == math.inf:
         return LogProb(0.0)
-    log_value = _log_tail(a, x, upper=False)
-    return LogProb(log_value, log_value == -math.inf)
+    return LogProb(_log_tail(a, x, upper=False))
 
 
 def log_reg_gamma_upper(a: float, x: float) -> LogProb:
@@ -388,7 +348,7 @@ def log_reg_gamma_upper(a: float, x: float) -> LogProb:
     if x == 0.0:
         return LogProb(0.0)
     if x == math.inf:
-        return LogProb.zero()
+        return LogProb(-math.inf)
     return LogProb(_log_tail(a, x, upper=True))
 
 
@@ -398,9 +358,7 @@ def _stirlerr_array(a: np.ndarray) -> np.ndarray:
     small = a < 15.0
     s = a[small]
     out[small] = gammaln(s + 1.0) - (s + 0.5) * np.log(s) + s - _LN_SQRT_2PI
-    big = a[~small]
-    r = 1.0 / (big * big)
-    out[~small] = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / big
+    out[~small] = _stirling_series(a[~small])
     return out
 
 
@@ -496,6 +454,17 @@ def _log_tail_inner(a: np.ndarray, x: np.ndarray, upper: bool) -> np.ndarray:
     return res
 
 
+def _double_array(v, shape: bool) -> np.ndarray:
+    # v as doubles where numpy reads it as integers or floats; a bool, string,
+    # bytes or object element (None, an int past 64 bits) is not a number here.
+    arr = np.asarray(v)
+    if arr.dtype.kind in "iuf":
+        return arr.astype(float, copy=False)
+    if shape:
+        raise ValueError(f"shape parameter must be finite and > 0, got {v!r}")
+    raise ValueError(f"argument must be a double >= 0, got {v!r}")
+
+
 def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     """ln Q(a, x) if ``upper`` else ln P(a, x), elementwise over arrays a and
     x (broadcast together); -inf marks an exact zero.
@@ -514,10 +483,7 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     ``np.log1p`` differ from libm's ``math.log`` and ``math.log1p`` in the
     last bit at about 0.35% and 7-8% of arguments uniform on (0, 1).
     """
-    try:
-        a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
-    except (TypeError, OverflowError):
-        raise ValueError(f"shape parameter and argument must be doubles, got {a!r} and {x!r}") from None
+    a, x = _double_array(a, shape=True), _double_array(x, shape=False)
     if a.shape != x.shape:
         a, x = np.broadcast_arrays(a, x)
     ok = (0.0 < a) & (a < math.inf)

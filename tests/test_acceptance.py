@@ -26,13 +26,14 @@ from icawgn.bounds import (
     delta_cr,
     delta_star,
     effective_radius,
-    equivalence_check,
+    equivalence_discrepancy,
+    equivalence_sides,
     ml_bound,
     sphere_bound,
     typicality_bound,
 )
 from icawgn.dispersion import (
-    berry_esseen_T,
+    BERRY_ESSEEN_T,
     gap_db,
     nld_eps_achievable,
     nld_eps_approx,
@@ -136,7 +137,7 @@ def test_criterion_03_equivalence_identity():
     for n in (2, 3, 4):
         for r in (0.5, 1.0, 2.0):
             for s2 in (0.5, 1.0):
-                worst = max(worst, equivalence_check(n, r, s2))
+                worst = max(worst, equivalence_discrepancy(*equivalence_sides(n, r, s2)))
     ok = worst <= 1e-6
     report(3, "equivalence identity (18 single integrals)", ok, f"worst rel={worst:.2e}")
     assert ok
@@ -232,7 +233,7 @@ def test_criterion_09_berry_esseen():
     """Normal-approximation guarantee unviolated on a 1e4-point grid, and the
     third-moment constant T within 1e-9 absolute of its exact value
     3.0729315338..., where the mpmath quadrature and closed form agree."""
-    T = berry_esseen_T()
+    T = BERRY_ESSEEN_T
     worst_margin = 0.0
     ns = np.unique(np.logspace(0, 4, 100).astype(int))
     for n in ns:
@@ -253,7 +254,7 @@ def test_criterion_09_berry_esseen():
     assert oracle_ok, (
         f"mpmath quadrature and closed form of T disagree by {oracle_gap:.1e}")
     assert t_ok, (
-        f"berry_esseen_T()={T:.12f} is not within 1e-9 of the exact "
+        f"BERRY_ESSEEN_T={T:.12f} is not within 1e-9 of the exact "
         f"E|(X^2-1)/sqrt 2|^3 = (48 phi(1) + 32 Q(1) - 8)/2^1.5 = {t_exact:.12f} "
         f"(the former reference anchor 3.0785 +- 0.0005 is 0.0056 off the exact value)")
 

@@ -157,6 +157,29 @@ class TestSphereSandwich:
             sphere_sandwich(ChannelPoint(16, DS + 0.1, 1.0))
 
 
+@pytest.mark.parametrize("form", [sphere_sandwich, sphere_asymptotic], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [4, 100])
+def test_a_log_of_minus_inf_is_an_error_of_the_scalar_form(form, n):
+    # At delta = -800 r_eff passes double range and these forms' logs are -inf,
+    # NaN in asym_curves: the scalar form raises, though LogProb(-inf) is valid.
+    assert all(np.isnan(v).all() for k, v in asym_curves([n], -800.0, 1.0).items()
+               if k.startswith("sphere_"))
+    with pytest.raises(ValueError, match="non-finite log value -inf"):
+        form(ChannelPoint(n, -800.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda delta: exponent_t(delta, 1.0),
+    lambda delta: typicality_bound(ChannelPoint(4, delta, 1.0)),
+    lambda delta: bound_curves([4], delta, 1.0, ["typicality"]),
+], ids=["exponent_t", "typicality_bound", "bound_curves"])
+def test_typicality_is_undefined_past_half_a_nat_above_capacity(call):
+    # One rule for the default radius sqrt(n (1 + 2 (delta* - delta))) and the exponent.
+    call(DS + 0.4999)
+    with pytest.raises(ValueError, match=r"1 \+ 2\(delta\* - delta\) = -1\.0 <= 0"):
+        call(DS + 1.0)
+
+
 class TestSphereAsymptotic:
     def test_ratio_convergence(self):
         # exact / asymptotic at delta = -1.5: 0.8762 at n=1000, 0.5035 at
@@ -513,7 +536,7 @@ class TestTailIntegralBounds:
     @pytest.mark.parametrize("n, x", [(10**9, 1e300), (2**63 - 1, 1e300), (3, 1.7e308)])
     def test_exact_zeros_past_double_range(self, n, x):
         # n x / 2 passes double range, so every form's log is below -1.8e308.
-        assert tail_integral_bounds(n, x) == (LogProb.zero(),) * 4
+        assert tail_integral_bounds(n, x) == (LogProb(-math.inf),) * 4
 
 
 class TestHeadIntegralBounds:

@@ -20,7 +20,6 @@ from icawgn.bounds import (
     delta_star,
     d_section_prob,
     effective_radius,
-    equivalence_check,
     equivalence_discrepancy,
     equivalence_sides,
     ml_bound,
@@ -394,7 +393,7 @@ class TestDSectionProb:
 class TestEquivalence:
     @pytest.mark.parametrize("n,r,s2", [(2, 1.0, 1.0), (3, 0.8, 0.5), (4, 2.0, 1.0)])
     def test_identity_holds(self, n, r, s2):
-        assert equivalence_check(n, r, s2) <= 1e-6
+        assert equivalence_discrepancy(*equivalence_sides(n, r, s2)) <= 1e-6
 
     @staticmethod
     def _closed_form(n, r, s2):
@@ -448,7 +447,7 @@ class TestEquivalence:
         ref = log_radial_moment_mpmath(n, r, s2)
         for side in equivalence_sides(n, r, s2):
             assert abs(side.log_value - ref) <= 1e-15 * max(1.0, abs(ref))
-        assert equivalence_check(n, r, s2) <= 1e-12
+        assert equivalence_discrepancy(*equivalence_sides(n, r, s2)) <= 1e-12
 
     def test_discrepancy_takes_the_sides_as_logs(self):
         lhs, rhs = LogProb(math.log(3.0)), LogProb(math.log(2.0))
@@ -458,9 +457,9 @@ class TestEquivalence:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            equivalence_check(2.0, 1.0, 1.0)
+            equivalence_sides(2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            equivalence_check(1, 1.0, 1.0)
+            equivalence_sides(1, 1.0, 1.0)
 
     @pytest.mark.parametrize("n", [9, 50, 200])
     def test_both_sides_match_mpmath_past_eight_dimensions(self, n):
@@ -487,9 +486,8 @@ class TestEquivalence:
     def test_rejects_radius_whose_right_side_underflows(self, r):
         # The right side is of order r^(2n), 1e-3200 at n = 8: its log is
         # finite, but the angle integral is far below the quadrature floor.
-        for fn in (equivalence_sides, equivalence_check):
-            with pytest.raises(ValueError, match="the angle integral"):
-                fn(8, r, 1.0)
+        with pytest.raises(ValueError, match="the angle integral"):
+            equivalence_sides(8, r, 1.0)
 
 
 class TestCrossBoundInvariants:
@@ -610,7 +608,7 @@ class TestBoundCurves:
         # radius's noise tail are exact zeros, and so is the bound, on both
         # paths (the scalar bound raised "non-finite log value -inf").
         bv = _SCALAR_BOUNDS[kind](ChannelPoint(n, nld, 1.0))
-        assert bv.log_value == LogProb.zero() and bv.value == 0.0 and not bv.clamped
+        assert bv.log_value == LogProb(-math.inf) and bv.value == 0.0 and not bv.clamped
         assert bound_curves([n], nld, 1.0, [kind])[kind][0] == -math.inf
 
     @pytest.mark.parametrize("n, nld", [(1, -8.99e307), (63, -2.85e306)])

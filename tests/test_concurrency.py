@@ -2,7 +2,7 @@ import concurrent.futures
 import math
 
 from icawgn.bounds import ChannelPoint, ml_bound, sphere_bound
-from icawgn.dispersion import berry_esseen_T, nld_eps_converse
+from icawgn.dispersion import nld_eps_converse, norm_tail_normal_approx
 from icawgn.lattices import builtin, simulate_error_prob
 
 
@@ -19,9 +19,10 @@ def test_bound_evaluation_is_thread_safe():
 
 def test_cached_constant_single_value_under_contention():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        vals = list(pool.map(lambda _: berry_esseen_T(), range(32)))
+        # The guarantee 6 T / sqrt(n) reads the module constant T.
+        vals = list(pool.map(lambda _: norm_tail_normal_approx(64, 8.0, 1.0), range(32)))
     assert len(set(vals)) == 1
-    assert math.isfinite(vals[0])
+    assert all(map(math.isfinite, vals[0]))
 
 
 def test_inversion_and_simulation_thread_safe():

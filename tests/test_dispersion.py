@@ -16,7 +16,7 @@ from icawgn.dispersion import (
     DB_PER_NAT,
     _chandrupatla,
     _ml_start,
-    berry_esseen_T,
+    BERRY_ESSEEN_T,
     gap_db,
     lattice_snr_rho,
     nld_eps_achievable,
@@ -87,13 +87,13 @@ class TestBerryEsseenT:
         phi1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
         closed = (48.0 * phi1 + 32.0 * q_func(1.0) - 8.0) / 2.0 ** 1.5
         assert closed == pytest.approx(3.0729315338, abs=1e-9)
-        assert berry_esseen_T() == pytest.approx(closed, abs=1e-9)
+        assert BERRY_ESSEEN_T == pytest.approx(closed, abs=1e-9)
         with mpmath.workdps(30):
             exact = (48 * mpmath.npdf(1) + 32 * mpmath.ncdf(-1) - 8) / mpmath.mpf(2) ** 1.5
-            assert abs(berry_esseen_T() - exact) <= 4.5e-16
+            assert abs(BERRY_ESSEEN_T - exact) <= 4.5e-16
 
     def test_within_type_invariant(self):
-        assert 3.0 <= berry_esseen_T() <= 3.2
+        assert 3.0 <= BERRY_ESSEEN_T <= 3.2
 
     def test_even_integrand_symmetry(self):
         f = lambda x: abs((x * x - 1.0) / math.sqrt(2.0)) ** 3 \
@@ -102,17 +102,18 @@ class TestBerryEsseenT:
                 + integrate.quad(f, 0.0, 1.0)[0] + integrate.quad(f, 1.0, np.inf)[0])
         half = integrate.quad(f, 0.0, 1.0)[0] + integrate.quad(f, 1.0, np.inf)[0]
         assert full == pytest.approx(2.0 * half, rel=1e-10)
-        assert berry_esseen_T() == pytest.approx(full, rel=1e-8)
+        assert BERRY_ESSEEN_T == pytest.approx(full, rel=1e-8)
 
     def test_monte_carlo_cross_check(self):
         rng = np.random.default_rng(123)
         x = rng.standard_normal(10 ** 7)
         y = np.abs((x * x - 1.0) / math.sqrt(2.0)) ** 3
         se = y.std() / math.sqrt(y.size)
-        assert abs(berry_esseen_T() - y.mean()) <= 3.0 * se
+        assert abs(BERRY_ESSEEN_T - y.mean()) <= 3.0 * se
 
     def test_cached_and_stable(self):
-        assert berry_esseen_T() == berry_esseen_T()
+        # The Berry-Esseen guarantee is 6 T / sqrt(n) of this one constant.
+        assert norm_tail_normal_approx(16, 4.0, 1.0)[1] == 6.0 * BERRY_ESSEEN_T / 4.0
 
 
 class TestNldEpsApprox:
@@ -210,7 +211,7 @@ class TestInversion:
     def test_unbracketed_target_raises(self):
         # A bound that never reaches eps is reported, not iterated on forever.
         def flat(point):
-            return BoundValue("flat", LogProb(math.log(0.5)), 1.0, False)
+            return BoundValue("flat", LogProb(math.log(0.5)), 1.0)
         with pytest.raises(ValueError, match="not bracketed"):
             _invert_bound(flat, 10, 0.01, 1.0, "flat", 0.0, 0.1)
 
@@ -218,8 +219,8 @@ class TestInversion:
         # The walk from -3 leaves -1.5, where the bound is exactly 0 (its log
         # is -inf), as the lower end of the bracket.
         def toy(point):
-            lp = LogProb.zero() if point.nld < -1.0 else LogProb(min(0.0, point.nld - 1.0))
-            return BoundValue("toy", lp, 1.0, False)
+            lp = LogProb(-math.inf if point.nld < -1.0 else min(0.0, point.nld - 1.0))
+            return BoundValue("toy", lp, 1.0)
         res = _invert_bound(toy, 4, math.exp(-1.5), 1.0, "toy", -3.0, 0.1)
         assert res.delta == pytest.approx(-0.5, abs=1e-10)
 
@@ -372,7 +373,7 @@ class TestInversion:
         # expm1 overflows.  That end misses eps, and the search narrows the
         # bracket to float resolution.
         def jump(point):
-            return BoundValue("jump", LogProb(1000.0 if point.nld >= 0.0 else -2000.0), 1.0, True)
+            return BoundValue("jump", LogProb(1000.0 if point.nld >= 0.0 else -2000.0), 1.0)
         res = _invert_bound(jump, 4, 0.01, 1.0, "jump", -0.3, 0.1)
         assert abs(res.delta) <= 1e-15 and res.bracket_width <= 1e-15
         assert res.bound_value.log_value == pytest.approx(1000.0, rel=1e-15)
@@ -531,7 +532,12 @@ class TestVnrAndGaps:
 class TestLatticeSnr:
     def test_matches_terms_rho(self):
         p = ChannelPoint(57, -1.6, 1.0)
-        assert lattice_snr_rho(p) == pytest.approx(terms(p).rho_star, rel=1e-14)
+        assert lattice_snr_rho(p) == terms(p).rho_star
+        # r_eff^2 overflows at n = 1000, d = -355 - ln V_n / n, but rho* = e^710 / n,
+        # 2.23e305, does not.
+        p = ChannelPoint(1000, -355.0 - log_vn(1000) / 1000, 1.0)
+        assert lattice_snr_rho(p) == terms(p).rho_star < math.inf
+        assert math.log(terms(p).rho_star) == pytest.approx(710.0 - math.log(1000.0), rel=1e-14)
 
     def test_scale_free_where_r_eff_squared_overflows(self):
         p = ChannelPoint(57, -1.6 - 0.5 * math.log(1e308), 1e308)

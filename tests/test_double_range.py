@@ -119,9 +119,7 @@ def test_section_layer_returns_a_value_or_raises_value_error(n, r, offset, sigma
     p = _value(bounds.d_section_prob, n, r, 2.0 * r * offset, sigma2)
     assert p is None or 0.0 <= p <= 1.0, p
     sides = _value(bounds.equivalence_sides, n, r, sigma2)
-    check = _value(bounds.equivalence_check, n, r, sigma2)
     if sides is None:
-        assert check is None
         return
     lhs, rhs = sides
     assert isinstance(lhs, LogProb) and isinstance(rhs, LogProb), sides
@@ -129,7 +127,7 @@ def test_section_layer_returns_a_value_or_raises_value_error(n, r, offset, sigma
     # The logs reach 3.5e5 in magnitude at sigma2 near the ends of double
     # range, where one ulp of either is 5.8e-11: the slack past 1e-11 is that
     # rounding, relative in the log.
-    assert check == bounds.equivalence_discrepancy(lhs, rhs) <= 1e-11 + 1e-15 * abs(rhs.log_value)
+    assert bounds.equivalence_discrepancy(lhs, rhs) <= 1e-11 + 1e-15 * abs(rhs.log_value)
 
 
 # Counts of every size and type, seeds of every kind, and every double.  Each

@@ -34,14 +34,13 @@ from icawgn.dispersion import (gap_db, nld_eps_achievable, nld_eps_achievable_cu
                                normalized_error_prob, vnr_from_nld, vnr_opt_approx)
 from icawgn.lattices import (LatticeSpec, builtin, clopper_pearson, decode, find_scale_for_error,
                              simulate_error_prob)
-from icawgn.specfn import (log_gamma, log_q_func, log_reg_gamma_lower, log_reg_gamma_tail,
-                           log_reg_gamma_upper, log_vn, log_vn_asymptotic, q_func, q_func_inv,
-                           reg_gamma_lower, reg_gamma_upper)
+from icawgn.specfn import (log_q_func, log_reg_gamma_lower, log_reg_gamma_tail,
+                           log_reg_gamma_upper, log_vn, q_func, q_func_inv, reg_gamma_lower,
+                           reg_gamma_upper)
 
 # Every public entry point that takes a dimension: (its floor, a call at n).
 ENTRY_POINTS = {
     "log_vn": (1, log_vn),
-    "log_vn_asymptotic": (1, log_vn_asymptotic),
     "ChannelPoint": (1, lambda n: sphere_bound(ChannelPoint(n, -1.5, 1.0))),
     "sphere_bound_by_volume": (1, lambda n: sphere_bound_by_volume(n, 2.0, 1.0)),
     "d_section_prob": (2, lambda n: d_section_prob(n, 1.0, 0.5, 1.0)),
@@ -228,8 +227,7 @@ def test_bad_positive_real_is_a_value_error(name, v):
         POSITIVE_REALS[name](v)
 
 
-# log_reg_gamma_tail reads its arrays as numpy does, "1" as 1.0.
-@pytest.mark.parametrize("name", [k for k in POSITIVE_REALS if k != "log_reg_gamma_tail"])
+@pytest.mark.parametrize("name", POSITIVE_REALS)
 @pytest.mark.parametrize("v", ["1", None, 10**400], ids=["'1'", "None", "10**400"])
 def test_a_non_number_or_an_int_past_double_range_is_not_a_positive_real(name, v):
     # Neither may escape as a comparison's TypeError, nor the int pass as
@@ -258,6 +256,29 @@ def test_a_non_number_or_an_int_past_double_range_is_a_value_error_naming_it(nam
     with pytest.raises(ValueError) as info:
         call()
     assert shown in str(info.value)
+
+
+# log_reg_gamma_tail's arrays are of an integer or a float dtype: a bool, a
+# string, bytes or an object element is not a number there, as it is not for
+# the scalar rules, even where numpy would read it as one.  (a, x, the repr
+# that the message names.)
+NOT_NUMBER_ARRAYS = [
+    (["2"], [1.0], "['2']"), ([2.0], ["1"], "['1']"), ([2.0], [True], "[True]"),
+    (True, 1.0, "True"), ([2.0], [b"1"], "[b'1']"), ([None], [1.0], "[None]"),
+    ([2.0], [None], "[None]"),
+]
+
+
+@pytest.mark.parametrize("a, x, shown", NOT_NUMBER_ARRAYS, ids=repr)
+def test_log_reg_gamma_tail_takes_only_integer_or_float_arrays(a, x, shown):
+    with pytest.raises(ValueError) as info:
+        log_reg_gamma_tail(a, x, upper=True)
+    assert shown in str(info.value) and "nan" not in str(info.value)
+
+
+def test_log_reg_gamma_tail_reads_integer_arrays_as_doubles():
+    ints = log_reg_gamma_tail(np.array([2, 3], np.int32), np.array([1, 5], np.uint64), upper=False)
+    assert np.array_equal(ints, log_reg_gamma_tail([2.0, 3.0], [1.0, 5.0], upper=False))
 
 
 # Every public entry point that takes a bound's own radius or a ball's volume,
@@ -291,7 +312,6 @@ def test_infinite_radius_is_the_exact_limit(name):
 # Every public function of a real whose infinite values are exact limits:
 # NaN is rejected, and (argument, value) at the infinities.
 NAN_REJECTED = {
-    "log_gamma": (log_gamma, [(math.inf, math.inf)]),
     "q_func": (q_func, [(math.inf, 0.0), (-math.inf, 1.0)]),
     "log_q_func": (log_q_func, [(math.inf, -math.inf), (-math.inf, 0.0)]),
 }
@@ -396,8 +416,9 @@ def _input_checks(tree):
 def test_input_errors_come_from_their_validators():
     # Each rule's errors are raised by its validator in specfn only, and the
     # capacity rule of the asymptotic forms by _require_below_capacity only;
-    # _check_dims adds just its array dtype error, and no function outside
-    # the validators tests a checked input against a literal bound of its own.
+    # _check_dims and _double_array add just their array dtype errors, and no
+    # function outside the validators tests a checked input against a literal
+    # bound of its own.
     found = {}
     for path in sorted(pathlib.Path(icawgn.__file__).parent.glob("*.py")):
         raises, compares = _input_checks(ast.parse(path.read_text()))
@@ -413,6 +434,7 @@ def test_input_errors_come_from_their_validators():
         ("specfn", "_check_nld"): ["NLD must be finite"],
         ("specfn", "_check_one_nld"): ["NLD must be one number"],
         ("specfn", "_check_seed"): ["seed must be None, a nonnegative integer or a sequence of them"],
+        ("specfn", "_double_array"): ["shape parameter must be finite and > 0"],
         ("bounds", "_check_dims"): ["dimensions must be a 1-d integer array"],
         ("asymptotics", "_require_below_capacity"): [" requires delta < delta*"],
     }

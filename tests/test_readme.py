@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import icawgn
 from icawgn.cli import main
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -14,6 +15,12 @@ _BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", _README, flags=re.M | re.S)
 _PYTHON = [code for lang, code in _BLOCKS if lang == "python"]
 _COMMANDS = [line.split()[1:] for lang, code in _BLOCKS if lang == "sh"
              for line in code.splitlines() if line.startswith("icawgn ")]
+
+
+def test_every_public_name_is_in_the_readme():
+    # Each name of icawgn.__all__ opens a code span somewhere in the README.
+    missing = [name for name in icawgn.__all__ if not re.search(rf"`{re.escape(name)}\b", _README)]
+    assert not missing, missing
 
 
 def test_readme_has_examples():

@@ -17,9 +17,9 @@ from icawgn.specfn import LogProb
 
 # Each type with valid field values in field order, and other valid values.
 VALUES = [
-    (LogProb, (-1.5, False), (-2.5, False)),
+    (LogProb, (-1.5,), (-2.5,)),
     (ChannelPoint, (64, -1.5, 0.5), (64, -1.5, 0.25)),
-    (BoundValue, ("ml", LogProb(-2.0), 3.0, False), ("ml", LogProb(-2.0), 3.0, True)),
+    (BoundValue, ("ml", LogProb(-2.0), 3.0), ("ml", LogProb(2.0), 3.0)),
     (InversionResult, (-1.6, LogProb(math.log(0.01)), 3, 1e-11),
      (-1.6, LogProb(math.log(0.01)), 4, 1e-11)),
     (LatticeSpec, ("E8", 1.5), ("E8", 2.0)),
@@ -28,9 +28,7 @@ VALUES = [
 # A field of a validating type, a value it rejects, and the message.
 INVALID = [
     (LogProb, "log_value", math.inf, "non-finite log value inf"),
-    (LogProb, "log_value", -math.inf, "non-finite log value -inf"),
     (LogProb, "log_value", math.nan, "non-finite log value nan"),
-    (LogProb, "is_zero", True, "an exact zero has log value -inf, got -1.5"),
     (ChannelPoint, "n", 0, "dimension must be an integer n in 1.."),
     (ChannelPoint, "n", True, "dimension must be an integer, got True"),
     (ChannelPoint, "n", 2.0, "dimension must be an integer, got 2.0"),
@@ -98,7 +96,16 @@ def test_every_way_of_building_validates(cls, field, bad, message):
 
 
 def test_an_exact_zero_is_the_one_infinite_log():
-    zero = LogProb.zero()
-    assert zero == LogProb(-math.inf, True) == LogProb(log_value=-math.inf, is_zero=True)
+    zero = LogProb(-math.inf)
+    assert zero == LogProb(log_value=-math.inf) == LogProb._make([-math.inf])
     assert zero.is_zero and zero.linear == 0.0
     assert pickle.loads(pickle.dumps(zero)) == zero
+
+
+def test_each_quantity_is_stored_once():
+    # is_zero and clamped follow from the log value, so neither is a field.
+    assert LogProb._fields == ("log_value",)
+    assert BoundValue._fields == ("kind", "log_value", "radius_used")
+    assert BoundValue("ml", LogProb(-2.0), 3.0).clamped is False
+    assert BoundValue("ml", LogProb(2.0), 3.0).clamped is True
+    assert BoundValue("ml", LogProb(-math.inf), 3.0).clamped is False
