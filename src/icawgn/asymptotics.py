@@ -160,13 +160,19 @@ def _mu(d: float) -> float:
     return _exp_or_inf(2.0 * (_DELTA_STAR_1 - d))
 
 
+def _scaled(top, gap, bottom):
+    # top gap / bottom, as gap (top / bottom) where top gap overflows (rho* near DBL_MAX / n).
+    v = top * gap
+    return np.where(np.isinf(v), gap * (top / bottom), v / bottom)
+
+
 def _upsilon(n, x):
-    return n * (x - 1.0 + 2.0 / n) / np.sqrt(2.0 * (n - 2.0))
+    return _scaled(n, x - 1.0 + 2.0 / n, np.sqrt(2.0 * (n - 2.0)))
 
 
 def _psi(n, x):
     # At x = inf, the limit -sqrt(n x) / 2, not inf / inf.
-    return np.where(x == math.inf, -math.inf, np.sqrt(n) * (2.0 - x + 2.0 / n) / (2.0 * np.sqrt(x)))
+    return np.where(x == math.inf, -math.inf, _scaled(np.sqrt(n), 2.0 - x + 2.0 / n, 2.0 * np.sqrt(x)))
 
 
 def _log_scaled_q(x):

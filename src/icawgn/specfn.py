@@ -11,7 +11,8 @@ the larger as its complement.  Where that tail underflows double precision,
 which happens routinely for the chi-square tails at dimensions in the
 thousands, the lower tail is the log of Kummer's function (scipy's
 ``hyp1f1``) and the upper a log-domain continued fraction, both with full
-relative accuracy in the log domain.
+relative accuracy in the log domain.  Past a = 1e5 the scalar functions take
+a lower tail (x < a) as one element of the array form, bit for bit.
 """
 
 import math
@@ -313,16 +314,17 @@ def _log_tail(a: float, x: float, upper: bool) -> float:
     # taken directly and the larger as its complement: for a >= 1/2 the split
     # at x = a leaves the larger at least 0.31, so log1p loses nothing.
     # Below the floor, P = x^a e^-x / Gamma(a+1) * M(1, a+1, x) (Kummer's M);
-    # the scalar hyp1f1 has no signature for an int x.
+    # the scalar hyp1f1 has no signature for an int x.  Past scipy's series
+    # the lower tail is one element of the array kernel.
     lower_smaller = x < a
+    if lower_smaller and a > _SCIPY_SERIES_MAX_A:
+        return float(_log_tail_inner(np.array([float(a)]), np.array([float(x)]), upper)[0])
     direct = upper != lower_smaller
     small = _cs.gammainc(a, x) if lower_smaller else _cs.gammaincc(a, x)
-    if small > (_LARGE_A_LOWER_MIN if lower_smaller and a > _SCIPY_SERIES_MAX_A else _LINEAR_MIN):
+    if small > _LINEAR_MIN:
         return math.log(small) if direct else math.log1p(-small)
     if lower_smaller:
-        kummer = _cs.hyp1f1(1.0, a + 1.0, float(x))   # NaN: see _log_tail_inner
-        log_small = (_log_prefactor(a, x) + math.log(kummer) if not math.isnan(kummer)
-                     else math.log(small) if small else -math.inf)
+        log_small = _log_prefactor(a, x) + math.log(_cs.hyp1f1(1.0, a + 1.0, float(x)))
     else:
         log_small = _log_upper_cf(a, x)
     return min(log_small, 0.0) if direct else math.log1p(-math.exp(log_small))
@@ -331,7 +333,8 @@ def _log_tail(a: float, x: float, upper: bool) -> float:
 def log_reg_gamma_lower(a: float, x: float) -> LogProb:
     """ln P(a, x), the regularized lower incomplete gamma in the log domain:
     within 1e-13 relative of mpmath for a <= 5e6 (dimensions n <= 1e7), and
-    a finite log without that promise past it."""
+    a finite log without that promise past it.  Past a = 1e5, for x < a,
+    it is the one element of :func:`log_reg_gamma_tail`."""
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb(-math.inf)
@@ -343,7 +346,8 @@ def log_reg_gamma_lower(a: float, x: float) -> LogProb:
 def log_reg_gamma_upper(a: float, x: float) -> LogProb:
     """ln Q(a, x), the regularized upper incomplete gamma in the log domain:
     within 1e-13 relative of mpmath for a <= 5e6 (dimensions n <= 1e7), and
-    a finite log without that promise past it."""
+    a finite log without that promise past it.  Past a = 1e5, for x < a,
+    it is the one element of :func:`log_reg_gamma_tail`."""
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb(0.0)
@@ -353,25 +357,19 @@ def log_reg_gamma_upper(a: float, x: float) -> LogProb:
 
 
 def _stirlerr_array(a: np.ndarray) -> np.ndarray:
-    # _stirlerr over an array.
-    out = np.empty_like(a)
-    small = a < 15.0
-    s = a[small]
-    out[small] = gammaln(s + 1.0) - (s + 0.5) * np.log(s) + s - _LN_SQRT_2PI
-    out[~small] = _stirling_series(a[~small])
-    return out
+    # _stirlerr over an array, picking between forms that may overflow where unused.
+    with np.errstate(all="ignore"):
+        return np.where(a < 15.0, gammaln(a + 1.0) - (a + 0.5) * np.log(a) + a - _LN_SQRT_2PI,
+                        _stirling_series(a))
 
 
 def _log_prefactor_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _log_prefactor over arrays.
+    # _log_prefactor over arrays, with both forms of a phi picked as there.
     d = x - a
-    a_phi = np.empty_like(d)
-    far = np.abs(d) > 0.5 * a
-    a_phi[far] = d[far] - a[far] * (np.log(x[far]) - np.log(a[far]))
-    near = ~far
-    dn, an = d[near], a[near]
-    u = dn / (an + an + dn)
-    a_phi[near] = dn * u - 2.0 * an * _atanh_minus_u(u)
+    with np.errstate(over="ignore", invalid="ignore"):   # the series past a = DBL_MAX / 2
+        u = d / (a + a + d)
+        near = d * u - 2.0 * a * _atanh_minus_u(u)
+    a_phi = np.where(np.abs(d) > 0.5 * a, d - a * (np.log(x) - np.log(a)), near)
     return -a_phi - _LN_SQRT_2PI - 0.5 * np.log(a) - _stirlerr_array(a)
 
 
@@ -381,34 +379,29 @@ def _log_lower_kummer_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _log_upper_cf_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _log_upper_cf over 1-d arrays: the same Lentz recurrence, bit for bit,
-    # on the elements that have not converged yet.
+    # _log_upper_cf over 1-d arrays: the same Lentz recurrence, bit for bit, on
+    # every element until the slowest converges, each product frozen at its own.
     tiny = 1e-300
-    h_of = np.empty_like(x)
-    live = np.arange(x.size)
-    la = a
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / tiny)
     d = np.divide(1.0, b, out=np.full_like(x, 1.0 / tiny), where=b != 0.0)
-    h = d.copy()
+    h = d
+    done = np.zeros(x.shape, dtype=bool)
     for i in range(1, _MAX_ITER):
-        an = -i * (i - la)
+        an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        d[np.abs(d) < tiny] = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
-        c[np.abs(c) < tiny] = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) <= _DBL_EPS
-        if done.any():
-            h_of[live[done]] = h[done]
-            keep = ~done
-            live, la, b, c, d, h = live[keep], la[keep], b[keep], c[keep], d[keep], h[keep]
-            if not live.size:
-                return _log_prefactor_array(a, x) + np.log(a) + np.log(h_of)
-    raise ArithmeticError(f"upper-gamma continued fraction failed to converge (a={la[0]}, x={x[live[0]]})")
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) <= _DBL_EPS
+        if _every(done):
+            return _log_prefactor_array(a, x) + np.log(a) + np.log(h)
+    first = np.argmin(done)
+    raise ArithmeticError(f"upper-gamma continued fraction failed to converge (a={a[first]}, x={x[first]})")
 
 
 def _every(mask: np.ndarray) -> bool:
@@ -425,41 +418,36 @@ def _log_tail_inner(a: np.ndarray, x: np.ndarray, upper: bool) -> np.ndarray:
     if one_side:
         small = (gammainc if n_lower else gammaincc)(a, x)
     else:
-        small = np.empty_like(x)
-        small[lower_smaller] = gammainc(a[lower_smaller], x[lower_smaller])
-        small[~lower_smaller] = gammaincc(a[~lower_smaller], x[~lower_smaller])
+        small = np.where(lower_smaller, gammainc(a, x), gammaincc(a, x))
     large = lower_smaller & (a > _SCIPY_SERIES_MAX_A)
     linear = small > (np.where(large, _LARGE_A_LOWER_MIN, _LINEAR_MIN) if np.count_nonzero(large)
                       else _LINEAR_MIN)
     # The smaller tail directly and the larger as its complement, as in _log_tail.
     if one_side and _every(linear):
         return np.log(small) if (n_lower > 0) != upper else np.log1p(-small)
-    direct = lower_smaller != upper
-    if _every(linear):
-        return np.where(direct, np.log(small), np.log1p(-small))
-    res = np.empty_like(x)
-    m = linear & direct
-    res[m] = np.log(small[m])
-    m = linear & ~direct
-    res[m] = np.log1p(-small[m])
+    with np.errstate(divide="ignore"):
+        log_small = np.log(small)   # -inf where scipy's tail is zero
     for m, log_small_of in ((~linear & lower_smaller, _log_lower_kummer_array),
                             (~linear & ~lower_smaller, _log_upper_cf_array)):
         if m.any():
-            log_small = log_small_of(a[m], x[m])
+            deep = log_small_of(a[m], x[m])
             # scipy's hyp1f1 is NaN at some x within a few sqrt(a) below a from
             # a = 2.4e10 on; there scipy's own tail stands in, -inf if zero.
-            with np.errstate(divide="ignore"):
-                log_small = np.where(np.isnan(log_small), np.log(small[m]), log_small)
-            res[m] = np.where(direct[m], np.minimum(log_small, 0.0), np.log1p(-np.exp(log_small)))
-    return res
+            log_small[m] = np.minimum(np.where(np.isnan(deep), log_small[m], deep), 0.0)
+    # The larger tail, where it is the one asked for, as the complement.
+    return np.log1p(-np.where(linear, small, np.exp(log_small)), out=log_small,
+                    where=lower_smaller == upper)
 
 
 def _double_array(v, shape: bool) -> np.ndarray:
     # v as doubles where numpy reads it as integers or floats; a bool, string,
     # bytes or object element (None, an int past 64 bits) is not a number here.
-    arr = np.asarray(v)
-    if arr.dtype.kind in "iuf":
-        return arr.astype(float, copy=False)
+    try:
+        arr = np.asarray(v)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(float, copy=False)
+    except ValueError:   # a ragged sequence, which numpy cannot read
+        pass
     if shape:
         raise ValueError(f"shape parameter must be finite and > 0, got {v!r}")
     raise ValueError(f"argument must be a double >= 0, got {v!r}")
@@ -476,9 +464,10 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     ufunc for the lower tail and a numpy version of the same continued
     fraction for the upper, iterated until its slowest element converges.
     Within 1e-13 relative of mpmath up to a = 5e6 (n = 1e7), and finite
-    without that promise past it.  An element takes the
-    same branch and kernel whatever else is in the array, and matches the
-    scalar functions bit for bit at almost every point: the scipy ufuncs
+    without that promise past it.  An element takes the same branch and
+    kernel whatever else is in the array.  It matches the scalar functions
+    bit for bit at every point with x < a past a = 1e5, which they take
+    through this kernel, and at almost every other point: the scipy ufuncs
     agree with their scalar entry points, but numpy's ``np.log`` and
     ``np.log1p`` differ from libm's ``math.log`` and ``math.log1p`` in the
     last bit at about 0.35% and 7-8% of arguments uniform on (0, 1).
@@ -498,8 +487,7 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     # Exact at the ends: Q(a, inf) = P(a, 0) = 0 and Q(a, 0) = P(a, inf) = 1.
     out = np.zeros(a.shape)
     out[x == (math.inf if upper else 0.0)] = -math.inf
-    inner = np.flatnonzero(inner)
-    out.reshape(-1)[inner] = _log_tail_inner(a.reshape(-1)[inner], x.reshape(-1)[inner], upper)
+    out[inner] = _log_tail_inner(a[inner], x[inner], upper)
     return out
 
 

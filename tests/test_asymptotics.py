@@ -37,6 +37,8 @@ from icawgn.bounds import (
 )
 from icawgn.specfn import LogProb
 
+from helpers import log_ml_bound_mpmath
+
 DS = delta_star(1.0)
 DCR = delta_cr(1.0)
 
@@ -148,6 +150,35 @@ class TestSphereSandwich:
     def test_upper_to_lower_ratio_moderate(self):
         sw = sphere_sandwich(ChannelPoint(100, -1.5, 1.0))
         assert math.exp(sw.upper.log_value - sw.lower_analytic.log_value) <= 2.0
+
+    @pytest.mark.parametrize("delta", [-354.0, -354.3])
+    def test_finite_where_n_times_rho_star_overflows(self, delta):
+        # At n = 100, n (rho* - 1 + 2/n) passes double range, though Upsilon
+        # (about 1.3e307) does not: the three forms are finite and are the
+        # array path's, each e^C times a factor whose log is negligible here.
+        p = ChannelPoint(100, delta, 1.0)
+        sw = sphere_sandwich(p)
+        got = [sw.lower_q.log_value, sw.lower_analytic.log_value, sw.upper.log_value]
+        curves = asym_curves([100], delta, 1.0)
+        assert got == [curves[k][0] for k in ("sphere_lower_q", "sphere_lower", "sphere_upper")]
+        rho = terms(p).rho_star
+        common = 100 * (DS - delta) + 50.0 - 50.0 * rho
+        assert all(abs(v - common) <= 1e-15 * abs(common) for v in got), (got, common)
+
+    def test_overflow_rearrangement_keeps_finite_products(self):
+        # Just inside the range where n (rho* - 1 + 2/n) is finite, Upsilon is
+        # the plain product's, bit for bit; one step deeper the plain product
+        # overflows, and Upsilon and Psi are finite.
+        t = terms(ChannelPoint(100, -353.9, 1.0))
+        assert t.upsilon == 100 * (t.rho_star - 1.0 + 0.02) / math.sqrt(196.0)
+        t = terms(ChannelPoint(100, -355.2, 1.0))
+        assert 100 * (t.rho_star - 1.0 + 0.02) == math.inf
+        with mpmath.workdps(40):
+            rho = mpmath.mpf(t.rho_star)
+            upsilon = float(100 * (rho - 1 + mpmath.mpf(2) / 100) / mpmath.sqrt(196))
+            psi = float(10 * (2 - rho + mpmath.mpf(2) / 100) / (2 * mpmath.sqrt(rho)))
+        assert abs(t.upsilon - upsilon) <= 4e-16 * upsilon
+        assert abs(t.psi - psi) <= 4e-16 * abs(psi)
 
     def test_dimension_guards(self):
         sphere_sandwich(ChannelPoint(3, -1.5, 1.0))
@@ -436,6 +467,33 @@ class TestAsymCurves:
                 assert ok.all(), (kind, "upper", delta, ns[~ok])
                 checked += np.count_nonzero(~np.isnan(up) & ~np.isnan(ex))
         assert checked > 400
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_sandwich_containment_in_the_deep_tail(self, n):
+        # The containment above, where the scipy oracle is NaN or nearly so,
+        # against 60-digit mpmath at r_eff as the library rounds it, with the
+        # same slack: at n = 1e4 and delta = -3.5 the sphere Q-form sits one
+        # ulp above the exact log.  The ML sandwich is NaN outside its window.
+        log_vn = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+        checked = 0
+        for delta in (-1.45, -1.6, -1.75, -2.5, -3.5):
+            curves = asym_curves([n], delta, 1.0)
+            s = math.exp(-delta - log_vn / n)
+            with mpmath.workdps(60):
+                q = mpmath.gammainc(mpmath.mpf(n) / 2, mpmath.mpf(s) ** 2 / 2, mpmath.inf,
+                                    regularized=True)
+            rho = terms(ChannelPoint(n, delta, 1.0)).rho_star
+            inside = 1.0 - 2.0 / n < rho < 2.0 - 2.0 / n
+            for kind, ex in (("sphere", float(mpmath.log(q))),
+                             ("ml", log_ml_bound_mpmath(n, delta, s) if inside else None)):
+                lower_q, lower, upper = (curves[f"{kind}_{k}"][0] for k in ("lower_q", "lower", "upper"))
+                if ex is None:
+                    assert math.isnan(lower_q) and math.isnan(lower) and math.isnan(upper), delta
+                    continue
+                slack = 4 * np.spacing(abs(ex))
+                assert max(lower_q, lower) <= ex + slack and ex <= upper + slack, (kind, delta)
+                checked += 1
+        assert checked == 8
 
     @pytest.mark.parametrize("args", [([0, 3], -1.5, 1.0), ([3.0], -1.5, 1.0),
                                       ([3], math.nan, 1.0), ([3], -1.5, 0.0),

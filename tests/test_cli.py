@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from icawgn import asymptotics, bounds, dispersion
+from icawgn import asymptotics, bounds, dispersion, specfn
 from icawgn.cli import _build_parser, _emit, _join_negative_values, _parse_n_range, main
 from icawgn.lattices import clopper_pearson
 from helpers import log_radial_moment_mpmath
@@ -688,6 +688,15 @@ class TestOutputPlumbing:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: numerical:")
+
+    def test_unconverged_continued_fraction_exit_1(self, monkeypatch, capsys):
+        # The upper-tail continued fraction of the deep sphere bound, cut
+        # to 2 steps, fails to converge: one machine-parsable line.
+        monkeypatch.setattr(specfn, "_MAX_ITER", 3)
+        code, out, err = run_cli(capsys, "bounds", "--n", "2000:2001", "--nld", "-2.0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: numerical: upper-gamma continued fraction failed to converge")
+        assert err.count("\n") == 1
 
     def test_missing_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -260,12 +260,14 @@ def test_a_non_number_or_an_int_past_double_range_is_a_value_error_naming_it(nam
 
 # log_reg_gamma_tail's arrays are of an integer or a float dtype: a bool, a
 # string, bytes or an object element is not a number there, as it is not for
-# the scalar rules, even where numpy would read it as one.  (a, x, the repr
-# that the message names.)
+# the scalar rules, even where numpy would read it as one; nor is a ragged
+# sequence, which numpy cannot read.  (a, x, the repr that the message names.)
 NOT_NUMBER_ARRAYS = [
     (["2"], [1.0], "['2']"), ([2.0], ["1"], "['1']"), ([2.0], [True], "[True]"),
     (True, 1.0, "True"), ([2.0], [b"1"], "[b'1']"), ([None], [1.0], "[None]"),
     ([2.0], [None], "[None]"),
+    ([[2.0], [2.0, 3.0]], [1.0], "[[2.0], [2.0, 3.0]]"),
+    ([2.0], [[1.0], [1.0, 2.0]], "[[1.0], [1.0, 2.0]]"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
+from icawgn import specfn
 from icawgn.specfn import (
     _LARGE_A_LOWER_MIN,
     _LINEAR_MIN,
@@ -449,6 +450,43 @@ class TestArrayKernel:
             ref = np.array([fn(float(ai), float(xi)).log_value for ai, xi in zip(a, x)])
             got = log_reg_gamma_tail(a, x, upper=upper)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), upper
+
+    def test_scalar_lower_tails_past_scipys_series_are_the_kernels(self):
+        # Past a = 1e5 the scalar functions take a point with x < a as one
+        # element of this kernel, so there the two agree bit for bit, on both
+        # sides of the 1e-2 floor (x within 40 sqrt(a) below a).
+        rng = np.random.default_rng(11)
+        a = np.exp(rng.uniform(math.log(1e5), math.log(1e8), 2000)) * (1.0 + 1e-9)
+        x = a - rng.uniform(0.0, 40.0, 2000) * np.sqrt(a)
+        for upper, fn in ((True, log_reg_gamma_upper), (False, log_reg_gamma_lower)):
+            ref = np.array([fn(ai, xi).log_value for ai, xi in zip(a.tolist(), x.tolist())])
+            got = log_reg_gamma_tail(a, x, upper=upper)
+            assert got.tobytes() == ref.tobytes(), upper
+
+    def test_continued_fraction_element_alone_and_in_an_array(self):
+        # The fraction runs until its slowest element, here the first, has
+        # converged; the others keep the product they had at their own
+        # convergence, which further steps would move by an ulp.
+        a = np.array([1e-298, 0.5, 3.0, 10.0, 1e-200])
+        x = np.array([4.0, 715.0, 887.0, 985.0, 405.0])
+        got = log_reg_gamma_tail(a, x, upper=True)
+        alone = [log_reg_gamma_tail(a[i:i + 1], x[i:i + 1], upper=True) for i in range(a.size)]
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: log_reg_gamma_upper(500.0, 2000.0), "(a=500.0, x=2000.0)"),
+        (lambda: log_reg_gamma_tail([5.0, 500.0], [800.0, 2000.0], upper=True), "(a=5.0, x=800.0)"),
+        (lambda: log_reg_gamma_tail([0.5, 500.0, 5.0], [1e300, 2000.0, 800.0], upper=True),
+         "(a=500.0, x=2000.0)"),
+    ], ids=["scalar", "array", "array_first_converged"])
+    def test_continued_fraction_that_does_not_converge_raises(self, monkeypatch, call, shown):
+        # With 2 steps the fraction converges only where x is far past a (the
+        # first point of the last case): the error names the first element
+        # that has not converged.
+        monkeypatch.setattr(specfn, "_MAX_ITER", 3)
+        with pytest.raises(ArithmeticError, match="failed to converge") as info:
+            call()
+        assert shown in str(info.value)
 
     # (a, x) points that each take one branch, for either tail.
     _BRANCH_POINTS = {
