@@ -46,8 +46,8 @@ from .bounds import (
     delta_cr,
     delta_star,
 )
-from .specfn import (_LOG_DBL_MAX, _SQRT2, LogProb, _check_int, _check_nld, _check_one_nld,
-                     _check_sigma2, _exp_or_inf)
+from .specfn import (_LOG_DBL_MAX, _SQRT2, LogProb, _check_int, _check_nld, _check_not_nan,
+                     _check_one_nld, _check_sigma2, _exp_or_inf)
 
 __all__ = [
     "AsymptoticTerms",
@@ -416,6 +416,7 @@ def poltyrev_r_asymptotic(point: ChannelPoint) -> LogProb:
 def ub_lb_ratio_limit(delta: float, sigma2: float) -> float:
     """Limit of (ML bound)/(sphere bound) strictly between critical and capacity:
     1 / (2 - e^(2(delta*-delta)))."""
+    _check_nld(delta)
     if not (delta_cr(sigma2) < delta < delta_star(sigma2)):
         raise ValueError("ratio limit defined only for delta_cr < delta < delta*")
     return 1.0 / (2.0 - math.exp(2.0 * (delta_star(sigma2) - delta)))
@@ -438,8 +439,9 @@ def tail_integral_bounds(n: int, x: float) -> TailIntegralBounds:
     n (x - 1 + 2/n) / sqrt(2 (n - 2)).
     """
     _check_int(n, 3)
-    if not math.isfinite(x):
+    if x != x or x in (math.inf, -math.inf):
         raise ValueError(f"tail integral bounds require a finite x, got x={x}")
+    _check_not_nan(x, "x")      # a non-number, or an int past double range
     if not (x > 1.0 - 2.0 / n):
         raise ValueError(f"tail integral bounds require x > 1 - 2/n, got x={x}")
     base = math.log(2.0 / n) + 0.5 * n * math.log(x) - 0.5 * n * x
@@ -465,6 +467,7 @@ def head_integral_bounds(n: int, x: float) -> HeadIntegralBounds:
     with Psi = sqrt(n) (2 - x + 2/n) / (2 sqrt x).
     """
     _check_int(n)
+    _check_not_nan(x, "x")
     # The window is tested on the upper form's denominator as it is computed:
     # at n = 2, 2 - x - 2/n rounds to 0 one ulp below x = 2 - 2/n.
     gap = 2.0 - x - 2.0 / n
@@ -483,6 +486,7 @@ def laplace_head_integral(n: int, x: float) -> float:
     """Laplace-method leading term of int_0^x e^(-n rho/2) rho^(n-1) d rho for x > 2:
     sqrt(2 pi / n) e^(-n) 2^n, independent of x (the peak sits at rho = 2)."""
     _check_int(n)
+    _check_not_nan(x, "x")
     if not (x > 2.0):
         raise ValueError(f"Laplace form requires x > 2, got {x}")
     return math.exp(0.5 * math.log(2.0 * math.pi / n) + n * (math.log(2.0) - 1.0))

@@ -68,6 +68,7 @@ from .specfn import (
     _ValidatedTuple,
     _check_int,
     _check_nld,
+    _check_not_nan,
     _check_one_nld,
     _check_positive,
     _check_positive_or_inf,
@@ -531,6 +532,7 @@ def d_section_prob(n: int, r: float, w: float, sigma2: float) -> float:
     """
     _check_int(n, 2)
     s = _check_section_radius(r, sigma2)
+    _check_not_nan(w, "chord offset")
     if not (0.0 <= w <= 2.0 * r):
         raise ValueError(f"chord offset must lie in [0, 2r], got w={w}, r={r}")
     # Empty at w = 2r, and where the angle bound rounds to 0: at subnormal r,

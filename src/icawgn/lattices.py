@@ -1,10 +1,10 @@
 """Classic lattices with exact nearest-point decoders and a seeded Monte Carlo
 harness for their error probability over unconstrained AWGN.
 
-``decode`` follows the classic constructions (Conway & Sloane):
-coordinate-wise rounding for the integer lattice, the even-sum rounding
-correction for D_n, the two-coset D_8 decomposition for E_8, and the two
-rectangular sublattices of the hexagonal lattice.  By the geometric
+Each builtin is a union of shifted copies of a stretched Z^n or D_n (Conway
+& Sloane, SPLAG ch. 20-21): Z^n and D4 are one coset, E8 is D8 and
+D8 + (1/2)^8, A2 is Z x sqrt(3) Z and its shift by (1/2, sqrt(3)/2).
+``decode`` rounds onto each coset and keeps the nearest point.  By the geometric
 uniformity of lattices every Voronoi cell is congruent, so the simulation
 transmits the zero point only and still estimates the average error
 probability exactly.  It decodes nothing: a row is an error iff the gauge
@@ -50,7 +50,7 @@ _SQRT3 = math.sqrt(3.0)
 
 _CHUNK_SCALARS = 1 << 16  # 512 KB of noise per chunk, which stays in cache
 
-# decode's largest coordinate: every candidate's coordinate sum is then exact.
+# decode's largest coordinate: every D_n coordinate sum is then exact.
 _DECODE_MAX = 2.0 ** 50
 
 # Below this t, e^-t is a normal double and the mixture weights of
@@ -70,22 +70,28 @@ class _Family(NamedTuple):
     log_det: float                           # ln |det generator|, in closed form
     rho2: float                              # squared packing radius at scale 1
     generator: Callable[[int], np.ndarray]   # the row basis at a dimension
+    # The lattice is the union over shifts of shift + stretch * base, the base D_n
+    # (even sum, stretched uniformly) if dn else Z^n; a 1-tuple holds for all coordinates.
+    stretch: tuple[float, ...]
+    dn: bool
+    shifts: tuple[tuple[float, ...], ...]
 
 
 # The builtin families.  rho^2 is a quarter of the minimum squared norm (1 for
 # Z^n and A2, 2 for D4 and E8).  Each log_det is slogdet's of the generator,
 # bit for bit: 0.5 * log(0.75) for A2 is an ulp off.
 _FAMILIES = {
-    "zn": _Family(None, 0.0, 0.25, np.eye),
+    "zn": _Family(None, 0.0, 0.25, np.eye, (1.0,), False, ((0.0,),)),
     "a2": _Family(2, math.log(_SQRT3 / 2.0), 0.25,
-                  lambda _dim: np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0]])),
+                  lambda _dim: np.array([[1.0, 0.0], [0.5, _SQRT3 / 2.0]]),
+                  (1.0, _SQRT3), False, ((0.0, 0.0), (0.5, _SQRT3 / 2.0))),
     "d4": _Family(4, math.log(2.0), 0.5, lambda _dim: np.array([
         [-1.0, -1.0, 0.0, 0.0],
         [1.0, -1.0, 0.0, 0.0],
         [0.0, 1.0, -1.0, 0.0],
         [0.0, 0.0, 1.0, -1.0],
-    ])),
-    "e8": _Family(8, 0.0, 0.5, _e8_generator),
+    ]), (1.0,), True, ((0.0,),)),
+    "e8": _Family(8, 0.0, 0.5, _e8_generator, (1.0,), True, ((0.0,), (0.5,))),
 }
 
 _ZN_RE = re.compile(r"^Z(?:n\((\d+)\)|(\d+))$")
@@ -196,54 +202,20 @@ def builtin(name: str) -> LatticeSpec:
 
 
 def _round_half_down(x: np.ndarray) -> np.ndarray:
-    # Nearest integer; exact halves go to the smaller integer, which is the
-    # lexicographically smallest tied coefficient vector for Z^n.
+    # Nearest integer; exact halves go to the smaller integer.
     return np.ceil(x - 0.5)
-
-
-def _dn_candidates(y: np.ndarray) -> list[np.ndarray]:
-    """Even-sum integer vectors that can be nearest to y: the rounded vector
-    plus every single-coordinate flip toward the second-nearest integer."""
-    f = _round_half_down(y)
-    cands = []
-    if int(f.sum()) % 2 == 0:
-        cands.append(f)
-    for k in range(len(y)):
-        resid = y[k] - f[k]
-        steps = (1.0, -1.0) if resid == 0.0 else ((1.0,) if resid > 0 else (-1.0,))
-        for s in steps:
-            g = f.copy()
-            g[k] += s
-            if int(g.sum()) % 2 == 0:
-                cands.append(g)
-    return cands
-
-
-def _candidate_points(family: str, y: np.ndarray) -> np.ndarray:
-    if family == "zn":
-        return _round_half_down(y)[None, :]
-    if family == "d4":
-        return np.array(_dn_candidates(y))
-    if family == "e8":
-        ints = _dn_candidates(y)
-        halves = [c + 0.5 for c in _dn_candidates(y - 0.5)]
-        return np.array(ints + halves)
-    out = []                                    # a2, the last family
-    for di in (0.0, 0.5):
-        dj = di * _SQRT3
-        for i in (math.floor(y[0] - di), math.ceil(y[0] - di)):
-            for j in (math.floor((y[1] - dj) / _SQRT3), math.ceil((y[1] - dj) / _SQRT3)):
-                out.append(np.array([i + di, j * _SQRT3 + dj]))
-    return np.array(out)
 
 
 def decode(spec: LatticeSpec, y) -> DecodedPoint:
     """Exact nearest lattice point to y, with its integer coefficient vector.
 
-    Equidistant candidates are resolved toward the lexicographically
-    smallest coefficient vector.  Every coordinate of y / scale must be
-    finite and below 2^50 in magnitude, where sums of candidate coordinates
-    are still exact integers.
+    Each coset's nearest point rounds every coordinate, halves toward the
+    smaller integer; a D_n base with an odd sum then moves its first
+    coordinate farthest from an integer one step toward y, down where y is
+    on it.  Among the cosets' points, equidistant ones go to the
+    lexicographically smallest coefficient vector.  Every coordinate of
+    y / scale must be finite and below 2^50 in magnitude, where D_n
+    coordinate sums are still exact integers.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.dim,):
@@ -252,13 +224,21 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
     if not np.all(np.abs(base) < _DECODE_MAX):
         raise ValueError(f"input / scale must be finite and below 2^50 in magnitude, "
                          f"got {y.tolist()}")
-    cands = _candidate_points(spec.family, base)
+    fam = _FAMILIES[spec.family]
+    cands = []
+    for shift in fam.shifts:
+        r = (base - shift) / fam.stretch
+        f = _round_half_down(r)
+        if fam.dn and f.sum() % 2.0:
+            k = np.argmax(np.abs(r - f))
+            f[k] += 1.0 if r[k] > f[k] else -1.0
+        cands.append(f * fam.stretch + shift)
+    cands = np.array(cands)
     d2 = ((cands - base) ** 2).sum(axis=1)
     tied = cands[d2 <= d2.min() + 1e-12]
     gen, ginv = _basis(spec.family, spec.dim)
     coeff_rows = np.rint(tied @ ginv).astype(np.int64)
-    best = min(range(len(tied)), key=lambda i: tuple(coeff_rows[i]))
-    coeffs = coeff_rows[best]
+    coeffs = min(coeff_rows, key=tuple)
     point = (coeffs @ gen) * spec.scale
     return DecodedPoint(coeffs=coeffs, point=point)
 
@@ -269,8 +249,7 @@ def decode(spec: LatticeSpec, y) -> DecodedPoint:
 # For Z^n, A2, D4 and E8 the Voronoi-relevant vectors are the minimal vectors
 # v, so the zero point is nearest to z iff <z, v> <= |v|^2 / 2 for every one
 # of them (Conway & Sloane, SPLAG ch. 21).  The batch path takes the largest
-# 2 <z, v> / |v|^2, the cell's gauge, in closed form per family; ``decode``
-# keeps the constructions.
+# 2 <z, v> / |v|^2, the cell's gauge, in closed form per family.
 
 def _gauge(family: str, z: np.ndarray) -> np.ndarray:
     """The Minkowski gauge of the zero point's Voronoi cell at each row of z:

@@ -62,6 +62,9 @@ _LINEAR_MIN = 1e-300
 # shape the lower tail is taken from scipy only above that larger floor.
 _SCIPY_SERIES_MAX_A = 1e5
 _LARGE_A_LOWER_MIN = 1e-2
+# At x < a, P(a, x) < P(1/2, 1/2) = 0.683 for a >= 1/2.  A P above this, at
+# a < 1/2, makes Q the smaller tail (scipy's P rounds to 1 or past it at tiny a).
+_LOWER_SMALLER_MAX = 0.75
 
 _DBL_MAX = sys.float_info.max
 _LOG_DBL_MAX = math.log(_DBL_MAX)
@@ -312,15 +315,19 @@ def _log_upper_cf(a: float, x: float) -> float:
 def _log_tail(a: float, x: float, upper: bool) -> float:
     # ln Q(a, x) if upper else ln P(a, x), for x > 0.  The smaller tail is
     # taken directly and the larger as its complement: for a >= 1/2 the split
-    # at x = a leaves the larger at least 0.31, so log1p loses nothing.
+    # at x = a leaves the larger at least 0.31, so log1p loses nothing.  A Q
+    # made the smaller by _LOWER_SMALLER_MAX is scipy's at any size (> 3e-321).
     # Below the floor, P = x^a e^-x / Gamma(a+1) * M(1, a+1, x) (Kummer's M);
     # the scalar hyp1f1 has no signature for an int x.  Past scipy's series
     # the lower tail is one element of the array kernel.
     lower_smaller = x < a
     if lower_smaller and a > _SCIPY_SERIES_MAX_A:
         return float(_log_tail_inner(np.array([float(a)]), np.array([float(x)]), upper)[0])
-    direct = upper != lower_smaller
     small = _cs.gammainc(a, x) if lower_smaller else _cs.gammaincc(a, x)
+    if small > _LOWER_SMALLER_MAX:
+        q = _cs.gammaincc(a, x)
+        return math.log(q) if upper else math.log1p(-q)
+    direct = upper != lower_smaller
     if small > _LINEAR_MIN:
         return math.log(small) if direct else math.log1p(-small)
     if lower_smaller:
@@ -332,9 +339,9 @@ def _log_tail(a: float, x: float, upper: bool) -> float:
 
 def log_reg_gamma_lower(a: float, x: float) -> LogProb:
     """ln P(a, x), the regularized lower incomplete gamma in the log domain:
-    within 1e-13 relative of mpmath for a <= 5e6 (dimensions n <= 1e7), and
-    a finite log without that promise past it.  Past a = 1e5, for x < a,
-    it is the one element of :func:`log_reg_gamma_tail`."""
+    within 1e-13 relative of mpmath for 1e-308 <= a <= 5e6 (dimensions
+    n <= 1e7), and a finite log without that promise past it.  Past a = 1e5,
+    for x < a, it is the one element of :func:`log_reg_gamma_tail`."""
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb(-math.inf)
@@ -345,9 +352,9 @@ def log_reg_gamma_lower(a: float, x: float) -> LogProb:
 
 def log_reg_gamma_upper(a: float, x: float) -> LogProb:
     """ln Q(a, x), the regularized upper incomplete gamma in the log domain:
-    within 1e-13 relative of mpmath for a <= 5e6 (dimensions n <= 1e7), and
-    a finite log without that promise past it.  Past a = 1e5, for x < a,
-    it is the one element of :func:`log_reg_gamma_tail`."""
+    within 1e-13 relative of mpmath for 1e-308 <= a <= 5e6 (dimensions
+    n <= 1e7), and a finite log without that promise past it.  Past a = 1e5,
+    for x < a, it is the one element of :func:`log_reg_gamma_tail`."""
     _check_gamma_args(a, x)
     if x == 0.0:
         return LogProb(0.0)
@@ -422,6 +429,10 @@ def _log_tail_inner(a: np.ndarray, x: np.ndarray, upper: bool) -> np.ndarray:
     large = lower_smaller & (a > _SCIPY_SERIES_MAX_A)
     linear = small > (np.where(large, _LARGE_A_LOWER_MIN, _LINEAR_MIN) if np.count_nonzero(large)
                       else _LINEAR_MIN)
+    flip = small > _LOWER_SMALLER_MAX   # a lower tail only: Q(a, x) < 1/2 at x >= a
+    if np.count_nonzero(flip):
+        lower_smaller, one_side = lower_smaller & ~flip, False
+        small = np.where(flip, gammaincc(a, x), small)
     # The smaller tail directly and the larger as its complement, as in _log_tail.
     if one_side and _every(linear):
         return np.log(small) if (n_lower > 0) != upper else np.log1p(-small)
@@ -463,8 +474,8 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     lower tail at a > 1e5, 1e-2), and below that the log of the ``hyp1f1``
     ufunc for the lower tail and a numpy version of the same continued
     fraction for the upper, iterated until its slowest element converges.
-    Within 1e-13 relative of mpmath up to a = 5e6 (n = 1e7), and finite
-    without that promise past it.  An element takes the same branch and
+    Within 1e-13 relative of mpmath for 1e-308 <= a <= 5e6 (n <= 1e7), and
+    finite without that promise past it.  An element takes the same branch and
     kernel whatever else is in the array.  It matches the scalar functions
     bit for bit at every point with x < a past a = 1e5, which they take
     through this kernel, and at almost every other point: the scipy ufuncs

@@ -25,7 +25,7 @@ import pytest
 import icawgn
 from icawgn.asymptotics import (asym_curves, exponent_r, exponent_sp, exponent_t,
                                 head_integral_bounds, laplace_head_integral,
-                                tail_integral_bounds, terms)
+                                tail_integral_bounds, terms, ub_lb_ratio_limit)
 from icawgn.bounds import (CURVE_KINDS, ChannelPoint, bound_curves, d_section_prob,
                            equivalence_sides, ml_bound, sphere_bound, sphere_bound_by_volume,
                            typicality_bound)
@@ -247,6 +247,12 @@ ESCAPED = {
     "log_reg_gamma_upper": (lambda: log_reg_gamma_upper(2.0, 10**400), repr(10**400)),
     "log_reg_gamma_tail": (lambda: log_reg_gamma_tail([2.0, 10**400], [1.0, 1.0], upper=True),
                            repr(10**400)),
+    "ub_lb_ratio_limit": (lambda: ub_lb_ratio_limit("x", 1.0), "'x'"),
+    "laplace_head_integral": (lambda: laplace_head_integral(4, "3"), "'3'"),
+    "tail_integral_bounds": (lambda: tail_integral_bounds(4, "1.5"), "'1.5'"),
+    "tail_integral_bounds_huge": (lambda: tail_integral_bounds(4, 10**400), repr(10**400)),
+    "head_integral_bounds": (lambda: head_integral_bounds(4, None), "None"),
+    "d_section_prob": (lambda: d_section_prob(3, 1.0, "1", 1.0), "'1'"),
 }
 
 

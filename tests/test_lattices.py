@@ -174,6 +174,82 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(builtin("Z2"), [0.1, 0.2, 0.3])
 
+    def test_documented_tie_rules(self):
+        # Halves round down within a coset: (1/2, 1/2, 0, 0) is as near 0 as
+        # (1, 1, 0, 0), whose coefficients (-1, 0, 0, 0) are smaller.
+        assert np.array_equal(decode(builtin("D4"), [0.5, 0.5, 0.0, 0.0]).coeffs, [0] * 4)
+        # An odd sum on an integer point steps its first coordinate down.
+        assert np.array_equal(decode(builtin("D4"), [1.0, 0.0, 0.0, 0.0]).point, [0.0] * 4)
+        assert np.array_equal(decode(builtin("D4"), [0.0, 0.0, 0.0, 1.0]).point,
+                              [-1.0, 0.0, 0.0, 1.0])
+        # Between cosets the smaller coefficients win: (1/4)^8 is as near 0
+        # as (1/2)^8, whose coefficients are e_8, and -(1/4)^8 as near 0 as
+        # -(1/2)^8, whose are -e_8.
+        assert np.array_equal(decode(builtin("E8"), [0.25] * 8).coeffs, [0] * 8)
+        assert np.array_equal(decode(builtin("E8"), [-0.25] * 8).coeffs, [0] * 7 + [-1])
+
+
+def _base_basis(n: int, dn: bool) -> np.ndarray:
+    """A row basis of D_n (2 e_1 and e_(i+1) - e_i) if dn, else of Z^n."""
+    if not dn:
+        return np.eye(n)
+    basis = np.eye(n) - np.eye(n, k=-1)
+    basis[0, 0] = 2.0
+    return basis
+
+
+class TestCosets:
+    # Each family is the union over its shifts of shift + stretch * base.
+    SPECS = ["Z1", "Z3", "Z8", "A2", "D4", "E8"]
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_shifts_and_stretched_base_are_lattice_vectors(self, name):
+        spec = builtin(name)
+        fam = _FAMILIES[spec.family]
+        vecs = np.concatenate([_base_basis(spec.dim, fam.dn) * fam.stretch,
+                               np.broadcast_to(fam.shifts, (len(fam.shifts), spec.dim))])
+        coeffs = vecs @ np.linalg.inv(spec.generator)
+        assert np.allclose(coeffs, np.rint(coeffs), rtol=0.0, atol=1e-12), coeffs
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_cosets_fill_the_lattice(self, name):
+        # With the shifts in the lattice, the cosets are all of it iff their
+        # density adds up: det base * prod stretch / #cosets = det generator.
+        spec = builtin(name)
+        fam = _FAMILIES[spec.family]
+        det_base = 2.0 if fam.dn else 1.0
+        stretch = np.broadcast_to(fam.stretch, spec.dim)
+        got = math.log(det_base * np.prod(stretch) / len(fam.shifts))
+        assert got == pytest.approx(spec.log_det, rel=1e-15, abs=1e-15)
+        assert det_base == pytest.approx(abs(np.linalg.det(_base_basis(spec.dim, fam.dn))))
+
+    @pytest.mark.parametrize("name, size", [("Z3", 729), ("A2", 1000), ("D4", 1000),
+                                            ("E8", 1000)])
+    def test_ties_on_quarter_grids_decode_to_a_nearest_point(self, name, size):
+        # Quarter-integer points (A2's second coordinate on multiples of
+        # sqrt(3)/4) are often equidistant from several lattice points.  No
+        # minimal vector v moves the decoded point p nearer, which suffices
+        # since these lattices' Voronoi-relevant vectors are the minimal ones;
+        # outside E8, whose coefficient box is too small, p is also at the
+        # brute-force minimum distance.
+        spec = builtin(name)
+        rng = np.random.default_rng(59)
+        ys = (_coeff_box(3, 4) if name == "Z3"
+              else rng.integers(-8, 9, size=(size, spec.dim))) / 4.0
+        if name == "A2":
+            ys[:, 1] *= SQRT3
+        minimal = _e8_minimal_vectors() if name == "E8" else _minimal_box_vectors(spec, 2)
+        ties = 0
+        for y in ys:
+            p = decode(spec, y).point
+            got = float(((p - y) ** 2).sum())
+            others = ((p + minimal - y) ** 2).sum(axis=1)
+            assert got <= others.min() + 1e-12, y.tolist()
+            if name != "E8":
+                assert got <= _brute_force_min_dist2(spec, y) + 1e-12, y.tolist()
+            ties += bool(np.any(others <= got + 1e-12))
+        assert ties >= len(ys) // 4
+
 
 def _box_vectors(spec: LatticeSpec, reach: int) -> np.ndarray:
     """Every nonzero lattice vector with coefficients in [-reach, reach]."""

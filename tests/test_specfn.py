@@ -536,6 +536,33 @@ class TestArrayKernel:
             log_reg_gamma_tail(np.array([1.0, a]), np.array([1.0, x]), upper=True)
 
 
+def _mp_log_tails_tiny_shape(a, x):
+    # (ln Q, ln P) from Q = a Gamma(a, x) / Gamma(a + 1), which mpmath sums
+    # quickly at a tiny shape, where its regularized form is very slow.
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    q = a * mpmath.gammainc(a, x) / mpmath.gamma(a + 1)
+    return float(mpmath.log(q)), float(mpmath.log1p(-q))
+
+
+# Below a = 1/2 the lower tail at x < a may be the larger, and at a tiny shape
+# scipy's P rounds to 1 or just above it; 56 such points, down to a normal a.
+_TINY_SHAPES = [1e-308, 1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.2, 0.45]
+_TINY_RATIOS = [1e-30, 1e-12, 1e-4, 0.1, 0.5, 0.9, 0.999]
+
+
+def test_tiny_shapes_both_tails_vs_mpmath():
+    a = np.repeat(_TINY_SHAPES, len(_TINY_RATIOS))
+    x = np.maximum(a * np.tile(_TINY_RATIOS, len(_TINY_SHAPES)), 5e-324)
+    ref = np.array([_mp_log_tails_tiny_shape(ai, xi) for ai, xi in zip(a, x)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for col, upper, fn in ((0, True, log_reg_gamma_upper), (1, False, log_reg_gamma_lower)):
+            scalar = np.array([fn(ai, xi).log_value for ai, xi in zip(a.tolist(), x.tolist())])
+            for got in (scalar, log_reg_gamma_tail(a, x, upper=upper)):
+                assert np.all(np.abs(got - ref[:, col]) <= 1e-13 * np.abs(ref[:, col])), upper
+                assert np.all(got < 0.0)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 5e4])
 def test_infinite_argument(a):
     # Q(a, inf) = 0 and P(a, inf) = 1 exactly.
