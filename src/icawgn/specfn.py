@@ -11,8 +11,9 @@ the larger as its complement.  Where that tail underflows double precision,
 which happens routinely for the chi-square tails at dimensions in the
 thousands, the lower tail is the log of Kummer's function (scipy's
 ``hyp1f1``) and the upper a log-domain continued fraction, both with full
-relative accuracy in the log domain.  Past a = 1e5 the scalar functions take
-a lower tail (x < a) as one element of the array form, bit for bit.
+relative accuracy in the log domain.  Below a = 1/2, and past a = 1e5 for a
+lower tail (x < a), the scalar functions take the point as one element of
+the array form, bit for bit.
 """
 
 import math
@@ -21,7 +22,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, hyp1f1
+from scipy.special import exp1, gammainc, gammaincc, gammaln, hyp1f1
 
 # Scalar entry points of the same scipy.special kernels: bit-identical to the
 # ufuncs, without their array-call overhead (0.3 us a call against 1.7 us).
@@ -313,20 +314,20 @@ def _log_upper_cf(a: float, x: float) -> float:
 
 
 def _log_tail(a: float, x: float, upper: bool) -> float:
-    # ln Q(a, x) if upper else ln P(a, x), for x > 0.  The smaller tail is
-    # taken directly and the larger as its complement: for a >= 1/2 the split
-    # at x = a leaves the larger at least 0.31, so log1p loses nothing.  A Q
-    # made the smaller by _LOWER_SMALLER_MAX is scipy's at any size (> 3e-321).
-    # Below the floor, P = x^a e^-x / Gamma(a+1) * M(1, a+1, x) (Kummer's M);
-    # the scalar hyp1f1 has no signature for an int x.  Past scipy's series
-    # the lower tail is one element of the array kernel.
+    # ln Q(a, x) if upper else ln P(a, x), exact at the ends: Q(a, inf) =
+    # P(a, 0) = 0 and Q(a, 0) = P(a, inf) = 1.  Below a = 1/2, and past scipy's
+    # series for the lower tail, it is one element of the array kernel.  Else the
+    # smaller tail is direct and the larger its complement, at least 0.31 when
+    # split at x = a, so log1p loses nothing.  Below the floor, P = x^a e^-x /
+    # Gamma(a+1) * M(1, a+1, x) (Kummer's M); scalar hyp1f1 takes no int x.
+    if x == 0.0:
+        return 0.0 if upper else -math.inf
+    if x == math.inf:
+        return -math.inf if upper else 0.0
     lower_smaller = x < a
-    if lower_smaller and a > _SCIPY_SERIES_MAX_A:
+    if a < 0.5 or lower_smaller and a > _SCIPY_SERIES_MAX_A:
         return float(_log_tail_inner(np.array([float(a)]), np.array([float(x)]), upper)[0])
     small = _cs.gammainc(a, x) if lower_smaller else _cs.gammaincc(a, x)
-    if small > _LOWER_SMALLER_MAX:
-        q = _cs.gammaincc(a, x)
-        return math.log(q) if upper else math.log1p(-q)
     direct = upper != lower_smaller
     if small > _LINEAR_MIN:
         return math.log(small) if direct else math.log1p(-small)
@@ -339,27 +340,21 @@ def _log_tail(a: float, x: float, upper: bool) -> float:
 
 def log_reg_gamma_lower(a: float, x: float) -> LogProb:
     """ln P(a, x), the regularized lower incomplete gamma in the log domain:
-    within 1e-13 relative of mpmath for 1e-308 <= a <= 5e6 (dimensions
-    n <= 1e7), and a finite log without that promise past it.  Past a = 1e5,
-    for x < a, it is the one element of :func:`log_reg_gamma_tail`."""
+    within 1e-13 relative of mpmath, or 1e-300 absolute where |ln P| is below
+    that, for 5e-324 <= a <= 5e6 (dimensions n <= 1e7), and a finite log
+    without that promise past it.  Below a = 1/2, and past a = 1e5 for x < a,
+    it is the one element of :func:`log_reg_gamma_tail`."""
     _check_gamma_args(a, x)
-    if x == 0.0:
-        return LogProb(-math.inf)
-    if x == math.inf:
-        return LogProb(0.0)
     return LogProb(_log_tail(a, x, upper=False))
 
 
 def log_reg_gamma_upper(a: float, x: float) -> LogProb:
     """ln Q(a, x), the regularized upper incomplete gamma in the log domain:
-    within 1e-13 relative of mpmath for 1e-308 <= a <= 5e6 (dimensions
-    n <= 1e7), and a finite log without that promise past it.  Past a = 1e5,
-    for x < a, it is the one element of :func:`log_reg_gamma_tail`."""
+    within 1e-13 relative of mpmath for 5e-324 <= a <= 5e6 (dimensions
+    n <= 1e7), and a finite log without that promise past it.  Below a = 1/2,
+    and past a = 1e5 for x < a, it is the one element of
+    :func:`log_reg_gamma_tail`."""
     _check_gamma_args(a, x)
-    if x == 0.0:
-        return LogProb(0.0)
-    if x == math.inf:
-        return LogProb(-math.inf)
     return LogProb(_log_tail(a, x, upper=True))
 
 
@@ -381,8 +376,10 @@ def _log_prefactor_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _log_lower_kummer_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # ln P = ln(x^a e^-x / Gamma(a+1)) + ln M(1, a+1, x), as in _log_tail.
-    return _log_prefactor_array(a, x) + np.log(hyp1f1(1.0, a + 1.0, x))
+    # ln P = ln(x^a e^-x / Gamma(a+1)) + ln M(1, a+1, x), as in _log_tail; NaN
+    # where scipy's M leaves [1, inf), the range of M(1, a+1, x) at x >= 0.
+    m = hyp1f1(1.0, a + 1.0, x)
+    return _log_prefactor_array(a, x) + np.log(np.where((m >= 1.0) & (m < math.inf), m, math.nan))
 
 
 def _log_upper_cf_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -436,14 +433,19 @@ def _log_tail_inner(a: np.ndarray, x: np.ndarray, upper: bool) -> np.ndarray:
     # The smaller tail directly and the larger as its complement, as in _log_tail.
     if one_side and _every(linear):
         return np.log(small) if (n_lower > 0) != upper else np.log1p(-small)
-    with np.errstate(divide="ignore"):
-        log_small = np.log(small)   # -inf where scipy's tail is zero
-    for m, log_small_of in ((~linear & lower_smaller, _log_lower_kummer_array),
-                            (~linear & ~lower_smaller, _log_upper_cf_array)):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_small = np.log(small)   # -inf where scipy's tail is zero (NaN below zero)
+    # Below a = 1e-300, where the fraction need not converge, Q = a E1(x) to
+    # relative a |ln x| at x <= 1 (Gamma(a+1) rounds to 1), and is the smaller.
+    by_e1 = ~linear & (a < 1e-300) & (x <= 1.0)
+    lower_smaller, rest = lower_smaller & ~by_e1, ~linear & ~by_e1
+    for m, log_small_of in ((by_e1, lambda a, x: np.log(a) + np.log(exp1(x))),
+                            (rest & lower_smaller, _log_lower_kummer_array),
+                            (rest & ~lower_smaller, _log_upper_cf_array)):
         if m.any():
             deep = log_small_of(a[m], x[m])
-            # scipy's hyp1f1 is NaN at some x within a few sqrt(a) below a from
-            # a = 2.4e10 on; there scipy's own tail stands in, -inf if zero.
+            # scipy's hyp1f1 is NaN, 0 or inf at some x within a few sqrt(a)
+            # below a from a = 2.4e10 on; there scipy's tail stands in, -inf if 0.
             log_small[m] = np.minimum(np.where(np.isnan(deep), log_small[m], deep), 0.0)
     # The larger tail, where it is the one asked for, as the complement.
     return np.log1p(-np.where(linear, small, np.exp(log_small)), out=log_small,
@@ -473,11 +475,12 @@ def log_reg_gamma_tail(a, x, upper: bool) -> np.ndarray:
     ``gammaincc`` ufunc for the smaller tail where it exceeds 1e-300 (for the
     lower tail at a > 1e5, 1e-2), and below that the log of the ``hyp1f1``
     ufunc for the lower tail and a numpy version of the same continued
-    fraction for the upper, iterated until its slowest element converges.
-    Within 1e-13 relative of mpmath for 1e-308 <= a <= 5e6 (n <= 1e7), and
-    finite without that promise past it.  An element takes the same branch and
-    kernel whatever else is in the array.  It matches the scalar functions
-    bit for bit at every point with x < a past a = 1e5, which they take
+    fraction for the upper, iterated until its slowest element converges
+    (a E1(x) at a < 1e-300, x <= 1).  Accurate as the scalar functions are
+    for 5e-324 <= a <= 5e6 (n <= 1e7), and finite without that promise past
+    it.  An element takes the same branch and kernel whatever else is in the
+    array.  It matches the scalar functions bit for bit at every point below
+    a = 1/2 and at every point with x < a past a = 1e5, which they take
     through this kernel, and at almost every other point: the scipy ufuncs
     agree with their scalar entry points, but numpy's ``np.log`` and
     ``np.log1p`` differ from libm's ``math.log`` and ``math.log1p`` in the

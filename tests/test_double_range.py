@@ -64,6 +64,20 @@ def test_bounds_above_capacity_where_hyp1f1_is_nan_are_finite(n):
             assert _finite_or_zero(curve), (kind, n, k)
 
 
+@pytest.mark.parametrize("n, k", [(2**62, 7e4), (2**62, 1e5), (2**62, 1.5e5), (2**63 - 1, 1.65e5),
+                                  (2**63 - 1, 2.5e5), (2**63 - 1, 3e5)])
+def test_bounds_above_capacity_where_hyp1f1_overflows_are_near_zero(n, k):
+    # Further above capacity every bound is 1 to double precision (log -0.0),
+    # while scipy's hyp1f1 in P(n/2, x) is +inf or 0 at these points; a bound
+    # read -inf or -1.4e10 there.
+    nld = bounds.delta_star(1.0) + k / math.sqrt(2.0 * n)
+    point = ChannelPoint(n, nld, 1.0)
+    for bound in _BOUNDS:
+        assert bound(point).log_raw >= -1.0, (bound.__name__, n, k)
+    for kind, curve in bounds.bound_curves([n], nld, 1.0).items():
+        assert curve[0] >= -1.0, (kind, n, k)
+
+
 @seed(20261019)
 @settings(max_examples=120, deadline=None)
 @given(n=st.one_of(st.integers(min_value=1, max_value=10**7),

@@ -454,10 +454,16 @@ class TestArrayKernel:
     def test_scalar_lower_tails_past_scipys_series_are_the_kernels(self):
         # Past a = 1e5 the scalar functions take a point with x < a as one
         # element of this kernel, so there the two agree bit for bit, on both
-        # sides of the 1e-2 floor (x within 40 sqrt(a) below a).
+        # sides of the 1e-2 floor (x within 40 sqrt(a) below a).  So they do
+        # below a = 1/2, on either side of a: 10,000 points there, as a scalar
+        # path of its own differs in the last bit at about 4 in 10,000.
         rng = np.random.default_rng(11)
         a = np.exp(rng.uniform(math.log(1e5), math.log(1e8), 2000)) * (1.0 + 1e-9)
         x = a - rng.uniform(0.0, 40.0, 2000) * np.sqrt(a)
+        rng = np.random.default_rng(12)
+        small_a = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), 10000))
+        a = np.concatenate([a, small_a])
+        x = np.concatenate([x, small_a * np.exp(rng.uniform(-5.0, 5.0, 10000))])
         for upper, fn in ((True, log_reg_gamma_upper), (False, log_reg_gamma_lower)):
             ref = np.array([fn(ai, xi).log_value for ai, xi in zip(a.tolist(), x.tolist())])
             got = log_reg_gamma_tail(a, x, upper=upper)
@@ -494,6 +500,7 @@ class TestArrayKernel:
         "upper_linear": [(10.0, 15.0), (3.0, 3.0), (0.5, 2.0)],
         "kummer": [(1000.0, 100.0), (2e5, 1.9e5), (20.0, 1e-20)],
         "cf": [(10.0, 1000.0), (1000.0, 3000.0), (0.5, 800.0)],
+        "e1": [(1e-306, 1e-5), (5e-324, 1e-200), (1e-310, 5e-311)],
         "ends": [(3.0, 0.0), (3.0, math.inf), (5e4, 0.0)],
     }
 
@@ -502,8 +509,8 @@ class TestArrayKernel:
         ("lower_linear", "kummer"),    # every x < a
         ("upper_linear", "cf"),        # every x >= a
         ("lower_linear", "upper_linear"),
-        ("kummer",), ("cf",), ("ends",), (),
-    ], ids=["x<a", "x>=a", "linear", "kummer", "cf", "ends", "empty"])
+        ("kummer",), ("cf",), ("e1",), ("ends",), (),
+    ], ids=["x<a", "x>=a", "linear", "kummer", "cf", "e1", "ends", "empty"])
     def test_each_dispatch_matches_a_mixed_array(self, group, upper):
         # An array whose elements all take one branch skips the splits the
         # others need; each element keeps the bits it has in a mixed array.
@@ -537,30 +544,47 @@ class TestArrayKernel:
 
 
 def _mp_log_tails_tiny_shape(a, x):
-    # (ln Q, ln P) from Q = a Gamma(a, x) / Gamma(a + 1), which mpmath sums
-    # quickly at a tiny shape, where its regularized form is very slow.
+    # (ln Q, ln P) from Q = a Gamma(a, x) / Gamma(a + 1), with Gamma(a, x) =
+    # x^a E_{1-a}(x), which mpmath sums quickly at a tiny shape, where its
+    # gammainc is very slow.  ln P is log1p(-Q) where Q < 1/2, and from the
+    # regularized lower integral elsewhere, where 1 - Q may be below the
+    # working precision.
     a, x = mpmath.mpf(a), mpmath.mpf(x)
-    q = a * mpmath.gammainc(a, x) / mpmath.gamma(a + 1)
-    return float(mpmath.log(q)), float(mpmath.log1p(-q))
+    q = a * x ** a * mpmath.expint(1 - a, x) / mpmath.gamma(a + 1)
+    p = mpmath.log1p(-q) if q < 0.5 else mpmath.log(mpmath.gammainc(a, 0, x, regularized=True))
+    return float(mpmath.log(q)), float(p)
 
 
 # Below a = 1/2 the lower tail at x < a may be the larger, and at a tiny shape
-# scipy's P rounds to 1 or just above it; 56 such points, down to a normal a.
-_TINY_SHAPES = [1e-308, 1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.2, 0.45]
+# scipy's P rounds to 1 or just above it (to 0 at a subnormal shape).  Each
+# shape takes x below a, and x in (a, 1], where Q = a E1(x) may underflow the
+# linear floor at a < 1e-300.
+_TINY_SHAPES = [5e-324, 1e-320, 3e-309, 6e-309, 1e-308, 1e-306, 1.3e-303, 1e-300,
+                1e-100, 1e-20, 1e-8, 1e-3, 0.2, 0.45]
 _TINY_RATIOS = [1e-30, 1e-12, 1e-4, 0.1, 0.5, 0.9, 0.999]
 
 
+def _tiny_shape_grid():
+    pts = set()
+    for a in _TINY_SHAPES:
+        pts.update((a, max(a * r, 5e-324)) for r in _TINY_RATIOS)
+        pts.update((a, x) for x in (10.0 * a, 1e-200, 1e-7, 1.0) if a < x <= 1.0)
+    return np.array(sorted(pts)).T
+
+
 def test_tiny_shapes_both_tails_vs_mpmath():
-    a = np.repeat(_TINY_SHAPES, len(_TINY_RATIOS))
-    x = np.maximum(a * np.tile(_TINY_RATIOS, len(_TINY_SHAPES)), 5e-324)
+    a, x = _tiny_shape_grid()
     ref = np.array([_mp_log_tails_tiny_shape(ai, xi) for ai, xi in zip(a, x)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for col, upper, fn in ((0, True, log_reg_gamma_upper), (1, False, log_reg_gamma_lower)):
+            want = ref[:, col]
+            # ln P within 1e-300 absolute where it is below that (subnormal at a subnormal shape).
+            tol = np.maximum(1e-13 * np.abs(want), 0.0 if upper else 1e-300)
             scalar = np.array([fn(ai, xi).log_value for ai, xi in zip(a.tolist(), x.tolist())])
             for got in (scalar, log_reg_gamma_tail(a, x, upper=upper)):
-                assert np.all(np.abs(got - ref[:, col]) <= 1e-13 * np.abs(ref[:, col])), upper
-                assert np.all(got < 0.0)
+                assert np.all(np.abs(got - want) <= tol), upper
+                assert np.all((got < 0.0) | (want == 0.0)), upper
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 5e4])
